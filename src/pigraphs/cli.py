@@ -31,18 +31,18 @@ def _write(text: str, out: str | None):
             fh.write(text)
 
 
+FAMILIES = {
+    "isn": lambda a: families.symmetric_inverse(a.n),
+    "brandt": lambda a: families.brandt(
+        families.cyclic_group(a.group_order), a.indices),
+    "semilattice": lambda a: families.subset_meet_semilattice(a.n),
+    "cyclic": lambda a: families.cyclic_group(a.n),
+    "leftzero": lambda a: families.left_zero(a.n),
+}
+
+
 def cmd_build(args) -> int:
-    if args.family == "isn":
-        s = families.symmetric_inverse(args.n)
-    elif args.family == "brandt":
-        s = families.brandt(families.cyclic_group(args.group_order),
-                            args.indices)
-    elif args.family == "semilattice":
-        s = families.subset_meet_semilattice(args.n)
-    elif args.family == "cyclic":
-        s = families.cyclic_group(args.n)
-    else:
-        s = families.left_zero(args.n)
+    s = FAMILIES[args.family](args)
     if args.adjoin_zero:
         s = semigroups.adjoin_zero(s)
     _write(json.dumps(semigroups.to_json_dict(s), indent=2) + "\n", args.out)
@@ -189,9 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="construct a semigroup family")
-    p.add_argument("--family", required=True,
-                   choices=["isn", "brandt", "semilattice", "cyclic",
-                            "leftzero"])
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--group-order", type=int, default=1)
     p.add_argument("--indices", type=int, default=1)

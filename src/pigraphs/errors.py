@@ -63,3 +63,11 @@ class NotABijection(PigError):
 
 class NotSymmetric(PigError):
     pass
+
+
+class NotSimpleGraph(PigError):
+    """An adjacency row with a loop or without its mirror bit."""
+
+
+class MalformedDocument(PigError):
+    """A JSON document that does not have the expected shape."""

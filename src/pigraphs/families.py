@@ -9,8 +9,9 @@ associative by construction and skip the cubic check (``checked=False``).
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb, factorial
+from operator import itemgetter
 
-from .errors import NotAGroup, SizeLimitExceeded
+from .errors import NotABijection, NotAGroup, SizeLimitExceeded
 from .semigroups import Semigroup, _detect_identity, _detect_zero
 
 ISN_MAX = 5
@@ -31,7 +32,8 @@ class PartialBijection:
 
     def __post_init__(self):
         defined = [v for v in self.mapping if v is not None]
-        assert len(set(defined)) == len(defined), "mapping is not injective"
+        if len(set(defined)) != len(defined):
+            raise NotABijection(f"mapping {self.mapping} is not injective")
 
     @property
     def sort_key(self):
@@ -90,9 +92,16 @@ def symmetric_inverse(n: int) -> Semigroup:
     if not 1 <= n <= ISN_MAX:
         raise SizeLimitExceeded(f"symmetric_inverse supports 1 <= n <= {ISN_MAX}")
     elems = all_partial_bijections(n)
-    index = {p: i for i, p in enumerate(elems)}
+    # Mappings padded with one undefined slot n: x*y (x first) reads y's
+    # padded mapping at x's images, with undefined images sent to slot n.
+    # The padding also keeps itemgetter's result a tuple when n = 1.
+    padded = [p.mapping + (None,) for p in elems]
+    index = {m: i for i, m in enumerate(padded)}
     table = tuple(
-        tuple(index[x.compose(y)] for y in elems) for x in elems
+        tuple(map(index.__getitem__,
+                  map(itemgetter(*(n if v is None else v for v in x)),
+                      padded)))
+        for x in padded
     )
     return Semigroup(
         order=len(elems),

@@ -5,8 +5,10 @@ u and v are adjacent.  All graphs are simple: symmetric and irreflexive.
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .errors import NotABijection, SizeLimitExceeded
+from .errors import IndexOutOfRange, MalformedDocument, NotABijection, \
+    NotSimpleGraph, SizeLimitExceeded, SizeMismatch
 from .green import Partition, partition_from_groups
 
 ISO_MAX_ORDER = 40
@@ -27,12 +29,17 @@ class Graph:
     labels: tuple | None = None
 
     def __post_init__(self):
+        if len(self.adj) != self.order:
+            raise SizeMismatch("adjacency row count differs from order")
         full = (1 << self.order) - 1
         for v, row in enumerate(self.adj):
-            assert row & ~full == 0, "adjacency bit out of range"
-            assert not row >> v & 1, "graph must be irreflexive"
+            if row & ~full:
+                raise IndexOutOfRange(f"adjacency bit of row {v} out of range")
+            if row >> v & 1:
+                raise NotSimpleGraph(f"vertex {v} has a loop")
             for u in bits(row):
-                assert self.adj[u] >> v & 1, "adjacency must be symmetric"
+                if not self.adj[u] >> v & 1:
+                    raise NotSimpleGraph(f"edge {v}-{u} is not symmetric")
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -48,9 +55,18 @@ class Graph:
         return self.labels[v] if self.labels is not None else str(v)
 
 
+def _trusted_graph(order: int, adj: tuple, labels=None) -> Graph:
+    """A Graph from rows that are simple by construction, not re-validated."""
+    g = object.__new__(Graph)
+    g.__dict__.update(order=order, adj=adj, labels=labels)
+    return g
+
+
 def from_edges(order: int, edges, labels=None) -> Graph:
     adj = [0] * order
     for u, v in edges:
+        if not (0 <= u < order and 0 <= v < order):
+            raise IndexOutOfRange(f"edge ({u}, {v}) not in [0, {order})")
         if u == v:
             continue
         adj[u] |= 1 << v
@@ -149,6 +165,23 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
     return Graph(len(verts), tuple(adj), labels)
 
 
+def mask_intersection_graph(masks, labels=None) -> Graph:
+    """Vertex v per bit-mask masks[v]; u ~ v (u != v) iff their masks meet.
+
+    Vertices with equal masks share one row, so only the distinct masks
+    are intersected pairwise.  A zero mask leaves its vertex isolated.
+    """
+    members = {}
+    for v, m in enumerate(masks):
+        members[m] = members.get(m, 0) | 1 << v
+    row_of = {m: sum(vs for other, vs in members.items() if m & other)
+              for m in members}
+    return _trusted_graph(
+        len(masks),
+        tuple(row_of[m] & ~(1 << v) for v, m in enumerate(masks)),
+        labels)
+
+
 def intersection_graph(n: int) -> Graph:
     """Intersection graph of the nonempty subsets of an n-set.
 
@@ -157,33 +190,37 @@ def intersection_graph(n: int) -> Graph:
     from .families import subset_label
     if not 1 <= n <= 6:
         raise SizeLimitExceeded("intersection_graph supports 1 <= n <= 6")
-    masks = list(range(1, 1 << n))
-    adj = [0] * len(masks)
-    for i, a in enumerate(masks):
-        for j in range(i + 1, len(masks)):
-            if a & masks[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(len(masks), tuple(adj),
-                 tuple(subset_label(m) for m in masks))
+    masks = range(1, 1 << n)
+    return mask_intersection_graph(masks,
+                                   tuple(subset_label(m) for m in masks))
 
 
 def degree_of_subset_vertex(n: int, k: int) -> int:
     """Closed-form degree 2^n - 2^(n-k) - 1 of a rank-k subset vertex."""
-    assert 1 <= k <= n
+    if not 1 <= k <= n:
+        raise IndexOutOfRange(f"subset rank {k} not in [1, {n}]")
     return (1 << n) - (1 << (n - k)) - 1
 
 
 def verify_isomorphism(g: Graph, h: Graph, mapping) -> bool:
-    """Check that mapping preserves both adjacency and non-adjacency."""
+    """Check that mapping preserves both adjacency and non-adjacency.
+
+    Both graphs are simple, so it suffices that each row of g, carried
+    into h's vertex space, equals the row of its image.  Rows are carried
+    as big-endian bit strings, where character i stands for vertex n-1-i.
+    """
     if (g.order != h.order or len(mapping) != g.order
             or sorted(mapping) != list(range(h.order))):
         raise NotABijection("mapping is not a bijection between vertex sets")
-    for u in range(g.order):
-        for v in range(u + 1, g.order):
-            if g.has_edge(u, v) != h.has_edge(mapping[u], mapping[v]):
-                return False
-    return True
+    n = g.order
+    if n == 0:
+        return True
+    source = [0] * n
+    for v, w in enumerate(mapping):
+        source[n - 1 - w] = n - 1 - v
+    gather, width = itemgetter(*source), f"0{n}b"
+    return all(int("".join(gather(format(row, width))), 2) == h.adj[image]
+               for row, image in zip(g.adj, mapping))
 
 
 def _joint_refinement(g: Graph, h: Graph):
@@ -264,6 +301,8 @@ def to_json_dict(g: Graph) -> dict:
 
 
 def from_json_dict(doc: dict) -> Graph:
+    if not isinstance(doc, dict):
+        raise MalformedDocument("a graph document must be a JSON object")
     return from_edges(doc["order"], doc["edges"], doc.get("labels"))
 
 

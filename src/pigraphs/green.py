@@ -31,43 +31,44 @@ def partition_from_groups(n: int, groups) -> Partition:
     return Partition(class_of=tuple(class_of), classes=classes)
 
 
+def _ideal(a: int, products) -> int:
+    """Bit-set of the given products together with a itself."""
+    return sum(map((1).__lshift__, set(products))) | 1 << a
+
+
 def principal_left_ideal(s: Semigroup, a: int) -> int:
     """Bit-set of {x*a : x in S} together with a itself."""
-    bits = 1 << a
-    for x in range(s.order):
-        bits |= 1 << s.table[x][a]
-    return bits
+    return _ideal(a, (row[a] for row in s.table))
 
 
 def principal_right_ideal(s: Semigroup, a: int) -> int:
     """Bit-set of {a*x : x in S} together with a itself."""
-    bits = 1 << a
-    row = s.table[a]
-    for x in range(s.order):
-        bits |= 1 << row[x]
-    return bits
+    return _ideal(a, s.table[a])
 
 
 def left_ideals(s: Semigroup) -> list:
-    return [principal_left_ideal(s, a) for a in range(s.order)]
+    """Every principal left ideal, each read off its column of the table."""
+    return [_ideal(a, col) for a, col in enumerate(zip(*s.table))]
 
 
 def right_ideals(s: Semigroup) -> list:
-    return [principal_right_ideal(s, a) for a in range(s.order)]
+    """Every principal right ideal, each read off its row of the table."""
+    return [_ideal(a, row) for a, row in enumerate(s.table)]
 
 
-def _classes_by_ideal(s: Semigroup, ideals) -> Partition:
+def classes_by_ideal(ideals) -> Partition:
+    """Partition of the elements by equality of their ideals."""
     groups = {}
     for a, ideal in enumerate(ideals):
         groups.setdefault(ideal, []).append(a)
-    return partition_from_groups(s.order, groups.values())
+    return partition_from_groups(len(ideals), groups.values())
 
 
 def l_classes(s: Semigroup) -> Partition:
     """Partition by equality of principal left ideals."""
-    return _classes_by_ideal(s, left_ideals(s))
+    return classes_by_ideal(left_ideals(s))
 
 
 def r_classes(s: Semigroup) -> Partition:
     """Partition by equality of principal right ideals."""
-    return _classes_by_ideal(s, right_ideals(s))
+    return classes_by_ideal(right_ideals(s))

@@ -4,8 +4,9 @@ Vertices of the full graph are the nonzero elements in element order;
 two are adjacent when their principal (left or right) ideals share a
 nonzero element.  The quotient graph has one vertex per nonzero L-class
 (or R-class), ordered by minimal representative, and its construction
-re-checks on every pair that adjacency does not depend on the chosen
-representatives.
+checks that adjacency does not depend on the chosen representatives.
+The private helpers take layers already built, so a pipeline can build
+each layer once.
 """
 
 from .errors import (
@@ -16,7 +17,8 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .families import ISN_MAX, all_partial_bijections
-from .graphs import Graph, verify_isomorphism
+from .graphs import Graph, _trusted_graph, mask_intersection_graph, \
+    verify_isomorphism
 from .green import l_classes, left_ideals, r_classes, right_ideals
 from .semigroups import Semigroup, check_involution, inverses
 from .skeletal import VertexMap
@@ -35,15 +37,9 @@ def _pig(s: Semigroup, ideals) -> Graph:
     nonzero = (1 << s.order) - 1
     if s.zero is not None:
         nonzero ^= 1 << s.zero
-    adj = [0] * len(verts)
-    for i, a in enumerate(verts):
-        ia = ideals[a]
-        for j in range(i + 1, len(verts)):
-            if ia & ideals[verts[j]] & nonzero:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
     labels = tuple(s.label(v) for v in verts) if s.labels else None
-    return Graph(len(verts), tuple(adj), labels)
+    return mask_intersection_graph([ideals[v] & nonzero for v in verts],
+                                   labels)
 
 
 def left_pig(s: Semigroup) -> Graph:
@@ -59,15 +55,28 @@ def left_pig_inverse_fast(s: Semigroup) -> Graph:
     inv = inverses(s)
     if inv is None:
         raise NotInverseSemigroup("fast path needs an inverse semigroup")
+    return _pig_inverse_fast(s, inv)
+
+
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _pig_inverse_fast(s: Semigroup, inv) -> Graph:
+    """Row x marks the y with x * inv(y) != zero, read off row x at once.
+
+    Symmetric since (x * inv(y))^-1 = y * inv(x) in an inverse semigroup.
+    """
     verts = pig_vertices(s)
-    adj = [0] * len(verts)
+    partners = [inv[v] for v in verts]
+    is_nonzero = (-1 if s.zero is None else s.zero).__ne__
+    adj = []
     for i, x in enumerate(verts):
-        for j in range(i + 1, len(verts)):
-            if s.table[x][inv[verts[j]]] != s.zero:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+        flags = bytes(map(is_nonzero, map(s.table[x].__getitem__, partners)))
+        # int() reads the highest bit first, so the flags go in reversed
+        row = int(flags[::-1].translate(_BINARY_DIGITS), 2)
+        adj.append(row & ~(1 << i))
     labels = tuple(s.label(v) for v in verts) if s.labels else None
-    return Graph(len(verts), tuple(adj), labels)
+    return _trusted_graph(len(verts), tuple(adj), labels)
 
 
 def isn_left_pig(n: int) -> Graph:
@@ -75,46 +84,48 @@ def isn_left_pig(n: int) -> Graph:
     if not 1 <= n <= ISN_MAX:
         raise SizeLimitExceeded(f"isn_left_pig supports 1 <= n <= {ISN_MAX}")
     elems = [p for p in all_partial_bijections(n) if p.rank() > 0]
-    masks = [p.image_mask() for p in elems]
-    adj = [0] * len(elems)
-    for i, mi in enumerate(masks):
-        for j in range(i + 1, len(masks)):
-            if mi & masks[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(len(elems), tuple(adj), tuple(p.label() for p in elems))
+    return mask_intersection_graph([p.image_mask() for p in elems],
+                                   tuple(p.label() for p in elems))
+
+
+def _blocks(s: Semigroup, partition) -> list:
+    """The classes without the zero, ordered by minimal member."""
+    return sorted((cls for cls in partition.classes if s.zero not in cls),
+                  key=min)
 
 
 def _s_pig(s: Semigroup, full: Graph, partition):
+    """Quotient of full by the partition's nonzero blocks, checked by rows.
+
+    Adjacency is representative-independent iff the closed neighbourhood
+    of every vertex is the union of the blocks that the first member of
+    its block reaches, its own block included.
+    """
     verts = pig_vertices(s)
     pos = {v: i for i, v in enumerate(verts)}
-    blocks = [cls for cls in partition.classes if s.zero not in cls]
-    blocks.sort(key=min)
-    block_of = {}
+    blocks = _blocks(s, partition)
+    block_of = [0] * len(verts)
+    members = []
     for cid, cls in enumerate(blocks):
         for x in cls:
-            block_of[x] = cid
-    adj = [0] * len(blocks)
-    for i, bi in enumerate(blocks):
-        # every same-class pair must already be adjacent in the full graph
-        for a_idx, a in enumerate(bi):
-            for b in bi[a_idx + 1:]:
-                if not full.has_edge(pos[a], pos[b]):
-                    raise InconsistentQuotient(
-                        f"related elements {a}, {b} are not adjacent")
-        for j in range(i + 1, len(blocks)):
-            pairs = [full.has_edge(pos[a], pos[b])
-                     for a in bi for b in blocks[j]]
-            if any(pairs) != all(pairs):
+            block_of[pos[x]] = cid
+        members.append(sum(1 << pos[x] for x in cls))
+    adj = []
+    for i, cls in enumerate(blocks):
+        first = pos[cls[0]]
+        reached = [j for j, m in enumerate(members)
+                   if m & (full.adj[first] | 1 << first)]
+        want = sum(members[j] for j in reached)
+        for x in cls:
+            diff = (full.adj[pos[x]] | 1 << pos[x]) ^ want
+            if diff:
                 raise InconsistentQuotient(
-                    f"classes {i} and {j} disagree across representatives")
-            if pairs[0]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    labels = tuple(f"[{s.label(min(b))}]" for b in blocks) if s.labels else None
-    quotient = Graph(len(blocks), tuple(adj), labels)
-    phi = VertexMap(len(verts), len(blocks),
-                    tuple(block_of[v] for v in verts))
+                    f"class {i} depends on its representative: element {x} "
+                    f"vs element {verts[(diff & -diff).bit_length() - 1]}")
+        adj.append(sum(1 << j for j in reached if j != i))
+    labels = tuple(f"[{s.label(b[0])}]" for b in blocks) if s.labels else None
+    quotient = _trusted_graph(len(blocks), tuple(adj), labels)
+    phi = VertexMap(len(verts), len(blocks), tuple(block_of))
     return quotient, phi
 
 
@@ -131,9 +142,7 @@ def s_right_pig(s: Semigroup):
 def s_pig_class_elements(s: Semigroup, side: str = "left") -> list:
     """Element indices per quotient vertex, matching s_left/right_pig order."""
     partition = l_classes(s) if side == "left" else r_classes(s)
-    blocks = [cls for cls in partition.classes if s.zero not in cls]
-    blocks.sort(key=min)
-    return [list(b) for b in blocks]
+    return [list(b) for b in _blocks(s, partition)]
 
 
 def involution_pig_isomorphism(s: Semigroup, sigma=None) -> list:
@@ -147,12 +156,17 @@ def involution_pig_isomorphism(s: Semigroup, sigma=None) -> list:
         if sigma is None:
             raise NotInverseSemigroup(
                 "no involution supplied and the semigroup is not inverse")
+    return _involution_isomorphism(s, sigma, left_pig(s), right_pig(s))
+
+
+def _involution_isomorphism(s: Semigroup, sigma, left: Graph,
+                            right: Graph) -> list:
     if not check_involution(s, sigma):
         raise NotInverseSemigroup("supplied map is not an involution")
     verts = pig_vertices(s)
     pos = {v: i for i, v in enumerate(verts)}
     mapping = [pos[sigma[v]] for v in verts]
-    if not verify_isomorphism(left_pig(s), right_pig(s), mapping):
+    if not verify_isomorphism(left, right, mapping):
         raise IsomorphismCheckFailed(
             "involution did not carry the left graph onto the right graph")
     return mapping

@@ -7,8 +7,10 @@ of how it was produced.
 """
 
 from dataclasses import dataclass, field
+from itertools import compress
 
-from .errors import AssociativityViolation, IndexOutOfRange, NotAPermutation
+from .errors import AssociativityViolation, IndexOutOfRange, \
+    MalformedDocument, NotAPermutation, SizeMismatch
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,9 @@ def from_cayley_table(table, labels=None, *, unchecked=False,
     """
     table = tuple(tuple(row) for row in table)
     _check_entries(table)
+    if labels is not None and len(labels) != len(table):
+        raise SizeMismatch(
+            f"{len(labels)} labels for a table of order {len(table)}")
     if not unchecked:
         _check_associativity(table)
     return Semigroup(
@@ -120,11 +125,14 @@ def inverses(s: Semigroup):
     partner; otherwise ``None`` (the semigroup is not inverse).
     """
     t = s.table
+    everything = range(s.order)
     inv = []
-    for x in range(s.order):
+    for x, (row, col) in enumerate(zip(t, zip(*t))):
+        # col[row[y]] is x*y*x, so this walks the y with x*y*x = x
+        xyx = map(col.__getitem__, row)
         found = None
-        for y in range(s.order):
-            if t[t[x][y]][x] == x and t[t[y][x]][y] == y:
+        for y in compress(everything, map(x.__eq__, xyx)):
+            if t[t[y][x]][y] == y:
                 if found is not None:
                     return None
                 found = y
@@ -135,17 +143,21 @@ def inverses(s: Semigroup):
 
 
 def check_involution(s: Semigroup, sigma) -> bool:
-    """True iff sigma is an involutive anti-automorphism of the table."""
+    """True iff sigma is an involutive anti-automorphism of the table.
+
+    For an involution, sigma(a*b) = sigma(b)*sigma(a) with a = sigma(c)
+    says that sigma applied to row a equals column c read in sigma order,
+    so the law is checked one whole row against one column at a time.
+    """
     if sorted(sigma) != list(range(s.order)):
         raise NotAPermutation("sigma must permute the element indices")
+    if any(sigma[sigma[a]] != a for a in range(s.order)):
+        return False
     t = s.table
-    for a in range(s.order):
-        if sigma[sigma[a]] != a:
-            return False
-        for b in range(s.order):
-            if sigma[t[a][b]] != t[sigma[b]][sigma[a]]:
-                return False
-    return True
+    return all(
+        list(map(sigma.__getitem__, t[sigma[c]]))
+        == list(map(col.__getitem__, sigma))
+        for c, col in enumerate(zip(*t)))
 
 
 def adjoin_zero(s: Semigroup) -> Semigroup:
@@ -188,7 +200,12 @@ def from_json_dict(doc: dict, *, validate=None) -> Semigroup:
     ``validate`` forces or skips the cubic associativity check; the
     default re-checks tables up to order 128 and trusts larger ones.
     """
+    if not isinstance(doc, dict):
+        raise MalformedDocument("a semigroup document must be a JSON object")
     table = doc["table"]
+    if not (isinstance(table, (list, tuple))
+            and all(isinstance(row, (list, tuple)) for row in table)):
+        raise MalformedDocument("table must be a list of rows")
     if validate is None:
         validate = len(table) <= 128
     return from_cayley_table(

@@ -164,8 +164,8 @@ def compose_skeletal(g: Graph, h: Graph, k: Graph,
         raise NotSkeletal("second map is not skeletal")
     composed = VertexMap(g.order, k.order,
                          tuple(psi[phi[v]] for v in range(g.order)))
-    report = verify_skeletal(g, k, composed)
-    assert report.is_skeletal, "composition of skeletals must be skeletal"
+    if not verify_skeletal(g, k, composed).is_skeletal:
+        raise NotSkeletal("composition of skeletals must be skeletal")
     return composed
 
 
@@ -202,7 +202,8 @@ def blow_up(g: Graph, sizes):
     The collapse back onto g is skeletal by construction; used to plant
     twin classes for tests and the spectral suite.
     """
-    assert len(sizes) == g.order and all(s >= 1 for s in sizes)
+    if len(sizes) != g.order or any(s < 1 for s in sizes):
+        raise SizeMismatch("blow_up needs one positive size per vertex")
     owner = []
     for v in range(g.order):
         owner.extend([v] * sizes[v])

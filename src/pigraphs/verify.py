@@ -9,11 +9,9 @@ import random
 from dataclasses import dataclass
 
 from . import families, graphs, pig, skeletal, spectral
-from .green import l_classes, r_classes
+from .green import classes_by_ideal, l_classes, left_ideals, r_classes, \
+    right_ideals
 from .semigroups import adjoin_zero, idempotents, inverses
-
-SUITES = ("all", "isn", "brandt", "semilattice", "skeletal", "spectral",
-          "green")
 
 
 @dataclass(frozen=True)
@@ -37,6 +35,15 @@ def _check(checks, name, passed, detail=""):
     checks.append(CheckResult(name, bool(passed), detail))
 
 
+def _check_runs(checks, name, call):
+    """Pass when call returns, fail with its error message when it raises."""
+    try:
+        call()
+    except Exception as exc:  # pragma: no cover - failure path
+        return _check(checks, name, False, str(exc))
+    _check(checks, name, True)
+
+
 def suite_isn(n: int = 3) -> SuiteResult:
     checks = []
     s = families.symmetric_inverse(n)
@@ -50,17 +57,19 @@ def suite_isn(n: int = 3) -> SuiteResult:
     _check(checks, "idempotent count is 2^n",
            len(idempotents(s)) == 1 << n)
 
-    full = pig.left_pig(s)
-    fast = pig.left_pig_inverse_fast(s)
-    image = pig.isn_left_pig(n)
+    # each layer is built once and handed on; the three left graphs stay
+    # independent recounts (ideals, table plus inverses, image masks)
+    lideals, rideals = left_ideals(s), right_ideals(s)
+    inv = inverses(s)
+    full = pig._pig(s, lideals)
     _check(checks, "inverse criterion graph equals ideal-intersection graph",
-           full.adj == fast.adj)
+           full.adj == pig._pig_inverse_fast(s, inv).adj)
     _check(checks, "image-intersection graph equals ideal-intersection graph",
-           full.adj == image.adj)
+           full.adj == pig.isn_left_pig(n).adj)
 
     elems = s.elements
-    lp = l_classes(s)
-    rp = r_classes(s)
+    lp = classes_by_ideal(lideals)
+    rp = classes_by_ideal(rideals)
     _check(checks, "left classes grouped by image",
            all(len({elems[x].image_mask() for x in cls}) == 1
                for cls in lp.classes)
@@ -70,10 +79,10 @@ def suite_isn(n: int = 3) -> SuiteResult:
                for cls in rp.classes)
            and rp.size == 1 << n)
 
-    quotient, phi = pig.s_left_pig(s)
+    quotient, phi = pig._s_pig(s, full, lp)
     _check(checks, "quotient vertex count is 2^n - 1",
            quotient.order == (1 << n) - 1)
-    class_elems = pig.s_pig_class_elements(s)
+    class_elems = pig._blocks(s, lp)
     deg_ok = all(
         quotient.degree(v) == graphs.degree_of_subset_vertex(
             n, elems[class_elems[v][0]].rank())
@@ -92,13 +101,9 @@ def suite_isn(n: int = 3) -> SuiteResult:
     _check(checks, "generic search finds the same isomorphism",
            graphs.are_isomorphic(quotient, inter) is not None)
 
-    try:
-        pig.involution_pig_isomorphism(s)
-        _check(checks, "inversion maps the left graph onto the right graph",
-               True)
-    except Exception as exc:  # pragma: no cover - failure path
-        _check(checks, "inversion maps the left graph onto the right graph",
-               False, str(exc))
+    _check_runs(checks, "inversion maps the left graph onto the right graph",
+                lambda: pig._involution_isomorphism(s, inv, full,
+                                                    pig._pig(s, rideals)))
     _check(checks, "left graph of a monoid is connected",
            graphs.graph_stats(full).is_connected)
     return SuiteResult("isn", tuple(checks))
@@ -124,7 +129,7 @@ def suite_brandt(group_order: int = 2, indices: int = 2) -> SuiteResult:
     _check(checks, "components are exactly the right-index classes",
            {frozenset(c) for c in comps.classes}
            == {frozenset(v) for v in by_right.values()})
-    quotient, _ = pig.s_left_pig(s)
+    quotient, _ = pig._s_pig(s, full, l_classes(s))
     _check(checks, "class quotient is a null graph on |I| vertices",
            quotient.order == indices
            and graphs.graph_stats(quotient).is_null)
@@ -132,13 +137,8 @@ def suite_brandt(group_order: int = 2, indices: int = 2) -> SuiteResult:
     _check(checks, "distinct nonzero idempotents multiply to zero",
            all(s.table[e][f] == s.zero
                for e in idem for f in idem if e != f))
-    try:
-        pig.involution_pig_isomorphism(s)
-        _check(checks, "triple inversion is a left/right graph isomorphism",
-               True)
-    except Exception as exc:  # pragma: no cover
-        _check(checks, "triple inversion is a left/right graph isomorphism",
-               False, str(exc))
+    _check_runs(checks, "triple inversion is a left/right graph isomorphism",
+                lambda: pig.involution_pig_isomorphism(s))
     return SuiteResult("brandt", tuple(checks))
 
 
@@ -149,7 +149,7 @@ def suite_semilattice(n: int = 3) -> SuiteResult:
     right = pig.right_pig(s)
     _check(checks, "left and right graphs coincide (commutative)",
            left.adj == right.adj)
-    quotient, _ = pig.s_left_pig(s)
+    quotient, _ = pig._s_pig(s, left, l_classes(s))
     _check(checks, "classes are singletons, so the quotient equals the graph",
            quotient.order == left.order and quotient.adj == left.adj)
     _check(checks, "adjacency is exactly nonzero meet",
@@ -324,28 +324,24 @@ def suite_green() -> SuiteResult:
     return SuiteResult("green", tuple(checks))
 
 
+# every suite by name, in the order "all" runs them
+_RUNNERS = {
+    "green": lambda **_: suite_green(),
+    "isn": lambda n, **_: suite_isn(n),
+    "brandt": lambda group_order, indices, **_: suite_brandt(group_order,
+                                                             indices),
+    "semilattice": lambda n, **_: suite_semilattice(n),
+    "skeletal": lambda seed, **_: suite_skeletal(seed),
+    "spectral": lambda seed, **_: suite_spectral(seed),
+}
+SUITES = ("all", *_RUNNERS)
+
+
 def run_suite(name: str, *, n: int = 3, group_order: int = 2,
               indices: int = 2, seed: int = 0) -> list:
     """Run one suite (or all of them); returns a list of SuiteResult."""
-    if name == "isn":
-        return [suite_isn(n)]
-    if name == "brandt":
-        return [suite_brandt(group_order, indices)]
-    if name == "semilattice":
-        return [suite_semilattice(n)]
-    if name == "skeletal":
-        return [suite_skeletal(seed)]
-    if name == "spectral":
-        return [suite_spectral(seed)]
-    if name == "green":
-        return [suite_green()]
-    if name == "all":
-        return [
-            suite_green(),
-            suite_isn(n),
-            suite_brandt(group_order, indices),
-            suite_semilattice(n),
-            suite_skeletal(seed),
-            suite_spectral(seed),
-        ]
-    raise ValueError(f"unknown suite {name!r}")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return [_RUNNERS[k](n=n, group_order=group_order, indices=indices,
+                        seed=seed)
+            for k in (_RUNNERS if name == "all" else [name])]

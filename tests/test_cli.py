@@ -169,3 +169,35 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+
+
+def test_malformed_documents_exit_2(tmp_path, capsys):
+    sg = tmp_path / "sg.json"
+    run(capsys, "build", "--family", "isn", "--n", "2", "--out", str(sg))
+    doc = json.loads(sg.read_text())
+    semigroup_docs = {
+        "not_object": doc["table"],
+        "short_labels": {**doc, "labels": doc["labels"][:3]},
+        "long_labels": {**doc, "labels": doc["labels"] + ["x"]},
+    }
+    for name, bad in semigroup_docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(bad))
+        for argv in (["graph", "--input", str(path)],
+                     ["graph", "--input", str(path), "--variant", "spig"],
+                     ["classes", "--input", str(path)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", (name, argv)
+            assert err.startswith("error: ") and "Traceback" not in err
+    graph_docs = {
+        "not_object": [[0, 1]],
+        "endpoint_too_large": {"order": 2, "labels": None,
+                               "edges": [[0, 2]]},
+        "negative_endpoint": {"order": 2, "labels": None,
+                              "edges": [[-1, 0]]},
+    }
+    for name, bad in graph_docs.items():
+        path = tmp_path / f"graph-{name}.json"
+        path.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "stats", "--graph", str(path))
+        assert code == 2 and err.startswith("error: "), name

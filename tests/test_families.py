@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pigraphs import families
-from pigraphs.errors import NotAGroup, SizeLimitExceeded
+from pigraphs.errors import NotABijection, NotAGroup, SizeLimitExceeded
 from pigraphs.families import PartialBijection, all_partial_bijections
 from pigraphs.semigroups import check_involution, idempotents, inverses
 
@@ -140,3 +140,18 @@ def test_left_zero():
     assert [list(r) for r in s.table] == [[0, 0], [1, 1]]
     assert s.identity is None and s.zero is None
     assert families.left_zero(1).order == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_symmetric_inverse_table_matches_composition(n, isn):
+    elems = all_partial_bijections(n)
+    index = {p: i for i, p in enumerate(elems)}
+    reference = tuple(tuple(index[x.compose(y)] for y in elems)
+                      for x in elems)
+    assert isn[n].table == reference
+    assert isn[n].elements == tuple(elems)
+
+
+def test_partial_bijection_rejects_non_injective_mapping():
+    with pytest.raises(NotABijection):
+        PartialBijection(2, (1, 1))

@@ -4,7 +4,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from pigraphs.errors import NotABijection, SizeLimitExceeded
+from pigraphs.errors import (
+    IndexOutOfRange,
+    NotABijection,
+    NotSimpleGraph,
+    SizeLimitExceeded,
+    SizeMismatch,
+)
 from pigraphs.graphs import (
     Graph,
     are_isomorphic,
@@ -17,6 +23,7 @@ from pigraphs.graphs import (
     from_json_dict,
     graph_stats,
     intersection_graph,
+    mask_intersection_graph,
     path_graph,
     random_graph,
     to_dot,
@@ -157,3 +164,77 @@ def test_complement():
     c = complement(g)
     assert c.edges() == [(0, 2)]
     assert complement(c).adj == g.adj
+
+
+def pairwise_intersection_adj(masks):
+    """The definition, one vertex pair at a time."""
+    adj = [0] * len(masks)
+    for u, v in itertools.combinations(range(len(masks)), 2):
+        if masks[u] & masks[v]:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return tuple(adj)
+
+
+def test_mask_intersection_graph_matches_pairwise_definition():
+    rng = random.Random(11)
+    for _ in range(60):
+        width = rng.randrange(1, 9)
+        pool = [rng.randrange(1 << width) for _ in range(rng.randrange(1, 6))]
+        # few distinct values, so masks repeat; zero masks appear too
+        masks = [rng.choice(pool + [0]) for _ in range(rng.randrange(0, 40))]
+        g = mask_intersection_graph(masks)
+        assert g.adj == pairwise_intersection_adj(masks)
+        assert Graph(g.order, g.adj) == g
+
+
+def pairwise_isomorphism(g, h, mapping):
+    return all(g.has_edge(u, v) == h.has_edge(mapping[u], mapping[v])
+               for u, v in itertools.combinations(range(g.order), 2))
+
+
+def test_verify_isomorphism_matches_pairwise_definition():
+    rng = random.Random(5)
+    for order in range(1, 20):
+        g = random_graph(order, 0.5, rng)
+        mapping = rng.sample(range(order), order)
+        image = from_edges(order, [(mapping[u], mapping[v])
+                                   for u, v in g.edges()])
+        assert verify_isomorphism(g, image, mapping)
+        other = random_graph(order, 0.5, rng)
+        assert verify_isomorphism(g, other, mapping) == \
+            pairwise_isomorphism(g, other, mapping)
+
+
+def test_verify_isomorphism_rejects_one_flipped_edge():
+    g = intersection_graph(4)
+    rng = random.Random(3)
+    mapping = rng.sample(range(g.order), g.order)
+    edges = {(min(mapping[u], mapping[v]), max(mapping[u], mapping[v]))
+             for u, v in g.edges()}
+    assert verify_isomorphism(g, from_edges(g.order, edges), mapping)
+    for u, v in [(0, 1), (2, 9), (13, 14)]:
+        flipped = edges ^ {(u, v)}
+        assert not verify_isomorphism(g, from_edges(g.order, flipped),
+                                      mapping)
+
+
+def test_from_edges_rejects_out_of_range_endpoints():
+    for edge in [(0, 3), (3, 0), (-1, 1), (1, -2)]:
+        with pytest.raises(IndexOutOfRange):
+            from_edges(3, [edge])
+
+
+def test_graph_invariants_raise():
+    with pytest.raises(IndexOutOfRange):
+        Graph(2, (4, 0))
+    with pytest.raises(NotSimpleGraph):
+        Graph(2, (1, 0))
+    with pytest.raises(NotSimpleGraph):
+        Graph(2, (2, 0))
+    with pytest.raises(SizeMismatch):
+        Graph(3, (0, 0))
+    with pytest.raises(IndexOutOfRange):
+        degree_of_subset_vertex(3, 0)
+    with pytest.raises(IndexOutOfRange):
+        degree_of_subset_vertex(3, 4)

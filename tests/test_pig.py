@@ -1,7 +1,11 @@
 import pytest
 
 from pigraphs import families
-from pigraphs.errors import EmptyVertexSet, NotInverseSemigroup
+from pigraphs.errors import (
+    EmptyVertexSet,
+    InconsistentQuotient,
+    NotInverseSemigroup,
+)
 from pigraphs.graphs import (
     all_components_complete,
     complement,
@@ -9,7 +13,7 @@ from pigraphs.graphs import (
     graph_stats,
     verify_isomorphism,
 )
-from pigraphs.green import l_classes
+from pigraphs.green import l_classes, partition_from_groups
 from pigraphs.pig import (
     involution_pig_isomorphism,
     isn_left_pig,
@@ -19,6 +23,7 @@ from pigraphs.pig import (
     right_pig,
     s_left_pig,
     s_pig_class_elements,
+    _s_pig,
     s_right_pig,
 )
 from pigraphs.semigroups import adjoin_zero, from_cayley_table, idempotents, \
@@ -175,3 +180,20 @@ def test_involution_isomorphism(isn):
 def test_involution_requires_inverse_semigroup():
     with pytest.raises(NotInverseSemigroup):
         involution_pig_isomorphism(adjoin_zero(families.left_zero(2)))
+
+
+def test_s_pig_rejects_representative_dependent_partitions(isn):
+    s = isn[3]
+    full = left_pig(s)
+    by_image = {}
+    for x in range(s.order):
+        by_image.setdefault(s.elements[x].image_mask(), []).append(x)
+    # images {0} and {1}: merged elements are not adjacent;
+    # images {0} and {0,1}: adjacent, but with different neighbourhoods
+    for a, b in [(0b001, 0b010), (0b001, 0b011)]:
+        groups = [g for m, g in by_image.items() if m not in (a, b)]
+        groups.append(by_image[a] + by_image[b])
+        with pytest.raises(InconsistentQuotient):
+            _s_pig(s, full, partition_from_groups(s.order, groups))
+    # the L-classes themselves pass
+    _s_pig(s, full, partition_from_groups(s.order, by_image.values()))

@@ -4,7 +4,9 @@ from pigraphs import families
 from pigraphs.errors import (
     AssociativityViolation,
     IndexOutOfRange,
+    MalformedDocument,
     NotAPermutation,
+    SizeMismatch,
 )
 from pigraphs.semigroups import (
     adjoin_zero,
@@ -153,3 +155,48 @@ def test_json_round_trip():
         again = from_json_dict(doc)
         assert again == s
         assert to_json_dict(again) == doc
+
+
+def pairwise_anti_involution(s, sigma):
+    t = s.table
+    return all(sigma[sigma[a]] == a for a in range(s.order)) and all(
+        sigma[t[a][b]] == t[sigma[b]][sigma[a]]
+        for a in range(s.order) for b in range(s.order))
+
+
+def test_check_involution_rejects_planted_swap():
+    s = families.symmetric_inverse(3)
+    inv = inverses(s)
+    idem = idempotents(s)
+    assert all(inv[e] == e for e in idem)
+    for e, f in [(idem[1], idem[-1]), (idem[2], idem[3])]:
+        # swapping two fixed points keeps an involution but breaks the law
+        sigma = list(inv)
+        sigma[e], sigma[f] = f, e
+        assert all(sigma[sigma[a]] == a for a in range(s.order))
+        assert not check_involution(s, sigma)
+        assert not pairwise_anti_involution(s, sigma)
+
+
+def test_check_involution_matches_pairwise_definition():
+    samples = [families.brandt(families.cyclic_group(3), 2),
+               families.subset_meet_semilattice(2),
+               from_cayley_table([[0]]), from_cayley_table(C2)]
+    for s in samples:
+        inv = inverses(s)
+        for sigma in (inv, list(range(s.order)), inv[::-1]):
+            if sorted(sigma) == list(range(s.order)):
+                assert check_involution(s, sigma) == \
+                    pairwise_anti_involution(s, sigma)
+
+
+def test_from_json_dict_rejects_malformed_documents():
+    doc = to_json_dict(families.symmetric_inverse(2))
+    with pytest.raises(MalformedDocument):
+        from_json_dict(doc["table"])
+    with pytest.raises(MalformedDocument):
+        from_json_dict({**doc, "table": 7})
+    with pytest.raises(SizeMismatch):
+        from_json_dict({**doc, "labels": doc["labels"][:3]})
+    with pytest.raises(SizeMismatch):
+        from_cayley_table(C2, labels=["a"])
