@@ -7,20 +7,16 @@ fails, 2 on usage or input errors.
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import families, graphs, pig, semigroups, skeletal, spectral, verify
-from .errors import PigError
+from .errors import MalformedDocument, PigError
 from .green import l_classes, r_classes
 
 
-def _load_semigroup(path: str) -> semigroups.Semigroup:
+def _read_json(path: str):
     with open(path) as fh:
-        return semigroups.from_json_dict(json.load(fh))
-
-
-def _load_graph(path: str) -> graphs.Graph:
-    with open(path) as fh:
-        return graphs.from_json_dict(json.load(fh))
+        return json.load(fh)
 
 
 def _write(text: str, out: str | None):
@@ -46,10 +42,16 @@ def cmd_build(args) -> int:
     if args.adjoin_zero:
         s = semigroups.adjoin_zero(s)
     _write(json.dumps(semigroups.to_json_dict(s), indent=2) + "\n", args.out)
-    from .semigroups import idempotents
     print(f"order={s.order} zero={s.zero} identity={s.identity} "
-          f"idempotents={len(idempotents(s))}", file=sys.stderr)
+          f"idempotents={len(semigroups.idempotents(s))}", file=sys.stderr)
     return 0
+
+
+FORMATS = {
+    "dot": graphs.to_dot,
+    "json": lambda g: json.dumps(graphs.to_json_dict(g), indent=2) + "\n",
+    "edges": graphs.to_edge_list,
+}
 
 
 def _build_graph(s, side, variant):
@@ -60,35 +62,23 @@ def _build_graph(s, side, variant):
 
 
 def cmd_graph(args) -> int:
-    s = _load_semigroup(args.input)
+    s = semigroups.from_json_dict(_read_json(args.input))
     g = _build_graph(s, args.side, args.variant)
-    if args.format == "json":
-        text = json.dumps(graphs.to_json_dict(g), indent=2) + "\n"
-    elif args.format == "dot":
-        text = graphs.to_dot(g)
-    else:
-        text = graphs.to_edge_list(g)
-    _write(text, args.out)
+    _write(FORMATS[args.format](g), args.out)
     return 0
 
 
 def cmd_stats(args) -> int:
-    g = _load_graph(args.graph)
+    g = graphs.from_json_dict(_read_json(args.graph))
     st = graphs.graph_stats(g)
-    print(json.dumps({
-        "order": g.order,
-        "degrees": list(st.degrees),
-        "edge_count": st.edge_count,
-        "is_connected": st.is_connected,
-        "is_complete": st.is_complete,
-        "is_null": st.is_null,
-        "components": len(graphs.components(g).classes),
-    }, indent=2))
+    print(json.dumps({"order": g.order, **asdict(st),
+                      "components": len(graphs.components(g).classes)},
+                     indent=2))
     return 0
 
 
 def cmd_classes(args) -> int:
-    s = _load_semigroup(args.input)
+    s = semigroups.from_json_dict(_read_json(args.input))
     part = l_classes(s) if args.side == "left" else r_classes(s)
     for cid, cls in enumerate(part.classes):
         members = ", ".join(s.label(x) for x in cls)
@@ -97,24 +87,22 @@ def cmd_classes(args) -> int:
 
 
 def cmd_skeletal(args) -> int:
-    g = _load_graph(args.graph)
+    g = graphs.from_json_dict(_read_json(args.graph))
     if args.op == "check":
         if args.map is None:
             print("--map is required for op=check", file=sys.stderr)
             return 2
-        with open(args.map) as fh:
-            raw = json.load(fh)["map"]
+        doc = _read_json(args.map)
+        raw = doc.get("map") if isinstance(doc, dict) else None
+        if not (isinstance(raw, list) and all(type(v) is int for v in raw)):
+            raise MalformedDocument("map must be a list of integers")
         phi = skeletal.VertexMap(g.order, max(raw) + 1, tuple(raw))
         h, _ = skeletal.quotient_by_partition(
             g, skeletal.Partition(
                 tuple(raw),
                 tuple(tuple(phi.fibre(v)) for v in range(phi.codomain_order))))
         report = skeletal.verify_skeletal(g, h, phi)
-        print(json.dumps({
-            "is_skeletal": report.is_skeletal,
-            "witness": report.witness,
-            "fibre_sizes": list(report.fibre_sizes),
-        }, indent=2))
+        print(json.dumps(asdict(report), indent=2))
         return 0 if report.is_skeletal else 1
     if args.op == "max":
         h, phi = skeletal.max_skeletal(g)
@@ -133,20 +121,12 @@ def cmd_skeletal(args) -> int:
 
 
 def cmd_spectral(args) -> int:
-    g = _load_graph(args.graph)
+    g = graphs.from_json_dict(_read_json(args.graph))
     if args.twin_report:
         report = spectral.twin_spectral_report(g)
         print(json.dumps({
             "all_pass": report.all_pass,
-            "classes": [{
-                "vertices": list(c.vertices),
-                "size": c.size,
-                "degree": c.degree,
-                "adjacency_multiplicity": c.adjacency_multiplicity,
-                "laplacian_multiplicity": c.laplacian_multiplicity,
-                "signless_multiplicity": c.signless_multiplicity,
-                "eigenvector_verified": c.eigenvector_verified,
-            } for c in report.classes],
+            "classes": [asdict(c) for c in report.classes],
         }, indent=2))
         return 0 if report.all_pass else 1
     builders = {
@@ -201,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--side", choices=["left", "right"], default="left")
     p.add_argument("--variant", choices=["pig", "spig"], default="pig")
-    p.add_argument("--format", choices=["dot", "json", "edges"],
+    p.add_argument("--format", choices=list(FORMATS),
                    default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_graph)

@@ -38,7 +38,11 @@ class EmptyVertexSet(PigError):
 
 
 class InconsistentQuotient(PigError):
-    pass
+    """A partition quotient that is not skeletal, with a failing pair."""
+
+    def __init__(self, message, witness):
+        self.witness = witness
+        super().__init__(message)
 
 
 class IsomorphismCheckFailed(PigError):

@@ -10,6 +10,7 @@ from operator import itemgetter
 from .errors import IndexOutOfRange, MalformedDocument, NotABijection, \
     NotSimpleGraph, SizeLimitExceeded, SizeMismatch
 from .green import Partition, partition_from_groups
+from .semigroups import _check_labels
 
 ISO_MAX_ORDER = 40
 
@@ -63,8 +64,15 @@ def _trusted_graph(order: int, adj: tuple, labels=None) -> Graph:
 
 
 def from_edges(order: int, edges, labels=None) -> Graph:
+    if type(order) is not int or order < 0:
+        raise MalformedDocument(f"order {order!r} is not a natural number")
+    _check_labels(labels, order)
     adj = [0] * order
-    for u, v in edges:
+    for edge in edges:
+        if not (isinstance(edge, (list, tuple)) and len(edge) == 2
+                and type(edge[0]) is int and type(edge[1]) is int):
+            raise MalformedDocument(f"edge {edge!r} is not a pair of integers")
+        u, v = edge
         if not (0 <= u < order and 0 <= v < order):
             raise IndexOutOfRange(f"edge ({u}, {v}) not in [0, {order})")
         if u == v:
@@ -125,12 +133,9 @@ def components(g: Graph) -> Partition:
 
 
 def all_components_complete(g: Graph) -> bool:
-    for cls in components(g).classes:
-        for i, u in enumerate(cls):
-            for v in cls[i + 1:]:
-                if not g.has_edge(u, v):
-                    return False
-    return True
+    # neighbours lie in the own component, so full degree means complete
+    return all(g.degree(v) == len(cls) - 1
+               for cls in components(g).classes for v in cls)
 
 
 def graph_stats(g: Graph) -> GraphStats:
@@ -303,6 +308,8 @@ def to_json_dict(g: Graph) -> dict:
 def from_json_dict(doc: dict) -> Graph:
     if not isinstance(doc, dict):
         raise MalformedDocument("a graph document must be a JSON object")
+    if not isinstance(doc["edges"], list):
+        raise MalformedDocument("edges must be a list of pairs")
     return from_edges(doc["order"], doc["edges"], doc.get("labels"))
 
 

@@ -3,8 +3,10 @@
 Vertices of the full graph are the nonzero elements in element order;
 two are adjacent when their principal (left or right) ideals share a
 nonzero element.  The quotient graph has one vertex per nonzero L-class
-(or R-class), ordered by minimal representative, and its construction
-checks that adjacency does not depend on the chosen representatives.
+(or R-class), ordered by minimal representative.  It is the partition
+quotient of the full graph, and verify_skeletal checks that the quotient
+map is skeletal, i.e. that adjacency does not depend on the chosen
+representatives.
 The private helpers take layers already built, so a pipeline can build
 each layer once.
 """
@@ -19,9 +21,10 @@ from .errors import (
 from .families import ISN_MAX, all_partial_bijections
 from .graphs import Graph, _trusted_graph, mask_intersection_graph, \
     verify_isomorphism
-from .green import l_classes, left_ideals, r_classes, right_ideals
+from .green import classes_by_ideal, l_classes, left_ideals, \
+    partition_from_groups, r_classes, right_ideals
 from .semigroups import Semigroup, check_involution, inverses
-from .skeletal import VertexMap
+from .skeletal import _checked_quotient
 
 
 def pig_vertices(s: Semigroup) -> list:
@@ -95,48 +98,34 @@ def _blocks(s: Semigroup, partition) -> list:
 
 
 def _s_pig(s: Semigroup, full: Graph, partition):
-    """Quotient of full by the partition's nonzero blocks, checked by rows.
-
-    Adjacency is representative-independent iff the closed neighbourhood
-    of every vertex is the union of the blocks that the first member of
-    its block reaches, its own block included.
-    """
+    """Quotient of full by the partition's nonzero blocks, checked skeletal."""
     verts = pig_vertices(s)
     pos = {v: i for i, v in enumerate(verts)}
-    blocks = _blocks(s, partition)
-    block_of = [0] * len(verts)
-    members = []
-    for cid, cls in enumerate(blocks):
-        for x in cls:
-            block_of[pos[x]] = cid
-        members.append(sum(1 << pos[x] for x in cls))
-    adj = []
-    for i, cls in enumerate(blocks):
-        first = pos[cls[0]]
-        reached = [j for j, m in enumerate(members)
-                   if m & (full.adj[first] | 1 << first)]
-        want = sum(members[j] for j in reached)
-        for x in cls:
-            diff = (full.adj[pos[x]] | 1 << pos[x]) ^ want
-            if diff:
-                raise InconsistentQuotient(
-                    f"class {i} depends on its representative: element {x} "
-                    f"vs element {verts[(diff & -diff).bit_length() - 1]}")
-        adj.append(sum(1 << j for j in reached if j != i))
-    labels = tuple(f"[{s.label(b[0])}]" for b in blocks) if s.labels else None
-    quotient = _trusted_graph(len(blocks), tuple(adj), labels)
-    phi = VertexMap(len(verts), len(blocks), tuple(block_of))
+    blocks = partition_from_groups(
+        full.order, [[pos[x] for x in cls] for cls in _blocks(s, partition)])
+    try:
+        quotient, phi = _checked_quotient(full, blocks)
+    except InconsistentQuotient as exc:
+        x, y = (verts[v] for v in exc.witness)
+        raise InconsistentQuotient(
+            f"class quotient depends on the representative: element {x} "
+            f"vs element {y}", (x, y)) from None
+    if quotient.labels is not None:
+        quotient = _trusted_graph(quotient.order, quotient.adj,
+                                  tuple(f"[{x}]" for x in quotient.labels))
     return quotient, phi
 
 
 def s_left_pig(s: Semigroup):
     """L-class quotient of left_pig plus the quotient vertex map."""
-    return _s_pig(s, left_pig(s), l_classes(s))
+    ideals = left_ideals(s)
+    return _s_pig(s, _pig(s, ideals), classes_by_ideal(ideals))
 
 
 def s_right_pig(s: Semigroup):
     """R-class quotient of right_pig plus the quotient vertex map."""
-    return _s_pig(s, right_pig(s), r_classes(s))
+    ideals = right_ideals(s)
+    return _s_pig(s, _pig(s, ideals), classes_by_ideal(ideals))
 
 
 def s_pig_class_elements(s: Semigroup, side: str = "left") -> list:

@@ -47,8 +47,20 @@ def _check_entries(table):
         if len(row) != n:
             raise IndexOutOfRange("table is not square")
         for v in row:
-            if not isinstance(v, int) or not 0 <= v < n:
+            # type(v) is int also turns away bools, a subclass of int
+            if type(v) is not int or not 0 <= v < n:
                 raise IndexOutOfRange(f"table entry {v!r} not in [0, {n})")
+
+
+def _check_labels(labels, n):
+    """Accept no labels, or exactly n strings in a list or tuple."""
+    if labels is None:
+        return
+    if not (isinstance(labels, (list, tuple))
+            and all(isinstance(x, str) for x in labels)):
+        raise MalformedDocument("labels must be a list of strings")
+    if len(labels) != n:
+        raise SizeMismatch(f"{len(labels)} labels for order {n}")
 
 
 def _check_associativity(table):
@@ -90,9 +102,7 @@ def from_cayley_table(table, labels=None, *, unchecked=False,
     """
     table = tuple(tuple(row) for row in table)
     _check_entries(table)
-    if labels is not None and len(labels) != len(table):
-        raise SizeMismatch(
-            f"{len(labels)} labels for a table of order {len(table)}")
+    _check_labels(labels, len(table))
     if not unchecked:
         _check_associativity(table)
     return Semigroup(
@@ -194,23 +204,18 @@ def to_json_dict(s: Semigroup) -> dict:
     return doc
 
 
-def from_json_dict(doc: dict, *, validate=None) -> Semigroup:
-    """Rebuild a semigroup from its JSON document.
-
-    ``validate`` forces or skips the cubic associativity check; the
-    default re-checks tables up to order 128 and trusts larger ones.
-    """
+def from_json_dict(doc: dict) -> Semigroup:
+    """Rebuild a semigroup from its JSON document, checking associativity
+    exhaustively up to order 128 and trusting larger tables."""
     if not isinstance(doc, dict):
         raise MalformedDocument("a semigroup document must be a JSON object")
     table = doc["table"]
     if not (isinstance(table, (list, tuple))
             and all(isinstance(row, (list, tuple)) for row in table)):
         raise MalformedDocument("table must be a list of rows")
-    if validate is None:
-        validate = len(table) <= 128
     return from_cayley_table(
         table,
         doc.get("labels"),
-        unchecked=not validate,
+        unchecked=len(table) > 128,
         family=doc.get("family"),
     )

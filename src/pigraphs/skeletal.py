@@ -17,8 +17,9 @@ from .errors import (
     SizeLimitExceeded,
     SizeMismatch,
 )
-from .graphs import Graph, bits, induced_subgraph, verify_isomorphism
-from .green import Partition, partition_from_groups
+from .graphs import Graph, _trusted_graph, bits, induced_subgraph, \
+    verify_isomorphism
+from .green import Partition, classes_by_ideal, partition_from_groups
 
 BRUTE_MAX_ORDER = 8
 
@@ -52,20 +53,29 @@ class SkeletalReport:
 
 
 def verify_skeletal(g: Graph, h: Graph, phi: VertexMap) -> SkeletalReport:
-    """Check the adjacency-iff condition on every vertex pair of g."""
+    """Check the adjacency-iff condition on every vertex pair of g.
+
+    Row by row: the closed neighbourhood of a must be the union of the
+    fibres over the closed neighbourhood of phi(a).  The witness, the
+    first failing pair (a, b) with a < b, is the lowest differing bit of
+    the first differing row: a failing (c, a) with c < a would make row c
+    differ earlier.
+    """
     if phi.domain_order != g.order or phi.codomain_order != h.order:
         raise SizeMismatch("map does not fit the given graphs")
-    sizes = [0] * h.order
-    for v in phi.map:
-        sizes[v] += 1
-    for a in range(g.order):
-        pa = phi[a]
-        for b in range(a + 1, g.order):
-            pb = phi[b]
-            expected = pa == pb or h.has_edge(pa, pb)
-            if g.has_edge(a, b) != expected:
-                return SkeletalReport(False, (a, b), tuple(sizes))
-    return SkeletalReport(True, None, tuple(sizes))
+    fibres = [0] * h.order
+    for a, p in enumerate(phi.map):
+        fibres[p] |= 1 << a
+    sizes = tuple(f.bit_count() for f in fibres)
+    expected = [None] * h.order  # built on first use: most bad maps fail early
+    for a, p in enumerate(phi.map):
+        if expected[p] is None:
+            expected[p] = sum(fibres[q] for q in bits(h.adj[p] | 1 << p))
+        diff = (g.adj[a] | 1 << a) ^ expected[p]
+        if diff:
+            return SkeletalReport(
+                False, (a, (diff & -diff).bit_length() - 1), sizes)
+    return SkeletalReport(True, None, sizes)
 
 
 def twin_partition(g: Graph) -> Partition:
@@ -74,41 +84,43 @@ def twin_partition(g: Graph) -> Partition:
     Equal closed neighborhoods force adjacency, so grouping by the
     closed-neighborhood bit-set is transitive by construction.
     """
-    groups = {}
-    for v in range(g.order):
-        groups.setdefault(g.adj[v] | 1 << v, []).append(v)
-    return partition_from_groups(g.order, groups.values())
+    return classes_by_ideal([row | 1 << v for v, row in enumerate(g.adj)])
 
 
 def quotient_by_partition(g: Graph, partition: Partition):
     """Quotient graph with block adjacency = any cross edge, plus the map.
 
-    The result is only claimed to be skeletal for twin partitions; use
-    verify_skeletal to check arbitrary partitions.
+    Block i is adjacent to block j != i when the union of the rows of i's
+    members meets j's members.  The result is only claimed to be skeletal
+    for twin partitions; use verify_skeletal to check arbitrary partitions.
     """
     blocks = partition.classes
-    adj = [0] * len(blocks)
-    for i, bi in enumerate(blocks):
-        for j in range(i + 1, len(blocks)):
-            if any(g.has_edge(u, v) for u in bi for v in blocks[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    labels = None
-    if g.labels is not None:
-        labels = tuple(g.label(min(b)) for b in blocks)
-    h = Graph(len(blocks), tuple(adj), labels)
+    members, reach = [0] * len(blocks), [0] * len(blocks)
+    for v, i in enumerate(partition.class_of):
+        members[i] |= 1 << v
+        reach[i] |= g.adj[v]
+    adj = [sum(1 << j for j, m in enumerate(members) if r & m and j != i)
+           for i, r in enumerate(reach)]
+    labels = None if g.labels is None else tuple(
+        g.label(min(b)) for b in blocks)
+    h = _trusted_graph(len(blocks), tuple(adj), labels)
     phi = VertexMap(g.order, len(blocks), tuple(partition.class_of))
+    return h, phi
+
+
+def _checked_quotient(g: Graph, partition: Partition):
+    """The partition quotient; InconsistentQuotient unless it is skeletal."""
+    h, phi = quotient_by_partition(g, partition)
+    witness = verify_skeletal(g, h, phi).witness
+    if witness is not None:
+        raise InconsistentQuotient(
+            f"quotient is not skeletal at the vertex pair {witness}", witness)
     return h, phi
 
 
 def max_skeletal(g: Graph):
     """The smallest skeletal of g: the quotient by closed-twin classes."""
-    h, phi = quotient_by_partition(g, twin_partition(g))
-    report = verify_skeletal(g, h, phi)
-    if not report.is_skeletal:
-        raise InconsistentQuotient(
-            f"twin quotient failed the skeletal check at {report.witness}")
-    return h, phi
+    return _checked_quotient(g, twin_partition(g))
 
 
 def is_skeleton(g: Graph) -> bool:
@@ -204,15 +216,12 @@ def blow_up(g: Graph, sizes):
     """
     if len(sizes) != g.order or any(s < 1 for s in sizes):
         raise SizeMismatch("blow_up needs one positive size per vertex")
-    owner = []
-    for v in range(g.order):
-        owner.extend([v] * sizes[v])
+    owner = [v for v in range(g.order) for _ in range(sizes[v])]
+    fibres = [0] * g.order
+    for a, v in enumerate(owner):
+        fibres[v] |= 1 << a
+    # a's closed row is the union of the fibres over v's closed row
+    adj = [sum(fibres[q] for q in bits(g.adj[v] | 1 << v)) & ~(1 << a)
+           for a, v in enumerate(owner)]
     n = len(owner)
-    adj = [0] * n
-    for a in range(n):
-        for b in range(a + 1, n):
-            if owner[a] == owner[b] or g.has_edge(owner[a], owner[b]):
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-    big = Graph(n, tuple(adj))
-    return big, VertexMap(n, g.order, tuple(owner))
+    return Graph(n, tuple(adj)), VertexMap(n, g.order, tuple(owner))

@@ -122,6 +122,10 @@ def twin_spectral_report(g: Graph) -> TwinSpectralReport:
     a = adjacency_matrix(g)
     lap = laplacian_matrix(g)
     q = signless_laplacian_matrix(g)
+    degrees = {g.degree(c[0]) for c in classes}
+    a_mult = eigen_multiplicity(a, -1)
+    l_mult = {d: eigen_multiplicity(lap, d + 1) for d in degrees}
+    q_mult = {d: eigen_multiplicity(q, d - 1) for d in degrees}
     for cls in classes:
         d = g.degree(cls[0])
         # the difference of indicator vectors of two closed twins
@@ -134,9 +138,9 @@ def twin_spectral_report(g: Graph) -> TwinSpectralReport:
             vertices=tuple(cls),
             size=len(cls),
             degree=d,
-            adjacency_multiplicity=eigen_multiplicity(a, -1),
-            laplacian_multiplicity=eigen_multiplicity(lap, d + 1),
-            signless_multiplicity=eigen_multiplicity(q, d - 1),
+            adjacency_multiplicity=a_mult,
+            laplacian_multiplicity=l_mult[d],
+            signless_multiplicity=q_mult[d],
             eigenvector_verified=vec_ok,
         ))
     return TwinSpectralReport(tuple(entries))

@@ -9,9 +9,8 @@ import random
 from dataclasses import dataclass
 
 from . import families, graphs, pig, skeletal, spectral
-from .green import classes_by_ideal, l_classes, left_ideals, r_classes, \
-    right_ideals
-from .semigroups import adjoin_zero, idempotents, inverses
+from .green import classes_by_ideal, l_classes, left_ideals, right_ideals
+from .semigroups import idempotents, inverses
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from pigraphs import families
 from pigraphs.cli import main
+from pigraphs.semigroups import to_json_dict
 
 
 def run(capsys, *argv):
@@ -201,3 +203,53 @@ def test_malformed_documents_exit_2(tmp_path, capsys):
         path.write_text(json.dumps(bad))
         code, _, err = run(capsys, "stats", "--graph", str(path))
         assert code == 2 and err.startswith("error: "), name
+
+
+GRAPH = {"order": 3, "labels": None, "edges": [[0, 1], [1, 2]]}
+SEMIGROUP = to_json_dict(families.symmetric_inverse(2))
+BAD_INPUT = {
+    "graph order is a string": ("graph", {**GRAPH, "order": "2"}),
+    "graph order is a bool": ("graph", {**GRAPH, "order": True,
+                                         "edges": []}),
+    "endpoint is a string": ("graph", {**GRAPH, "edges": [["a", 0]]}),
+    "endpoints are bools": ("graph", {**GRAPH, "edges": [[True, False]]}),
+    "edges is not a list": ("graph", {**GRAPH, "edges": 5}),
+    "edge is not a pair": ("graph", {**GRAPH, "edges": [5]}),
+    "graph labels are not a list": ("graph", {**GRAPH, "labels": 5}),
+    "graph labels are too few": ("graph", {**GRAPH, "labels": ["a"]}),
+    "semigroup labels are not a list": ("semigroup",
+                                        {**SEMIGROUP, "labels": 5}),
+    "semigroup label is not a string": (
+        "semigroup", {**SEMIGROUP, "labels": [3] + SEMIGROUP["labels"][1:]}),
+    "table entries are bools": (
+        "semigroup", {**SEMIGROUP, "table": [[v if v > 1 else bool(v)
+                                              for v in row]
+                                             for row in SEMIGROUP["table"]]}),
+    "map entry is a string": ("map", {"map": ["a", 0, 0]}),
+    "map entries are bools": ("map", {"map": [True, False, False]}),
+    "map is not a list": ("map", {"map": 5}),
+    "map document is not an object": ("map", [0, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_INPUT))
+def test_malformed_input_exits_2_without_traceback(name, tmp_path, capsys):
+    kind, doc = BAD_INPUT[name]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(GRAPH))
+    commands = {
+        "graph": [["stats", "--graph", str(path)],
+                  ["skeletal", "--graph", str(path), "--op", "max"],
+                  ["spectral", "--graph", str(path), "--twin-report"]],
+        "semigroup": [["graph", "--input", str(path)],
+                      ["graph", "--input", str(path), "--variant", "spig"],
+                      ["classes", "--input", str(path)]],
+        "map": [["skeletal", "--graph", str(good), "--op", "check",
+                 "--map", str(path)]],
+    }[kind]
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and "Traceback" not in err

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from pigraphs.errors import (
     IndexOutOfRange,
+    MalformedDocument,
     NotABijection,
     NotSimpleGraph,
     SizeLimitExceeded,
@@ -13,6 +14,7 @@ from pigraphs.errors import (
 )
 from pigraphs.graphs import (
     Graph,
+    all_components_complete,
     are_isomorphic,
     complement,
     complete_graph,
@@ -223,6 +225,35 @@ def test_from_edges_rejects_out_of_range_endpoints():
     for edge in [(0, 3), (3, 0), (-1, 1), (1, -2)]:
         with pytest.raises(IndexOutOfRange):
             from_edges(3, [edge])
+
+
+def test_from_edges_rejects_malformed_input():
+    bad = [("2", []), (True, []), (2.0, []), (-1, []),
+           (2, [("a", 0)]), (2, [(True, False)]), (2, [(0.5, 1)]),
+           (2, [5]), (3, [(0, 1, 2)])]
+    for order, edges in bad:
+        with pytest.raises(MalformedDocument):
+            from_edges(order, edges)
+    for labels in (5, "ab", ["a", 1]):
+        with pytest.raises(MalformedDocument):
+            from_edges(2, [(0, 1)], labels)
+    with pytest.raises(SizeMismatch):
+        from_edges(2, [(0, 1)], ["a"])
+    with pytest.raises(MalformedDocument):
+        from_json_dict({"order": 2, "edges": 5})
+
+
+def test_all_components_complete_matches_pairwise_definition():
+    rng = random.Random(9)
+    seen = set()
+    for _ in range(200):
+        g = random_graph(rng.randrange(1, 7), rng.choice([0.3, 0.7, 0.95]),
+                         rng)
+        expected = all(g.has_edge(u, v) for cls in components(g).classes
+                       for u in cls for v in cls if u != v)
+        assert all_components_complete(g) == expected
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_graph_invariants_raise():

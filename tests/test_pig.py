@@ -28,7 +28,7 @@ from pigraphs.pig import (
 )
 from pigraphs.semigroups import adjoin_zero, from_cayley_table, idempotents, \
     inverses
-from pigraphs.skeletal import verify_skeletal
+from pigraphs.skeletal import max_skeletal, verify_skeletal
 
 
 def test_left_zero_with_zero_is_complete():
@@ -182,6 +182,16 @@ def test_involution_requires_inverse_semigroup():
         involution_pig_isomorphism(adjoin_zero(families.left_zero(2)))
 
 
+def test_twin_classes_are_the_nonzero_classes(isn):
+    for n in range(2, 5):
+        s = isn[n]
+        for full, quotient in ((left_pig(s), s_left_pig(s)),
+                               (right_pig(s), s_right_pig(s))):
+            h, phi = max_skeletal(full)
+            q, psi = quotient
+            assert h.adj == q.adj and phi.map == psi.map
+
+
 def test_s_pig_rejects_representative_dependent_partitions(isn):
     s = isn[3]
     full = left_pig(s)
@@ -193,7 +203,12 @@ def test_s_pig_rejects_representative_dependent_partitions(isn):
     for a, b in [(0b001, 0b010), (0b001, 0b011)]:
         groups = [g for m, g in by_image.items() if m not in (a, b)]
         groups.append(by_image[a] + by_image[b])
-        with pytest.raises(InconsistentQuotient):
+        with pytest.raises(InconsistentQuotient) as err:
             _s_pig(s, full, partition_from_groups(s.order, groups))
+        # the witness names two nonzero elements, one of them merged
+        x, y = err.value.witness
+        assert s.zero not in (x, y) and x < y
+        assert {s.elements[x].image_mask(), s.elements[y].image_mask()} \
+            & {a, b}
     # the L-classes themselves pass
     _s_pig(s, full, partition_from_groups(s.order, by_image.values()))

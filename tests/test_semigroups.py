@@ -62,6 +62,8 @@ def test_out_of_range_entry_rejected():
         from_cayley_table([[0, 2], [1, 0]])
     with pytest.raises(IndexOutOfRange):
         from_cayley_table([[0, 1], [0]])
+    with pytest.raises(IndexOutOfRange):
+        from_cayley_table([[False, True], [True, False]])
 
 
 def test_find_zero():
@@ -200,3 +202,18 @@ def test_from_json_dict_rejects_malformed_documents():
         from_json_dict({**doc, "labels": doc["labels"][:3]})
     with pytest.raises(SizeMismatch):
         from_cayley_table(C2, labels=["a"])
+    for labels in (5, "ab", ["a", 3], [None, "b"]):
+        with pytest.raises(MalformedDocument):
+            from_cayley_table(C2, labels=labels)
+
+
+def test_from_json_dict_checks_associativity_up_to_order_128():
+    def spoiled_left_zero(n):
+        # x*y = x except for one product, which breaks associativity
+        table = [[x] * n for x in range(n)]
+        table[0][1] = 1
+        return {"table": table}
+
+    with pytest.raises(AssociativityViolation):
+        from_json_dict(spoiled_left_zero(128))
+    assert not from_json_dict(spoiled_left_zero(129)).checked

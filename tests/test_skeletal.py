@@ -122,6 +122,54 @@ def all_partitions(items):
         yield [[first]] + part
 
 
+def pairwise_skeletal(g, h, phi):
+    """The skeletal definition read literally: every pair, in order."""
+    sizes = tuple(phi.map.count(v) for v in range(h.order))
+    for a in range(g.order):
+        for b in range(a + 1, g.order):
+            expected = phi[a] == phi[b] or h.has_edge(phi[a], phi[b])
+            if g.has_edge(a, b) != expected:
+                return False, (a, b), sizes
+    return True, None, sizes
+
+
+def seeded_partitions(seed, max_order=7, per_order=2):
+    """(graph, partition) for every partition of seeded random graphs."""
+    rng = random.Random(seed)
+    for n in range(1, max_order + 1):
+        for _ in range(per_order):
+            g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
+            for blocks in all_partitions(list(range(n))):
+                yield g, partition_from_groups(n, blocks), rng
+
+
+def test_verify_skeletal_matches_pairwise_definition():
+    verdicts = []
+    for g, part, rng in seeded_partitions(7):
+        h, phi = quotient_by_partition(g, part)
+        other = random_graph(h.order, 0.5, rng)
+        for codomain in (h, other):
+            report = verify_skeletal(g, codomain, phi)
+            assert (report.is_skeletal, report.witness, report.fibre_sizes) \
+                == pairwise_skeletal(g, codomain, phi)
+            verdicts.append(report.is_skeletal)
+    assert len(verdicts) > 4000 and 0 < sum(verdicts) < len(verdicts)
+
+
+def test_quotient_by_partition_matches_any_cross_edge():
+    for g, part, _ in seeded_partitions(8, max_order=6):
+        h, phi = quotient_by_partition(g, part)
+        blocks = part.classes
+        assert h.order == len(blocks) and phi.map == part.class_of
+        for i in range(h.order):
+            assert not h.has_edge(i, i)
+            for j in range(h.order):
+                if i != j:
+                    assert h.has_edge(i, j) == any(
+                        g.has_edge(u, v) for u in blocks[i]
+                        for v in blocks[j])
+
+
 def test_max_skeletal_is_minimal():
     rng = random.Random(11)
     for _ in range(25):
@@ -214,6 +262,9 @@ def test_max_skeletal_properties(g):
        st.lists(st.integers(1, 3), min_size=5, max_size=5))
 def test_blow_up_collapse_is_skeletal(g, sizes):
     big, phi = blow_up(g, sizes[:g.order])
+    assert all(big.has_edge(a, b) == (phi[a] == phi[b]
+                                      or g.has_edge(phi[a], phi[b]))
+               for a in range(big.order) for b in range(big.order) if a != b)
     assert verify_skeletal(big, g, phi).is_skeletal
     for v in range(g.order):
         assert fibre_subgraph_is_complete(big, phi, v)

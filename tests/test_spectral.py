@@ -4,6 +4,7 @@ import random
 import pytest
 import sympy
 
+from pigraphs import spectral
 from pigraphs.errors import NotSymmetric
 from pigraphs.graphs import (
     complete_graph,
@@ -147,3 +148,25 @@ def test_quotient_degree_variant_fails_on_triangle_merge():
     assert alt["quotient_degree"] == 1 and alt["fibre_size"] == 3
     # s+1 = 2 is not a Laplacian eigenvalue of K4 at all
     assert alt["laplacian_multiplicity"] == 0
+
+
+def test_twin_report_computes_each_rank_once(monkeypatch):
+    g, _ = blow_up(cycle_graph(6), [2, 2, 2, 3, 2, 2])
+    ranks = []
+    real_rank = spectral.integer_rank
+    monkeypatch.setattr(spectral, "integer_rank",
+                        lambda m: ranks.append(len(m)) or real_rank(m))
+    report = twin_spectral_report(g)
+    monkeypatch.undo()
+    degrees = {c.degree for c in report.classes}
+    assert len(report.classes) == 6 and len(degrees) == 2
+    # A at -1 once, then L and Q once per distinct class degree
+    assert len(ranks) == 1 + 2 * len(degrees)
+    a, lap, q = (adjacency_matrix(g), laplacian_matrix(g),
+                 signless_laplacian_matrix(g))
+    for c in report.classes:
+        assert c.adjacency_multiplicity == eigen_multiplicity(a, -1)
+        assert c.laplacian_multiplicity == eigen_multiplicity(lap,
+                                                              c.degree + 1)
+        assert c.signless_multiplicity == eigen_multiplicity(q, c.degree - 1)
+    assert report.all_pass
