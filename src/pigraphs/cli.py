@@ -10,7 +10,7 @@ import sys
 from dataclasses import asdict
 
 from . import families, graphs, pig, semigroups, skeletal, spectral, verify
-from .errors import MalformedDocument, PigError
+from .errors import MalformedDocument, PigError, SizeMismatch
 from .green import l_classes, r_classes
 
 
@@ -96,7 +96,10 @@ def cmd_skeletal(args) -> int:
         raw = doc.get("map") if isinstance(doc, dict) else None
         if not (isinstance(raw, list) and all(type(v) is int for v in raw)):
             raise MalformedDocument("map must be a list of integers")
-        phi = skeletal.VertexMap(g.order, max(raw) + 1, tuple(raw))
+        if len(raw) != g.order:
+            raise SizeMismatch(
+                f"map has {len(raw)} entries for a graph of order {g.order}")
+        phi = skeletal.VertexMap(g.order, max(raw, default=-1) + 1, tuple(raw))
         h, _ = skeletal.quotient_by_partition(
             g, skeletal.Partition(
                 tuple(raw),

@@ -7,7 +7,8 @@ of how it was produced.
 """
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress, count
+from operator import itemgetter, ne
 
 from .errors import AssociativityViolation, IndexOutOfRange, \
     MalformedDocument, NotAPermutation, SizeMismatch
@@ -43,11 +44,15 @@ class Semigroup:
 
 def _check_entries(table):
     n = len(table)
+    valid = set(range(n))
     for row in table:
         if len(row) != n:
             raise IndexOutOfRange("table is not square")
+        # type(v) is int also turns away bools, a subclass of int; the
+        # entry loop only runs to name the first bad entry of a bad row
+        if set(map(type, row)) == {int} and valid.issuperset(row):
+            continue
         for v in row:
-            # type(v) is int also turns away bools, a subclass of int
             if type(v) is not int or not 0 <= v < n:
                 raise IndexOutOfRange(f"table entry {v!r} not in [0, {n})")
 
@@ -64,16 +69,22 @@ def _check_labels(labels, n):
 
 
 def _check_associativity(table):
+    """For each x, (x*y)*z over all (y, z) is the rows x*y end to end and
+    x*(y*z) is the whole table mapped through row x (bytes up to order
+    256, tuples above); the first differing (y, z) is the witness."""
     n = len(table)
-    rng = range(n)
-    for x in rng:
-        tx = table[x]
-        for y in rng:
-            txy = table[tx[y]]
-            ty = table[y]
-            for z in rng:
-                if txy[z] != tx[ty[z]]:
-                    raise AssociativityViolation(x, y, z)
+    if n <= 256:
+        rows, join, pad = [bytes(r) for r in table], b"".join, bytes(256 - n)
+        flat = join(rows)
+        rights = (flat.translate(row + pad) for row in rows)
+    else:
+        rows, join = table, lambda rs: tuple(chain.from_iterable(rs))
+        rights = map(itemgetter(*join(rows)), rows)
+    for x, right in enumerate(rights):
+        left = join(map(rows.__getitem__, table[x]))
+        if left != right:
+            i = next(compress(count(), map(ne, left, right)))
+            raise AssociativityViolation(x, *divmod(i, n))
 
 
 def _detect_zero(table):
@@ -206,16 +217,19 @@ def to_json_dict(s: Semigroup) -> dict:
 
 def from_json_dict(doc: dict) -> Semigroup:
     """Rebuild a semigroup from its JSON document, checking associativity
-    exhaustively up to order 128 and trusting larger tables."""
+    exhaustively up to order 256 and trusting larger tables."""
     if not isinstance(doc, dict):
         raise MalformedDocument("a semigroup document must be a JSON object")
     table = doc["table"]
     if not (isinstance(table, (list, tuple))
             and all(isinstance(row, (list, tuple)) for row in table)):
         raise MalformedDocument("table must be a list of rows")
+    family = doc.get("family")
+    if not (family is None or isinstance(family, str)):
+        raise MalformedDocument("family must be a string or null")
     return from_cayley_table(
         table,
         doc.get("labels"),
-        unchecked=len(table) > 128,
-        family=doc.get("family"),
+        unchecked=len(table) > 256,
+        family=family,
     )

@@ -229,6 +229,9 @@ BAD_INPUT = {
     "map entries are bools": ("map", {"map": [True, False, False]}),
     "map is not a list": ("map", {"map": 5}),
     "map document is not an object": ("map", [0, 0, 1]),
+    "map is empty": ("map", {"map": []}),
+    "map is too short": ("map", {"map": [0, 0]}),
+    "semigroup family is a number": ("semigroup", {**SEMIGROUP, "family": 5}),
 }
 
 
@@ -253,3 +256,16 @@ def test_malformed_input_exits_2_without_traceback(name, tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_wrong_length_map_names_both_lengths(tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(GRAPH))
+    for raw in ([], [0, 1], [0, 1, 1, 0]):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"map": raw}))
+        code, out, err = run(capsys, "skeletal", "--graph", str(graph),
+                             "--op", "check", "--map", str(path))
+        assert code == 2 and out == ""
+        assert err == (f"error: map has {len(raw)} entries for a graph "
+                       "of order 3\n")

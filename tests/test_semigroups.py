@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pigraphs import families
@@ -27,6 +29,23 @@ def brute_associative(table):
     n = len(table)
     return all(table[table[x][y]][z] == table[x][table[y][z]]
                for x in range(n) for y in range(n) for z in range(n))
+
+
+def first_failing_triple(table):
+    """The lexicographically first (x, y, z) with (xy)z != x(yz), or None."""
+    n = len(table)
+    return next(((x, y, z) for x in range(n) for y in range(n)
+                 for z in range(n)
+                 if table[table[x][y]][z] != table[x][table[y][z]]), None)
+
+
+def check_verdict(table):
+    """The witness from_cayley_table raises, or None if it accepts."""
+    try:
+        from_cayley_table(table)
+    except AssociativityViolation as err:
+        return err.witness
+    return None
 
 
 def test_c2_is_a_group():
@@ -64,6 +83,69 @@ def test_out_of_range_entry_rejected():
         from_cayley_table([[0, 1], [0]])
     with pytest.raises(IndexOutOfRange):
         from_cayley_table([[False, True], [True, False]])
+
+
+def test_out_of_range_messages_name_the_first_bad_entry():
+    cases = {
+        "table entry 2 not in [0, 2)": [[0, 2], [1, 0]],
+        "table entry -1 not in [0, 3)": [[0, 1, 2], [0, -1, 2], [0, 5, 0]],
+        "table entry 1.0 not in [0, 2)": [[0, 1], [1.0, 0]],
+        "table entry 'a' not in [0, 2)": [[0, 1], [1, "a"]],
+        "table entry True not in [0, 2)": [[0, 1], [True, 9]],
+        "table is not square": [[0, 1], [0]],
+        # row-major order: the bad entry in row 0 comes before the short row
+        "table entry 7 not in [0, 2)": [[0, 7], [0]],
+    }
+    for message, table in cases.items():
+        with pytest.raises(IndexOutOfRange) as err:
+            from_cayley_table(table)
+        assert str(err.value) == message
+
+
+def test_associativity_check_matches_triple_loop_on_random_tables():
+    rng = random.Random(20)
+    accepted = 0
+    for n in range(1, 9):
+        for _ in range(60):
+            table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            witness = check_verdict(table)
+            assert (witness is None) == brute_associative(table)
+            assert witness == first_failing_triple(table)
+            accepted += witness is None
+    assert accepted > 0
+
+
+def test_associativity_check_finds_one_planted_break():
+    rng = random.Random(21)
+    for _ in range(200):
+        n = rng.randint(2, 12)
+        if rng.random() < 0.5:
+            table = [[x] * n for x in range(n)]
+        else:
+            table = [[(x + y) % n for y in range(n)] for x in range(n)]
+        x, y = rng.randrange(n), rng.randrange(n)
+        table[x][y] = (table[x][y] + rng.randrange(1, n)) % n
+        witness = check_verdict(table)
+        assert (witness is None) == brute_associative(table)
+        assert witness == first_failing_triple(table)
+
+
+def test_associativity_witness_at_the_byte_encoding_boundary():
+    # order 256 is checked over bytes, order 257 over tuples
+    for n in (256, 257):
+        left_zero = [[x] * n for x in range(n)]
+        left_zero[0][1] = 1
+        cyclic = [[(x + y) % n for y in range(n)] for x in range(n)]
+        cyclic[n - 1][n - 2] = 0
+        for table, witness in ((left_zero, (0, 2, 1)),
+                               (cyclic, (1, n - 2, n - 2))):
+            assert first_failing_triple(table) == witness
+            with pytest.raises(AssociativityViolation) as err:
+                from_cayley_table(table)
+            assert err.value.witness == witness
+    s = from_cayley_table([[(x + y) % 257 for y in range(257)]
+                           for x in range(257)])
+    assert s.checked and s.identity == 0
 
 
 def test_find_zero():
@@ -205,9 +287,14 @@ def test_from_json_dict_rejects_malformed_documents():
     for labels in (5, "ab", ["a", 3], [None, "b"]):
         with pytest.raises(MalformedDocument):
             from_cayley_table(C2, labels=labels)
+    for family in (5, True, ["isn"], {"name": "isn"}):
+        with pytest.raises(MalformedDocument):
+            from_json_dict({**doc, "family": family})
+    assert from_json_dict({**doc, "family": None}).family is None
+    assert from_json_dict(doc).family == "isn"
 
 
-def test_from_json_dict_checks_associativity_up_to_order_128():
+def test_from_json_dict_checks_associativity_up_to_order_256():
     def spoiled_left_zero(n):
         # x*y = x except for one product, which breaks associativity
         table = [[x] * n for x in range(n)]
@@ -216,4 +303,6 @@ def test_from_json_dict_checks_associativity_up_to_order_128():
 
     with pytest.raises(AssociativityViolation):
         from_json_dict(spoiled_left_zero(128))
-    assert not from_json_dict(spoiled_left_zero(129)).checked
+    with pytest.raises(AssociativityViolation):
+        from_json_dict(spoiled_left_zero(256))
+    assert not from_json_dict(spoiled_left_zero(257)).checked
