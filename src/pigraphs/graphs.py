@@ -308,6 +308,9 @@ def to_json_dict(g: Graph) -> dict:
 def from_json_dict(doc: dict) -> Graph:
     if not isinstance(doc, dict):
         raise MalformedDocument("a graph document must be a JSON object")
+    for field in ("order", "edges"):
+        if field not in doc:
+            raise MalformedDocument(f"graph document has no '{field}' field")
     if not isinstance(doc["edges"], list):
         raise MalformedDocument("edges must be a list of pairs")
     return from_edges(doc["order"], doc["edges"], doc.get("labels"))

@@ -217,13 +217,23 @@ def to_json_dict(s: Semigroup) -> dict:
 
 def from_json_dict(doc: dict) -> Semigroup:
     """Rebuild a semigroup from its JSON document, checking associativity
-    exhaustively up to order 256 and trusting larger tables."""
+    exhaustively up to order 256 and trusting larger tables.  An `order`
+    field is optional but must match the table when present."""
     if not isinstance(doc, dict):
         raise MalformedDocument("a semigroup document must be a JSON object")
+    if "table" not in doc:
+        raise MalformedDocument("semigroup document has no 'table' field")
     table = doc["table"]
     if not (isinstance(table, (list, tuple))
             and all(isinstance(row, (list, tuple)) for row in table)):
         raise MalformedDocument("table must be a list of rows")
+    if "order" in doc:
+        order = doc["order"]
+        if type(order) is not int:
+            raise MalformedDocument("'order' must be an integer")
+        if order != len(table):
+            raise SizeMismatch(
+                f"'order' is {order} but the table has {len(table)} rows")
     family = doc.get("family")
     if not (family is None or isinstance(family, str)):
         raise MalformedDocument("family must be a string or null")

@@ -3,8 +3,10 @@
 A surjective vertex map phi: G -> H is skeletal when two vertices of G
 are adjacent iff their images are equal or adjacent in H.  Merging is
 possible exactly between closed twins (adjacent vertices with the same
-closed neighborhood), which gives a polynomial-time skeleton test; the
-partition brute force below stays available as the independent oracle.
+closed neighborhood), which gives a polynomial-time skeleton test.  The
+independent oracle, brute_force_has_proper_skeletal, is exhaustive: it
+tries all Bell(n) - 1 partitions with a non-trivial block (guarded at
+order 8) and checks each partition quotient on bit-set closed rows.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ from .errors import (
 )
 from .graphs import Graph, _trusted_graph, bits, induced_subgraph, \
     verify_isomorphism
-from .green import Partition, classes_by_ideal, partition_from_groups
+from .green import Partition, classes_by_ideal
 
 BRUTE_MAX_ORDER = 8
 
@@ -128,30 +130,58 @@ def is_skeleton(g: Graph) -> bool:
     return twin_partition(g).size == g.order
 
 
-def _set_partitions(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1:]
-        yield [[first]] + part
+def _block_partitions(n: int):
+    """Every partition of range(n) once, as a list of block member masks.
+
+    Vertex v joins each block opened so far or opens a new one, so each
+    partition has exactly one growth order.  The list is reused between
+    yields; copy it to keep it.
+    """
+    blocks = []
+
+    def grow(v):
+        if v == n:
+            yield blocks
+            return
+        bit = 1 << v
+        for i in range(len(blocks)):
+            blocks[i] |= bit
+            yield from grow(v + 1)
+            blocks[i] ^= bit
+        blocks.append(bit)
+        yield from grow(v + 1)
+        blocks.pop()
+
+    return grow(0)
+
+
+def _blocks_are_skeletal(closed, blocks) -> bool:
+    """Whether the any-cross-edge quotient by these blocks is skeletal.
+
+    closed[a] is a's closed row.  A block's members must all have the
+    closed row `expected`: the union of the blocks met by the OR of their
+    closed rows.  That is what quotient_by_partition followed by
+    verify_skeletal decides, without building either.
+    """
+    for members in blocks:
+        rows = [closed[a] for a in bits(members)]
+        reach = 0
+        for row in rows:
+            reach |= row
+        expected = sum(b for b in blocks if b & reach)
+        if any(row != expected for row in rows):
+            return False
+    return True
 
 
 def brute_force_has_proper_skeletal(g: Graph) -> bool:
-    """Oracle: search all vertex partitions with a non-trivial block."""
+    """Oracle: try every vertex partition with a non-trivial block."""
     if g.order > BRUTE_MAX_ORDER:
         raise SizeLimitExceeded(
             f"partition search guarded at order {BRUTE_MAX_ORDER}")
-    for blocks in _set_partitions(list(range(g.order))):
-        if all(len(b) == 1 for b in blocks):
-            continue
-        partition = partition_from_groups(g.order, blocks)
-        h, phi = quotient_by_partition(g, partition)
-        if verify_skeletal(g, h, phi).is_skeletal:
-            return True
-    return False
+    closed = [row | 1 << v for v, row in enumerate(g.adj)]
+    return any(len(blocks) < g.order and _blocks_are_skeletal(closed, blocks)
+               for blocks in _block_partitions(g.order))
 
 
 def has_two_block_skeletal(g: Graph) -> bool:

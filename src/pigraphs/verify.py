@@ -165,6 +165,14 @@ def suite_semilattice(n: int = 3) -> SuiteResult:
     return SuiteResult("semilattice", tuple(checks))
 
 
+def _witness(seed, iteration, g, **verdicts) -> str:
+    """A failing random case: enough to rebuild the graph and both verdicts."""
+    return "; ".join([f"seed={seed}", f"iteration={iteration}",
+                      f"order={g.order}",
+                      f"edges={[list(e) for e in g.edges()]}",
+                      *(f"{k}={v}" for k, v in verdicts.items())])
+
+
 def _random_tree(order: int, rng) -> graphs.Graph:
     edges = [(rng.randrange(v), v) for v in range(1, order)]
     return graphs.from_edges(order, edges)
@@ -193,28 +201,34 @@ def suite_skeletal(seed: int = 0) -> SuiteResult:
            not skeletal.is_skeleton(graphs.complete_graph(2))
            and not skeletal.is_skeleton(graphs.complete_graph(3)))
 
-    complete_ok = True
-    for _ in range(60):
+    witness = ""
+    for i in range(60):
         m = rng.randrange(3, 8)
         g = graphs.random_graph(m, rng.choice([0.3, 0.6, 0.9]), rng)
-        if graphs.graph_stats(g).is_complete != skeletal.has_two_block_skeletal(g):
-            complete_ok = False
+        complete = graphs.graph_stats(g).is_complete
+        two_block = skeletal.has_two_block_skeletal(g)
+        if complete != two_block:
+            witness = _witness(seed, i, g, complete=complete,
+                               two_block_skeletal=two_block)
             break
-    complete_ok = complete_ok and all(
+    complete_ok = not witness and all(
         skeletal.has_two_block_skeletal(graphs.complete_graph(m))
         for m in range(3, 7))
-    _check(checks, "complete iff a two-vertex skeletal exists", complete_ok)
+    _check(checks, "complete iff a two-vertex skeletal exists", complete_ok,
+           witness)
 
-    oracle_ok = True
-    for _ in range(40):
+    witness = ""
+    for i in range(40):
         m = rng.randrange(4, 8)
         g = graphs.random_graph(m, rng.choice([0.25, 0.5, 0.75]), rng)
-        if skeletal.is_skeleton(g) != (
-                not skeletal.brute_force_has_proper_skeletal(g)):
-            oracle_ok = False
+        skeleton = skeletal.is_skeleton(g)
+        proper = skeletal.brute_force_has_proper_skeletal(g)
+        if skeleton == proper:
+            witness = _witness(seed, i, g, is_skeleton=skeleton,
+                               brute_force_proper_skeletal=proper)
             break
     _check(checks, "twin test agrees with the partition brute force",
-           oracle_ok)
+           not witness, witness)
 
     parts_ok = True
     for _ in range(30):

@@ -1,6 +1,11 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pigraphs import families
 from pigraphs.cli import main
@@ -232,6 +237,28 @@ BAD_INPUT = {
     "map is empty": ("map", {"map": []}),
     "map is too short": ("map", {"map": [0, 0]}),
     "semigroup family is a number": ("semigroup", {**SEMIGROUP, "family": 5}),
+    "semigroup has no table": ("semigroup", {k: v for k, v in SEMIGROUP.items()
+                                             if k != "table"}),
+    "semigroup order differs from the table": ("semigroup",
+                                               {**SEMIGROUP, "order": 5}),
+    "semigroup order is a string": ("semigroup", {**SEMIGROUP, "order": "7"}),
+    "semigroup order is a bool": ("semigroup", {**SEMIGROUP, "table": [[0]],
+                                                "labels": ["e"],
+                                                "order": True}),
+    "semigroup order is a float": ("semigroup", {**SEMIGROUP, "order": 7.0}),
+    "graph has no order": ("graph", {"labels": None, "edges": []}),
+    "graph has no edges": ("graph", {"order": 3, "labels": None}),
+}
+# the exact error line of the cases that must name a field
+FIELD_ERRORS = {
+    "semigroup has no table": "semigroup document has no 'table' field",
+    "semigroup order differs from the table":
+        "'order' is 5 but the table has 7 rows",
+    "semigroup order is a string": "'order' must be an integer",
+    "semigroup order is a bool": "'order' must be an integer",
+    "semigroup order is a float": "'order' must be an integer",
+    "graph has no order": "graph document has no 'order' field",
+    "graph has no edges": "graph document has no 'edges' field",
 }
 
 
@@ -256,6 +283,17 @@ def test_malformed_input_exits_2_without_traceback(name, tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and "Traceback" not in err
+        if name in FIELD_ERRORS:
+            assert err == f"error: {FIELD_ERRORS[name]}\n", argv
+
+
+def test_semigroup_order_field_is_optional(tmp_path, capsys):
+    path = tmp_path / "sg.json"
+    for doc in (SEMIGROUP, {k: v for k, v in SEMIGROUP.items()
+                            if k != "order"}):
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "classes", "--input", str(path))
+        assert code == 0 and len(out.splitlines()) == 4
 
 
 def test_wrong_length_map_names_both_lengths(tmp_path, capsys):
@@ -269,3 +307,49 @@ def test_wrong_length_map_names_both_lengths(tmp_path, capsys):
         assert code == 2 and out == ""
         assert err == (f"error: map has {len(raw)} entries for a graph "
                        "of order 3\n")
+
+
+FIELDS = ("order", "table", "labels", "edges", "map", "family", "zero")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(FIELDS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid graph, semigroup or map document with one field spoiled."""
+    doc = dict(draw(st.sampled_from([GRAPH, SEMIGROUP, {"map": [0, 0, 1]}])))
+    key = draw(st.sampled_from(sorted(doc)))
+    if draw(st.booleans()):
+        del doc[key]
+    elif isinstance(doc[key], list) and doc[key] and draw(st.booleans()):
+        items = list(doc[key])
+        items[draw(st.integers(0, len(items) - 1))] = draw(JSON_VALUES)
+        doc[key] = items
+    else:
+        doc[key] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(JSON_VALUES | mutated_documents())
+def test_any_document_ends_in_a_documented_exit_code(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, good_graph, good_map = (Path(tmp) / name for name in
+                                      ("doc.json", "g.json", "m.json"))
+        path.write_text(json.dumps(doc))
+        good_graph.write_text(json.dumps(GRAPH))
+        good_map.write_text(json.dumps({"map": [0, 0, 1]}))
+        check = ["skeletal", "--op", "check"]
+        for argv in (["stats", "--graph", path],
+                     ["graph", "--input", path],
+                     ["classes", "--input", path],
+                     [*check, "--graph", path, "--map", good_map],
+                     [*check, "--graph", good_graph, "--map", path]):
+            with redirect_stdout(io.StringIO()), \
+                    redirect_stderr(io.StringIO()):
+                code = main([str(a) for a in argv])
+            assert code in ((0, 1, 2) if argv[0] == "skeletal" else (0, 2))

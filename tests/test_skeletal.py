@@ -1,9 +1,11 @@
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pigraphs import verify
 from pigraphs.errors import (
     NotSkeletal,
     NotSurjective,
@@ -21,6 +23,8 @@ from pigraphs.graphs import (
 from pigraphs.green import partition_from_groups
 from pigraphs.skeletal import (
     VertexMap,
+    _block_partitions,
+    _blocks_are_skeletal,
     blow_up,
     brute_force_has_proper_skeletal,
     compose_skeletal,
@@ -205,6 +209,79 @@ def test_is_skeleton_agrees_with_brute_force():
         assert is_skeleton(g) == (not brute_force_has_proper_skeletal(g))
 
 
+def reference_has_proper_skeletal(g):
+    """The oracle built object by object: quotient and check per partition."""
+    for blocks in all_partitions(list(range(g.order))):
+        if len(blocks) == g.order:
+            continue
+        h, phi = quotient_by_partition(
+            g, partition_from_groups(g.order, blocks))
+        if verify_skeletal(g, h, phi).is_skeletal:
+            return True
+    return False
+
+
+BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
+
+
+def test_block_partitions_yield_each_partition_once():
+    for n, bell in enumerate(BELL):
+        yielded = []
+        for blocks in _block_partitions(n):
+            assert all(blocks) and sum(blocks) == (1 << n) - 1
+            assert sum(b.bit_count() for b in blocks) == n  # disjoint
+            yielded.append(frozenset(blocks))
+        assert len(yielded) == len(set(yielded)) == bell, n
+
+
+def test_block_check_matches_quotient_and_verify_skeletal():
+    verdicts = []
+    for g, part, _ in seeded_partitions(9, max_order=6):
+        h, phi = quotient_by_partition(g, part)
+        closed = [row | 1 << v for v, row in enumerate(g.adj)]
+        blocks = [sum(1 << v for v in block) for block in part.classes]
+        verdict = _blocks_are_skeletal(closed, blocks)
+        assert verdict == verify_skeletal(g, h, phi).is_skeletal
+        verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_brute_force_matches_reference_on_every_small_graph():
+    verdicts = []
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            g = from_edges(n, [e for i, e in enumerate(pairs)
+                               if chosen >> i & 1])
+            verdict = brute_force_has_proper_skeletal(g)
+            assert verdict == reference_has_proper_skeletal(g), g.adj
+            verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def twin_free_graph(n, rng):
+    while True:
+        g = random_graph(n, 0.5, rng)
+        if is_skeleton(g):
+            return g
+
+
+def test_brute_force_matches_reference_on_seeded_graphs():
+    rng = random.Random(17)
+    for n in range(6, 9):
+        for _ in range(2):
+            sizes = [1] * (n - 1)
+            sizes[rng.randrange(n - 1)] = 2
+            planted, _ = blow_up(twin_free_graph(n - 1, rng), sizes)
+            perm = rng.sample(range(n), n)
+            planted = from_edges(n, [(perm[u], perm[v])
+                                     for u, v in planted.edges()])
+            for g, proper in ((twin_free_graph(n, rng), False),
+                              (planted, True)):
+                assert brute_force_has_proper_skeletal(g) is proper
+                assert reference_has_proper_skeletal(g) is proper
+
+
 def test_complete_iff_two_block_skeletal():
     for n in range(3, 7):
         assert has_two_block_skeletal(complete_graph(n))
@@ -268,3 +345,25 @@ def test_blow_up_collapse_is_skeletal(g, sizes):
     assert verify_skeletal(big, g, phi).is_skeletal
     for v in range(g.order):
         assert fibre_subgraph_is_complete(big, phi, v)
+
+
+@pytest.mark.parametrize("name, check", [
+    ("has_two_block_skeletal", "complete iff a two-vertex skeletal exists"),
+    ("brute_force_has_proper_skeletal",
+     "twin test agrees with the partition brute force"),
+])
+def test_suite_skeletal_names_a_failing_graph(name, check, monkeypatch):
+    real = getattr(verify.skeletal, name)
+    monkeypatch.setattr(verify.skeletal, name, lambda g: not real(g))
+    result = next(c for c in verify.suite_skeletal(3).checks
+                  if c.name == check)
+    assert not result.passed
+    fields = dict(item.split("=", 1) for item in result.detail.split("; "))
+    assert fields["seed"] == "3" and fields["iteration"] == "0"
+    g = from_edges(int(fields["order"]), json.loads(fields["edges"]))
+    if name == "has_two_block_skeletal":
+        assert fields["complete"] == str(graph_stats(g).is_complete)
+        assert fields["two_block_skeletal"] == str(not real(g))
+    else:
+        assert fields["is_skeleton"] == str(is_skeleton(g))
+        assert fields["brute_force_proper_skeletal"] == str(not real(g))
