@@ -35,7 +35,6 @@ from .semigroups import (
     Semigroup,
     adjoin_zero,
     check_involution,
-    find_zero,
     from_cayley_table,
     idempotents,
     inverses,
@@ -53,11 +52,9 @@ from .skeletal import (
     verify_skeletal,
 )
 from .spectral import (
-    adjacency_matrix,
     eigen_multiplicity,
+    graph_matrix,
     integer_rank,
-    laplacian_matrix,
-    signless_laplacian_matrix,
     twin_spectral_report,
 )
 

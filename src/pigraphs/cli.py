@@ -8,6 +8,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 
 from . import families, graphs, pig, semigroups, skeletal, spectral, verify
 from .errors import MalformedDocument, PigError, SizeMismatch
@@ -99,11 +100,13 @@ def cmd_skeletal(args) -> int:
         if len(raw) != g.order:
             raise SizeMismatch(
                 f"map has {len(raw)} entries for a graph of order {g.order}")
+        # VertexMap first: a negative or missing id raises NotSurjective here
         phi = skeletal.VertexMap(g.order, max(raw, default=-1) + 1, tuple(raw))
+        fibres = [[] for _ in range(phi.codomain_order)]
+        for u, v in enumerate(raw):
+            fibres[v].append(u)
         h, _ = skeletal.quotient_by_partition(
-            g, skeletal.Partition(
-                tuple(raw),
-                tuple(tuple(phi.fibre(v)) for v in range(phi.codomain_order))))
+            g, skeletal.Partition(tuple(raw), tuple(map(tuple, fibres))))
         report = skeletal.verify_skeletal(g, h, phi)
         print(json.dumps(asdict(report), indent=2))
         return 0 if report.is_skeletal else 1
@@ -132,12 +135,7 @@ def cmd_spectral(args) -> int:
             "classes": [asdict(c) for c in report.classes],
         }, indent=2))
         return 0 if report.all_pass else 1
-    builders = {
-        "A": spectral.adjacency_matrix,
-        "L": spectral.laplacian_matrix,
-        "Q": spectral.signless_laplacian_matrix,
-    }
-    m = builders[args.matrix](g)
+    m = spectral.graph_matrix(g, args.matrix)
     if args.lam is None:
         print(json.dumps({"matrix": args.matrix,
                           "rank": spectral.integer_rank(m)}))
@@ -163,7 +161,9 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by main."""
     parser = argparse.ArgumentParser(
         prog="pig",
         description="Build finite semigroups, their principal ideal "
@@ -223,8 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (PigError, FileNotFoundError, json.JSONDecodeError, KeyError,

@@ -12,7 +12,7 @@ from math import comb, factorial
 from operator import itemgetter
 
 from .errors import NotABijection, NotAGroup, SizeLimitExceeded
-from .semigroups import Semigroup, _detect_identity, _detect_zero
+from .semigroups import Semigroup, _trusted_semigroup
 
 ISN_MAX = 5
 SEMILATTICE_MAX = 5
@@ -103,16 +103,8 @@ def symmetric_inverse(n: int) -> Semigroup:
                       padded)))
         for x in padded
     )
-    return Semigroup(
-        order=len(elems),
-        table=table,
-        labels=tuple(p.label() for p in elems),
-        zero=_detect_zero(table),
-        identity=_detect_identity(table),
-        family="isn",
-        checked=False,
-        elements=tuple(elems),
-    )
+    return _trusted_semigroup(table, tuple(p.label() for p in elems), "isn",
+                              elements=elems)
 
 
 def _check_group(g: Semigroup):
@@ -153,16 +145,8 @@ def brandt(g: Semigroup, r: int) -> Semigroup:
     labels = tuple(
         f"({i},{g.label(a)},{j})" for (i, a, j) in triples
     ) + ("0",)
-    return Semigroup(
-        order=order,
-        table=table,
-        labels=labels,
-        zero=zero,
-        identity=_detect_identity(table),
-        family="brandt",
-        checked=False,
-        elements=tuple(triples) + (None,),
-    )
+    return _trusted_semigroup(table, labels, "brandt",
+                              elements=tuple(triples) + (None,))
 
 
 def subset_meet_semilattice(n: int) -> Semigroup:
@@ -173,16 +157,8 @@ def subset_meet_semilattice(n: int) -> Semigroup:
     size = 1 << n
     table = tuple(tuple(x & y for y in range(size)) for x in range(size))
     labels = tuple(subset_label(m) for m in range(size))
-    return Semigroup(
-        order=size,
-        table=table,
-        labels=labels,
-        zero=0,
-        identity=size - 1,
-        family="semilattice",
-        checked=False,
-        elements=tuple(range(size)),
-    )
+    return _trusted_semigroup(table, labels, "semilattice",
+                              elements=range(size))
 
 
 def subset_label(mask: int) -> str:
@@ -195,15 +171,7 @@ def cyclic_group(m: int) -> Semigroup:
     if m < 1:
         raise SizeLimitExceeded("group order must be positive")
     table = tuple(tuple((x + y) % m for y in range(m)) for x in range(m))
-    return Semigroup(
-        order=m,
-        table=table,
-        labels=tuple(str(x) for x in range(m)),
-        zero=0 if m == 1 else None,
-        identity=0,
-        family="cyclic",
-        checked=False,
-    )
+    return _trusted_semigroup(table, tuple(str(x) for x in range(m)), "cyclic")
 
 
 def left_zero(n: int) -> Semigroup:
@@ -211,12 +179,5 @@ def left_zero(n: int) -> Semigroup:
     if n < 1:
         raise SizeLimitExceeded("order must be positive")
     table = tuple(tuple(x for _ in range(n)) for x in range(n))
-    return Semigroup(
-        order=n,
-        table=table,
-        labels=tuple(f"a{x}" for x in range(n)),
-        zero=0 if n == 1 else None,
-        identity=0 if n == 1 else None,
-        family="leftzero",
-        checked=False,
-    )
+    return _trusted_semigroup(table, tuple(f"a{x}" for x in range(n)),
+                              "leftzero")

@@ -22,7 +22,7 @@ from .families import ISN_MAX, all_partial_bijections
 from .graphs import Graph, _trusted_graph, mask_intersection_graph, \
     verify_isomorphism
 from .green import classes_by_ideal, l_classes, left_ideals, \
-    partition_from_groups, r_classes, right_ideals
+    partition_from_groups, right_ideals
 from .semigroups import Semigroup, check_involution, inverses
 from .skeletal import _checked_quotient
 
@@ -92,9 +92,8 @@ def isn_left_pig(n: int) -> Graph:
 
 
 def _blocks(s: Semigroup, partition) -> list:
-    """The classes without the zero, ordered by minimal member."""
-    return sorted((cls for cls in partition.classes if s.zero not in cls),
-                  key=min)
+    """The nonzero classes, in the partition's order (by minimal member)."""
+    return [cls for cls in partition.classes if s.zero not in cls]
 
 
 def _s_pig(s: Semigroup, full: Graph, partition):
@@ -128,23 +127,21 @@ def s_right_pig(s: Semigroup):
     return _s_pig(s, _pig(s, ideals), classes_by_ideal(ideals))
 
 
-def s_pig_class_elements(s: Semigroup, side: str = "left") -> list:
-    """Element indices per quotient vertex, matching s_left/right_pig order."""
-    partition = l_classes(s) if side == "left" else r_classes(s)
-    return [list(b) for b in _blocks(s, partition)]
+def s_pig_class_elements(s: Semigroup) -> list:
+    """Element indices per quotient vertex, matching s_left_pig order."""
+    return [list(b) for b in _blocks(s, l_classes(s))]
 
 
-def involution_pig_isomorphism(s: Semigroup, sigma=None) -> list:
+def involution_pig_isomorphism(s: Semigroup) -> list:
     """The verified isomorphism x -> inv(x) between left and right graphs.
 
     Returned in vertex-position space: entry i is the right_pig vertex
     matching left_pig vertex i.
     """
+    sigma = inverses(s)
     if sigma is None:
-        sigma = inverses(s)
-        if sigma is None:
-            raise NotInverseSemigroup(
-                "no involution supplied and the semigroup is not inverse")
+        raise NotInverseSemigroup(
+            "no involution supplied and the semigroup is not inverse")
     return _involution_isomorphism(s, sigma, left_pig(s), right_pig(s))
 
 

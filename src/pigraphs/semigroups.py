@@ -35,9 +35,6 @@ class Semigroup:
     checked: bool = field(default=True, compare=False)
     elements: tuple | None = field(default=None, compare=False)
 
-    def product(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels is not None else str(x)
 
@@ -87,50 +84,45 @@ def _check_associativity(table):
             raise AssociativityViolation(x, *divmod(i, n))
 
 
-def _detect_zero(table):
+def _two_sided(table, value):
+    """The first x with x*y = y*x = value(x, y) for every y, or None."""
     n = len(table)
-    for z in range(n):
-        if all(table[z][x] == z and table[x][z] == z for x in range(n)):
-            return z
+    for x in range(n):
+        if all(table[x][y] == value(x, y) == table[y][x] for y in range(n)):
+            return x
     return None
 
 
-def _detect_identity(table):
-    n = len(table)
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            return e
-    return None
+def _trusted_semigroup(table, labels=None, family=None, checked=False,
+                       elements=None) -> Semigroup:
+    """A Semigroup from a square tuple table whose entries are already
+    known to be valid; the zero and the identity are read off the table."""
+    return Semigroup(
+        order=len(table),
+        table=table,
+        labels=tuple(labels) if labels is not None else None,
+        zero=_two_sided(table, lambda x, y: x),
+        identity=_two_sided(table, lambda x, y: y),
+        family=family,
+        checked=checked,
+        elements=tuple(elements) if elements is not None else None,
+    )
 
 
 def from_cayley_table(table, labels=None, *, unchecked=False,
-                      family=None, elements=None) -> Semigroup:
+                      family=None) -> Semigroup:
     """Build a validated :class:`Semigroup` from a square table.
 
     Raises :class:`AssociativityViolation` with a witness triple unless
-    ``unchecked`` is set (reserved for constructors whose tables are
-    associative by construction).
+    ``unchecked`` is set (reserved for tables too large for the
+    exhaustive check).
     """
     table = tuple(tuple(row) for row in table)
     _check_entries(table)
     _check_labels(labels, len(table))
     if not unchecked:
         _check_associativity(table)
-    return Semigroup(
-        order=len(table),
-        table=table,
-        labels=tuple(labels) if labels is not None else None,
-        zero=_detect_zero(table),
-        identity=_detect_identity(table),
-        family=family,
-        checked=not unchecked,
-        elements=tuple(elements) if elements is not None else None,
-    )
-
-
-def find_zero(s: Semigroup):
-    """The unique two-sided absorbing element, or ``None``."""
-    return s.zero
+    return _trusted_semigroup(table, labels, family, not unchecked)
 
 
 def idempotents(s: Semigroup) -> list:
@@ -190,15 +182,7 @@ def adjoin_zero(s: Semigroup) -> Semigroup:
         labels = tuple(s.labels) + ("0*",)
     # adjoining an absorbing element preserves associativity, so the
     # checked status of the input carries over
-    return Semigroup(
-        order=n + 1,
-        table=table,
-        labels=labels,
-        zero=n,
-        identity=_detect_identity(table),
-        family=s.family,
-        checked=s.checked,
-    )
+    return _trusted_semigroup(table, labels, s.family, s.checked)
 
 
 def to_json_dict(s: Semigroup) -> dict:

@@ -12,21 +12,15 @@ from .graphs import Graph
 from .skeletal import VertexMap, twin_partition
 
 
-def adjacency_matrix(g: Graph) -> list:
-    return [[1 if g.has_edge(u, v) else 0 for v in range(g.order)]
-            for u in range(g.order)]
-
-
-def laplacian_matrix(g: Graph) -> list:
-    a = adjacency_matrix(g)
-    return [[g.degree(u) if u == v else -a[u][v] for v in range(g.order)]
-            for u in range(g.order)]
-
-
-def signless_laplacian_matrix(g: Graph) -> list:
-    a = adjacency_matrix(g)
-    return [[g.degree(u) if u == v else a[u][v] for v in range(g.order)]
-            for u in range(g.order)]
+def graph_matrix(g: Graph, kind: str) -> list:
+    """The adjacency (kind "A"), Laplacian ("L") or signless Laplacian
+    ("Q") matrix of g; L and Q carry the vertex degrees on the diagonal."""
+    sign = {"A": 1, "L": -1, "Q": 1}[kind]
+    m = [[sign * (row >> v & 1) for v in range(g.order)] for row in g.adj]
+    if kind != "A":
+        for u, row in enumerate(m):
+            row[u] = g.degree(u)
+    return m
 
 
 def integer_rank(m: list) -> int:
@@ -119,9 +113,7 @@ def twin_spectral_report(g: Graph) -> TwinSpectralReport:
     classes = [c for c in twin_partition(g).classes if len(c) >= 2]
     if not classes:
         return TwinSpectralReport(())
-    a = adjacency_matrix(g)
-    lap = laplacian_matrix(g)
-    q = signless_laplacian_matrix(g)
+    a, lap, q = (graph_matrix(g, kind) for kind in "ALQ")
     degrees = {g.degree(c[0]) for c in classes}
     a_mult = eigen_multiplicity(a, -1)
     l_mult = {d: eigen_multiplicity(lap, d + 1) for d in degrees}
@@ -156,7 +148,8 @@ def quotient_degree_eigenvalues(g: Graph, h: Graph, phi: VertexMap,
     return {
         "quotient_degree": s,
         "fibre_size": k,
-        "laplacian_multiplicity": eigen_multiplicity(laplacian_matrix(g), s + 1),
-        "signless_multiplicity": eigen_multiplicity(
-            signless_laplacian_matrix(g), s - 1),
+        "laplacian_multiplicity": eigen_multiplicity(graph_matrix(g, "L"),
+                                                     s + 1),
+        "signless_multiplicity": eigen_multiplicity(graph_matrix(g, "Q"),
+                                                    s - 1),
     }

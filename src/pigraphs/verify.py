@@ -9,7 +9,8 @@ import random
 from dataclasses import dataclass
 
 from . import families, graphs, pig, skeletal, spectral
-from .green import classes_by_ideal, l_classes, left_ideals, right_ideals
+from .green import classes_by_ideal, l_classes, left_ideals, \
+    principal_left_ideal, right_ideals
 from .semigroups import idempotents, inverses
 
 
@@ -304,8 +305,6 @@ def suite_spectral(seed: int = 0) -> SuiteResult:
 
 
 def suite_green() -> SuiteResult:
-    from .green import principal_left_ideal
-
     checks = []
     samples = [
         families.symmetric_inverse(2),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pigraphs import families
-from pigraphs.cli import main
+from pigraphs.cli import build_parser, main
 from pigraphs.semigroups import to_json_dict
 
 
@@ -178,6 +178,24 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_usage_error_leaves_the_next_call_unchanged(tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(GRAPH))
+    valid = ["spectral", "--graph", str(graph), "--matrix", "L",
+             "--lambda", "1"]
+    alone = run(capsys, *valid)
+    with pytest.raises(SystemExit) as exc:
+        main(["spectral", "--graph", str(graph), "--matrix", "X"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *valid) == alone
+    assert alone[0] == 0 and json.loads(alone[1])["multiplicity"] == 1
+
+
 def test_malformed_documents_exit_2(tmp_path, capsys):
     sg = tmp_path / "sg.json"
     run(capsys, "build", "--family", "isn", "--n", "2", "--out", str(sg))
@@ -344,7 +362,11 @@ def test_any_document_ends_in_a_documented_exit_code(doc):
         good_graph.write_text(json.dumps(GRAPH))
         good_map.write_text(json.dumps({"map": [0, 0, 1]}))
         check = ["skeletal", "--op", "check"]
+        spectral = ["spectral", "--graph", path]
         for argv in (["stats", "--graph", path],
+                     spectral,
+                     [*spectral, "--matrix", "L", "--lambda", "1"],
+                     [*spectral, "--twin-report"],
                      ["graph", "--input", path],
                      ["classes", "--input", path],
                      [*check, "--graph", path, "--map", good_map],

@@ -1,9 +1,14 @@
-"""Byte-for-byte pins of the CLI's IS_3/IS_4 graph documents and of the
-`pig verify --suite all --n 4` and `--suite isn --n 5` reports.
+"""Byte-for-byte pins of the CLI's IS_3/IS_4 graph documents, of the
+`pig verify --suite all --n 4` and `--suite isn --n 5` reports, of the
+`pig build` documents of the small families, and of `pig spectral` on the
+IS_3 left graph.
 
-The hashes were taken from the outputs of the pair-loop implementation
-that preceded the grouped mask-intersection builders, so any change to
-vertex order, labels, edges or check wording shows up here.
+The graph and verify hashes were taken from the outputs of the pair-loop
+implementation that preceded the grouped mask-intersection builders; the
+family and spectral hashes from the outputs of the per-family `Semigroup`
+constructors and the three separate matrix builders.  Any change to vertex
+order, labels, edges, zero or identity detection, matrix entries or check
+wording shows up here.
 """
 
 import hashlib
@@ -41,6 +46,44 @@ VERIFY_SHA256 = {
         "d278764503754f0e4ba2d9a95188c5bd8456ba5e548e62ecc3cae39f47914e6a",
 }
 
+FAMILY_BUILD_SHA256 = {
+    ("brandt", "--group-order 2 --indices 2"): (
+        "df64241c9e3d88f7dc446558c284152a3ad49bae9ed8431191d15eadd23bc083",
+        "aeec501002024e19b89bfcfd7a97f6a80d9dbc4472f16a7e31ad524cfaa63a93"),
+    ("semilattice", "--n 3"): (
+        "df61e91234a9abd3eb16e6431a268984753c29b184d11eac14b92f92100b1b3a",
+        "32193959c7ce9338fa558d3b135cd4af1f6b79077e5a76577ebae5fb7b2cb9ed"),
+    ("cyclic", "--n 1"): (
+        "c7c6deb620661c9f70887d2b0b3fad362048b2ffc6064495f13d29e5950cd65a",
+        "eb8bfd0fe1e3ec63e60c93ac47f9a4613c84c9e25f839454a2a19dfad43bc648"),
+    ("cyclic", "--n 4"): (
+        "b922b0023374192c117d45715448d2772d6ba24e28202e6d015d3f2e836cd60f",
+        "38b306650292c1f44fa7658c06be29fedbeee12a4bf26f4c029f81cadbe66619"),
+    ("leftzero", "--n 1"): (
+        "4366304cdee52572219a1603a189d9e3b64d24fdc6af2e97c7ffb672f661bf4c",
+        "5aaaa8f6369a20d8e1399f8c0c4737697cd2c9b7340ad190ef347cf368efb29f"),
+    ("leftzero", "--n 3"): (
+        "a172d1666a43dbfb6bf99c40f73dc7a9e90ba4ac2d009b667a06ab1765a8eda9",
+        "92c55dc0fa8d2ef18eea12585ee48bb3364727e99f79561a43d1557be7a50d2a"),
+}
+# `pig spectral` on the IS_3 left graph: (matrix, --lambda) -> stdout
+SPECTRAL_SHA256 = {
+    ("A", None):
+        "4f62bf9f09f84dee593ab1adfe87ec64c82b01f05af0c02f6a68be66bd6e5b9b",
+    ("A", -1):
+        "455f04f68bb4248b84664407c9b026a5f83cedd3ef7ae0ff1e9942c6ff166e03",
+    ("L", None):
+        "9736c38e8b42bee4944e68751c505cc2bdc403e0c84fad7f4489304915019bac",
+    ("L", -1):
+        "580df1720e9f0281c078a0cad32c822bd42ebd2d4b9edbc29a89b99ab0910f8d",
+    ("Q", None):
+        "afc0a91de41cc1effaacbaaf29e5c4404f2b9bdc08dced31db437f3ba5979075",
+    ("Q", -1):
+        "cb478d63a8ec8236a4a5573520e371dec4c468992f3e8412bf0e916a1b55c610",
+}
+TWIN_REPORT_SHA256 = \
+    "14e1cfae88e0bfe437d35f6906d85668721547f60e3ee155e1b1a2f1007aa62c"
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -66,3 +109,29 @@ def test_verify_report_is_unchanged(suite, n, capsys):
     assert main(["verify", "--suite", suite, "--n", str(n)]) == 0
     out = capsys.readouterr().out
     assert sha256(out.encode()) == VERIFY_SHA256[suite, n]
+
+
+@pytest.mark.parametrize("family,params", sorted(FAMILY_BUILD_SHA256))
+def test_family_build_documents_are_unchanged(family, params, tmp_path,
+                                              capsys):
+    for adjoin, want in zip(([], ["--adjoin-zero"]),
+                            FAMILY_BUILD_SHA256[family, params]):
+        out = tmp_path / "sg.json"
+        assert main(["build", "--family", family, *params.split(), *adjoin,
+                     "--out", str(out)]) == 0
+        assert sha256(out.read_bytes()) == want, (family, params, adjoin)
+
+
+def test_spectral_reports_are_unchanged(tmp_path, capsys):
+    sg, graph = tmp_path / "is3.json", tmp_path / "left.json"
+    assert main(["build", "--family", "isn", "--n", "3",
+                 "--out", str(sg)]) == 0
+    assert main(["graph", "--input", str(sg), "--out", str(graph)]) == 0
+    capsys.readouterr()
+    for (matrix, lam), want in SPECTRAL_SHA256.items():
+        extra = [] if lam is None else ["--lambda", str(lam)]
+        assert main(["spectral", "--graph", str(graph), "--matrix", matrix,
+                     *extra]) == 0
+        assert sha256(capsys.readouterr().out.encode()) == want, (matrix, lam)
+    assert main(["spectral", "--graph", str(graph), "--twin-report"]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == TWIN_REPORT_SHA256

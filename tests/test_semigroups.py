@@ -13,7 +13,6 @@ from pigraphs.errors import (
 from pigraphs.semigroups import (
     adjoin_zero,
     check_involution,
-    find_zero,
     from_cayley_table,
     from_json_dict,
     idempotents,
@@ -149,10 +148,10 @@ def test_associativity_witness_at_the_byte_encoding_boundary():
 
 
 def test_find_zero():
-    assert find_zero(from_cayley_table(C2)) is None
-    assert find_zero(families.subset_meet_semilattice(2)) == 0
+    assert from_cayley_table(C2).zero is None
+    assert families.subset_meet_semilattice(2).zero == 0
     s = families.symmetric_inverse(2)
-    z = find_zero(s)
+    z = s.zero
     assert s.elements[z].rank() == 0
     # composing anything with the empty map gives the empty map
     assert all(s.table[z][x] == z and s.table[x][z] == z

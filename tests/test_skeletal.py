@@ -282,6 +282,36 @@ def test_brute_force_matches_reference_on_seeded_graphs():
                 assert reference_has_proper_skeletal(g) is proper
 
 
+def reference_has_two_block_skeletal(g):
+    """The two-block test built object by object: a map onto K2 per mask."""
+    k2 = complete_graph(2)
+    return any(
+        verify_skeletal(g, k2, VertexMap(
+            g.order, 2, tuple(mask >> v & 1 for v in range(g.order))
+        )).is_skeletal
+        for mask in range(1, 1 << max(g.order - 1, 0)))
+
+
+def test_two_block_skeletal_matches_reference():
+    verdicts = []
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            g = from_edges(n, [e for i, e in enumerate(pairs)
+                               if chosen >> i & 1])
+            verdict = has_two_block_skeletal(g)
+            assert verdict == reference_has_two_block_skeletal(g), g.adj
+            verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
+    rng = random.Random(23)
+    for n in (6, 7):
+        for p in (0.3, 0.6, 0.9, 1.0):
+            for _ in range(3):
+                g = random_graph(n, p, rng)
+                assert has_two_block_skeletal(g) \
+                    == reference_has_two_block_skeletal(g), g.adj
+
+
 def test_complete_iff_two_block_skeletal():
     for n in range(3, 7):
         assert has_two_block_skeletal(complete_graph(n))
@@ -319,7 +349,7 @@ def test_embedded_copy():
 
 
 def test_fibre_subgraphs():
-    assert fibre_subgraph_is_complete(K4, MERGE_TRIANGLE, 0, K2)
+    assert fibre_subgraph_is_complete(K4, MERGE_TRIANGLE, 0)
     assert fibre_subgraph_is_complete(K4, MERGE_TRIANGLE, 1)
 
 

@@ -15,13 +15,11 @@ from pigraphs.graphs import (
 )
 from pigraphs.skeletal import VertexMap, blow_up
 from pigraphs.spectral import (
-    adjacency_matrix,
     eigen_multiplicity,
+    graph_matrix,
     integer_rank,
-    laplacian_matrix,
     matvec,
     quotient_degree_eigenvalues,
-    signless_laplacian_matrix,
     twin_spectral_report,
 )
 
@@ -30,25 +28,40 @@ K4 = complete_graph(4)
 
 def test_matrix_definitions():
     k2 = complete_graph(2)
-    assert adjacency_matrix(k2) == [[0, 1], [1, 0]]
-    assert laplacian_matrix(k2) == [[1, -1], [-1, 1]]
-    assert signless_laplacian_matrix(k2) == [[1, 1], [1, 1]]
+    assert graph_matrix(k2, "A") == [[0, 1], [1, 0]]
+    assert graph_matrix(k2, "L") == [[1, -1], [-1, 1]]
+    assert graph_matrix(k2, "Q") == [[1, 1], [1, 1]]
     null3 = from_edges(3, [])
     zero = [[0] * 3 for _ in range(3)]
-    assert adjacency_matrix(null3) == zero
-    assert laplacian_matrix(null3) == zero
-    lap4 = laplacian_matrix(K4)
+    assert graph_matrix(null3, "A") == zero
+    assert graph_matrix(null3, "L") == zero
+    lap4 = graph_matrix(K4, "L")
     assert all(lap4[i][i] == 3 for i in range(4))
     assert all(lap4[i][j] == -1 for i in range(4) for j in range(4) if i != j)
     assert all(sum(row) == 0 for row in lap4)
+
+
+def test_graph_matrix_matches_entrywise_definitions():
+    rng = random.Random(29)
+    for _ in range(30):
+        g = random_graph(rng.randrange(0, 8), rng.random(), rng)
+        a = [[1 if g.has_edge(u, v) else 0 for v in range(g.order)]
+             for u in range(g.order)]
+        deg = [sum(row) for row in a]
+        n = range(g.order)
+        assert graph_matrix(g, "A") == a
+        assert graph_matrix(g, "L") == [[deg[u] if u == v else -a[u][v]
+                                         for v in n] for u in n]
+        assert graph_matrix(g, "Q") == [[deg[u] if u == v else a[u][v]
+                                         for v in n] for u in n]
 
 
 def test_integer_rank():
     assert integer_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
     assert integer_rank([[1] * 4 for _ in range(4)]) == 1
     a_plus_i = [[1] * 4 for _ in range(4)]
-    assert adjacency_matrix(K4)[0][0] == 0
-    shifted = [[adjacency_matrix(K4)[i][j] + (1 if i == j else 0)
+    assert graph_matrix(K4, "A")[0][0] == 0
+    shifted = [[graph_matrix(K4, "A")[i][j] + (1 if i == j else 0)
                 for j in range(4)] for i in range(4)]
     assert shifted == a_plus_i
     assert integer_rank(shifted) == 1
@@ -64,9 +77,9 @@ def test_integer_rank_against_sympy():
 
 
 def test_eigen_multiplicity_examples():
-    assert eigen_multiplicity(adjacency_matrix(K4), -1) == 3
-    assert eigen_multiplicity(laplacian_matrix(K4), 4) == 3
-    assert eigen_multiplicity(laplacian_matrix(complete_graph(2)), 5) == 0
+    assert eigen_multiplicity(graph_matrix(K4, "A"), -1) == 3
+    assert eigen_multiplicity(graph_matrix(K4, "L"), 4) == 3
+    assert eigen_multiplicity(graph_matrix(complete_graph(2), "L"), 5) == 0
     with pytest.raises(NotSymmetric):
         eigen_multiplicity([[0, 1], [0, 0]], 0)
 
@@ -87,7 +100,7 @@ def test_eigen_multiplicity_against_charpoly():
     rng = random.Random(17)
     for _ in range(20):
         g = random_graph(rng.randrange(2, 7), 0.5, rng)
-        m = adjacency_matrix(g)
+        m = graph_matrix(g, "A")
         for lam in (-2, -1, 0, 1, 2):
             assert eigen_multiplicity(m, lam) == charpoly_multiplicity(m, lam)
 
@@ -96,7 +109,7 @@ def test_laplacian_nullity_counts_components():
     rng = random.Random(19)
     for _ in range(15):
         g = random_graph(rng.randrange(2, 8), 0.3, rng)
-        nullity = eigen_multiplicity(laplacian_matrix(g), 0)
+        nullity = eigen_multiplicity(graph_matrix(g, "L"), 0)
         assert nullity == components(g).size
 
 
@@ -139,7 +152,7 @@ def test_twin_report_on_random_blow_ups():
         for cls in report.classes:
             x = [0] * big.order
             x[cls.vertices[0]], x[cls.vertices[1]] = 1, -1
-            assert matvec(adjacency_matrix(big), x) == [-v for v in x]
+            assert matvec(graph_matrix(big, "A"), x) == [-v for v in x]
 
 
 def test_quotient_degree_variant_fails_on_triangle_merge():
@@ -162,8 +175,8 @@ def test_twin_report_computes_each_rank_once(monkeypatch):
     assert len(report.classes) == 6 and len(degrees) == 2
     # A at -1 once, then L and Q once per distinct class degree
     assert len(ranks) == 1 + 2 * len(degrees)
-    a, lap, q = (adjacency_matrix(g), laplacian_matrix(g),
-                 signless_laplacian_matrix(g))
+    a, lap, q = (graph_matrix(g, "A"), graph_matrix(g, "L"),
+                 graph_matrix(g, "Q"))
     for c in report.classes:
         assert c.adjacency_multiplicity == eigen_multiplicity(a, -1)
         assert c.laplacian_multiplicity == eigen_multiplicity(lap,
