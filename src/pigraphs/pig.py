@@ -140,8 +140,7 @@ def involution_pig_isomorphism(s: Semigroup) -> list:
     """
     sigma = inverses(s)
     if sigma is None:
-        raise NotInverseSemigroup(
-            "no involution supplied and the semigroup is not inverse")
+        raise NotInverseSemigroup("the semigroup is not inverse")
     return _involution_isomorphism(s, sigma, left_pig(s), right_pig(s))
 
 

@@ -3,9 +3,14 @@
 Matrices are nested lists of Python ints.  Rank is computed by
 fraction-free (Bareiss) elimination, so eigenvalue multiplicities at
 integer points come out exact with no floating point anywhere.
+
+The twin report takes only m x m ranks, on the equitable quotient by its m
+twin classes (Godsil & Royle, Algebraic Graph Theory, 2001, section 9.3);
+verify.suite_spectral recounts it with n x n ranks.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import NotSymmetric
 from .graphs import Graph
@@ -71,10 +76,6 @@ def eigen_multiplicity(m: list, lam: int) -> int:
     return n - integer_rank(shifted)
 
 
-def matvec(m: list, x: list) -> list:
-    return [sum(mij * xj for mij, xj in zip(row, x)) for row in m]
-
-
 @dataclass(frozen=True)
 class TwinClassSpectral:
     """Exact eigenvalue evidence for one closed-twin class."""
@@ -106,36 +107,51 @@ class TwinSpectralReport:
 
 
 def twin_spectral_report(g: Graph) -> TwinSpectralReport:
-    """For each twin class of size k and common degree d, certify that
-    -1, d+1 and d-1 are eigenvalues of A, L and Q with multiplicity at
-    least k-1, plus one exact eigenvector check per class."""
-    entries = []
-    classes = [c for c in twin_partition(g).classes if len(c) >= 2]
-    if not classes:
+    """For each twin class of size k and common degree d, the exact
+    multiplicities of -1, d+1 and d-1 in A, L and Q, each at least k-1.
+
+    Certificate, per class: its members share one row of the quotient B
+    (neighbours per class, summing to the degree), so the partition is
+    equitable, and one closed row, so each twin difference e_u - e_w is
+    an eigenvector.  Then mult_M(lam) is the nullity of diag(k)(B_M -
+    lam*I), a symmetric m x m integer matrix, plus k_i - 1 for each class
+    whose own eigenvalue is lam: -1 for A, d_i+1 for L, d_i-1 for Q.
+    """
+    blocks = twin_partition(g).classes
+    if all(len(c) == 1 for c in blocks):
         return TwinSpectralReport(())
-    a, lap, q = (graph_matrix(g, kind) for kind in "ALQ")
-    degrees = {g.degree(c[0]) for c in classes}
-    a_mult = eigen_multiplicity(a, -1)
-    l_mult = {d: eigen_multiplicity(lap, d + 1) for d in degrees}
-    q_mult = {d: eigen_multiplicity(q, d - 1) for d in degrees}
-    for cls in classes:
-        d = g.degree(cls[0])
-        # the difference of indicator vectors of two closed twins
-        x = [0] * g.order
-        x[cls[0]], x[cls[1]] = 1, -1
-        vec_ok = (matvec(a, x) == [-v for v in x]
-                  and matvec(lap, x) == [(d + 1) * v for v in x]
-                  and matvec(q, x) == [(d - 1) * v for v in x])
-        entries.append(TwinClassSpectral(
-            vertices=tuple(cls),
+    masks = [sum(1 << v for v in c) for c in blocks]
+    rows = [[(row & mask).bit_count() for mask in masks] for row in g.adj]
+    quotient = [rows[c[0]] for c in blocks]
+    sizes = [len(c) for c in blocks]
+    degrees = [sum(row) for row in quotient]
+
+    @cache
+    def multiplicity(kind, lam):
+        # B_A = B, B_L = diag(d) - B, B_Q = diag(d) + B; on the twin
+        # differences of class i each acts as diag[i] - sign
+        sign = -1 if kind == "L" else 1
+        diag = [0] * len(blocks) if kind == "A" else degrees
+        form = [[k * (sign * b + (diag[i] - lam if i == j else 0))
+                 for j, b in enumerate(row)]
+                for i, (k, row) in enumerate(zip(sizes, quotient))]
+        twins = sum(k - 1 for k, d in zip(sizes, diag) if d - sign == lam)
+        return len(form) - integer_rank(form) + twins
+
+    closed = [row | 1 << v for v, row in enumerate(g.adj)]
+    return TwinSpectralReport(tuple(
+        TwinClassSpectral(
+            vertices=cls,
             size=len(cls),
             degree=d,
-            adjacency_multiplicity=a_mult,
-            laplacian_multiplicity=l_mult[d],
-            signless_multiplicity=q_mult[d],
-            eigenvector_verified=vec_ok,
-        ))
-    return TwinSpectralReport(tuple(entries))
+            adjacency_multiplicity=multiplicity("A", -1),
+            laplacian_multiplicity=multiplicity("L", d + 1),
+            signless_multiplicity=multiplicity("Q", d - 1),
+            eigenvector_verified=all(rows[u] == rows[cls[0]]
+                                     and closed[u] == closed[cls[0]]
+                                     for u in cls),
+        )
+        for cls, d in zip(blocks, degrees) if len(cls) >= 2))
 
 
 def quotient_degree_eigenvalues(g: Graph, h: Graph, phi: VertexMap,

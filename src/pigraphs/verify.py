@@ -167,7 +167,7 @@ def suite_semilattice(n: int = 3) -> SuiteResult:
 
 
 def _witness(seed, iteration, g, **verdicts) -> str:
-    """A failing random case: enough to rebuild the graph and both verdicts."""
+    """A failing random case: enough to rebuild the graph and its verdicts."""
     return "; ".join([f"seed={seed}", f"iteration={iteration}",
                       f"order={g.order}",
                       f"edges={[list(e) for e in g.edges()]}",
@@ -231,37 +231,54 @@ def suite_skeletal(seed: int = 0) -> SuiteResult:
     _check(checks, "twin test agrees with the partition brute force",
            not witness, witness)
 
-    parts_ok = True
-    for _ in range(30):
+    # blow-up witnesses name the base graph and the fibre sizes
+    witness = ""
+    for i in range(30):
         m = rng.randrange(3, 7)
         base = graphs.random_graph(m, 0.5, rng)
         sizes = [rng.randrange(1, 4) for _ in range(m)]
         big, collapse = skeletal.blow_up(base, sizes)
-        if not skeletal.verify_skeletal(big, base, collapse).is_skeletal:
-            parts_ok = False
-            break
-        if not all(skeletal.fibre_subgraph_is_complete(big, collapse, v)
-                   for v in range(base.order)):
-            parts_ok = False
+        collapses = skeletal.verify_skeletal(big, base, collapse).is_skeletal
+        cliques = collapses and all(
+            skeletal.fibre_subgraph_is_complete(big, collapse, v)
+            for v in range(base.order))
+        if not cliques:
+            witness = _witness(seed, i, base, sizes=sizes,
+                               collapse_skeletal=collapses,
+                               fibre_cliques=cliques)
             break
         skeletal.embedded_copy(big, base, collapse)
     _check(checks, "fibre cliques and embedded copies on random blow-ups",
-           parts_ok)
+           not witness, witness)
 
-    compose_ok = True
-    for _ in range(20):
+    witness = ""
+    for i in range(20):
         m = rng.randrange(3, 6)
         base = graphs.random_graph(m, 0.5, rng)
-        mid, phi1 = skeletal.blow_up(base, [rng.randrange(1, 3)
-                                            for _ in range(m)])
-        top, phi2 = skeletal.blow_up(mid, [rng.randrange(1, 3)
-                                           for _ in range(mid.order)])
+        sizes = [rng.randrange(1, 3) for _ in range(m)]
+        mid, phi1 = skeletal.blow_up(base, sizes)
+        top_sizes = [rng.randrange(1, 3) for _ in range(mid.order)]
+        top, phi2 = skeletal.blow_up(mid, top_sizes)
         composed = skeletal.compose_skeletal(top, mid, base, phi2, phi1)
         if not skeletal.verify_skeletal(top, base, composed).is_skeletal:
-            compose_ok = False
+            witness = _witness(seed, i, base, sizes=sizes,
+                               top_sizes=top_sizes, composed_skeletal=False)
             break
-    _check(checks, "skeletal maps compose", compose_ok)
+    _check(checks, "skeletal maps compose", not witness, witness)
     return SuiteResult("skeletal", tuple(checks))
+
+
+def _twin_report_recounted(g: graphs.Graph) -> tuple:
+    """The twin report's verdict, and whether n x n ranks recount each
+    multiplicity it gives."""
+    report = spectral.twin_spectral_report(g)
+    mats = [spectral.graph_matrix(g, kind) for kind in "ALQ"]
+    return report.all_pass, all(
+        [c.adjacency_multiplicity, c.laplacian_multiplicity,
+         c.signless_multiplicity]
+        == [spectral.eigen_multiplicity(m, lam) for m, lam
+            in zip(mats, (-1, c.degree + 1, c.degree - 1))]
+        for c in report.classes)
 
 
 def suite_spectral(seed: int = 0) -> SuiteResult:
@@ -277,19 +294,22 @@ def suite_spectral(seed: int = 0) -> SuiteResult:
          pig.left_pig(families.brandt(families.cyclic_group(2), 2))),
     ]
     for name, g in named:
-        report = spectral.twin_spectral_report(g)
-        _check(checks, f"twin eigenvalue bounds on {name}", report.all_pass)
+        _check(checks, f"twin eigenvalue bounds on {name}",
+               all(_twin_report_recounted(g)))
 
-    random_ok = True
-    for _ in range(25):
+    witness = ""
+    for i in range(25):
         m = rng.randrange(3, 7)
         base = graphs.random_graph(m, 0.5, rng)
         big, _ = skeletal.blow_up(base, [rng.randrange(1, 4)
                                          for _ in range(m)])
-        if not spectral.twin_spectral_report(big).all_pass:
-            random_ok = False
+        passed, recount = _twin_report_recounted(big)
+        if not (passed and recount):
+            witness = _witness(seed, i, big, all_pass=passed,
+                               recount_agrees=recount)
             break
-    _check(checks, "twin eigenvalue bounds on random blow-ups", random_ok)
+    _check(checks, "twin eigenvalue bounds on random blow-ups", not witness,
+           witness)
 
     k4 = graphs.complete_graph(4)
     k2 = graphs.complete_graph(2)

@@ -1,20 +1,24 @@
 """Byte-for-byte pins of the CLI's IS_3/IS_4 graph documents, of the
 `pig verify --suite all --n 4` and `--suite isn --n 5` reports, of the
-`pig build` documents of the small families, and of `pig spectral` on the
-IS_3 left graph.
+`pig build` documents of the small families, of `pig spectral` on the
+IS_3 left graph, and of `pig spectral --twin-report` on seeded blow-ups.
 
 The graph and verify hashes were taken from the outputs of the pair-loop
 implementation that preceded the grouped mask-intersection builders; the
 family and spectral hashes from the outputs of the per-family `Semigroup`
-constructors and the three separate matrix builders.  Any change to vertex
-order, labels, edges, zero or identity detection, matrix entries or check
-wording shows up here.
+constructors and the three separate matrix builders; the blow-up twin
+report hashes from the report that took full n x n ranks.  Any change to
+vertex order, labels, edges, zero or identity detection, matrix entries or
+check wording shows up here.
 """
 
 import hashlib
+import json
+import random
 
 import pytest
 
+from pigraphs import graphs, skeletal
 from pigraphs.cli import main
 
 GRAPH_SHA256 = {
@@ -84,6 +88,17 @@ SPECTRAL_SHA256 = {
 TWIN_REPORT_SHA256 = \
     "14e1cfae88e0bfe437d35f6906d85668721547f60e3ee155e1b1a2f1007aa62c"
 
+# `pig spectral --twin-report` on seeded blow-ups: base order -> stdout; the
+# fibre sizes cycle through 1, 2, 3, so the orders run from 24 to 54
+BLOW_UP_TWIN_REPORT_SHA256 = {
+    12: "e555e71607606111975de5f95ccd0dbd5070db67794f0846a3044844d1aa572f",
+    15: "225cdcce988012352c45beffb1b36f6cc8a2eeb3fc11309deb915fa96f3c7163",
+    18: "f9bc6cebe8634df6342fde8dfe93c5e7bbe26cb71af7aafc62127db1cdd0a111",
+    21: "cba0590f17c4e811bc198fd83c88701cc29208a85f576e875e4e5b66642fad3f",
+    24: "eaf6703793be742f94aa200057b800caad2d7784171e8b50101a0c7db6191644",
+    27: "ed5d71ea0d7ad05f82c7536b80cff34cab43c52dad7024ebd626e29ba7f070f5",
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -135,3 +150,15 @@ def test_spectral_reports_are_unchanged(tmp_path, capsys):
         assert sha256(capsys.readouterr().out.encode()) == want, (matrix, lam)
     assert main(["spectral", "--graph", str(graph), "--twin-report"]) == 0
     assert sha256(capsys.readouterr().out.encode()) == TWIN_REPORT_SHA256
+
+
+def test_blow_up_twin_reports_are_unchanged(tmp_path, capsys):
+    rng = random.Random(2026)
+    path = tmp_path / "blow-up.json"
+    for base_order, want in BLOW_UP_TWIN_REPORT_SHA256.items():
+        base = graphs.random_graph(base_order, 0.5, rng)
+        big, _ = skeletal.blow_up(base, [1 + j % 3
+                                         for j in range(base_order)])
+        path.write_text(json.dumps(graphs.to_json_dict(big)))
+        assert main(["spectral", "--graph", str(path), "--twin-report"]) == 0
+        assert sha256(capsys.readouterr().out.encode()) == want, base_order

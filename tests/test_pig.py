@@ -178,7 +178,8 @@ def test_involution_isomorphism(isn):
 
 
 def test_involution_requires_inverse_semigroup():
-    with pytest.raises(NotInverseSemigroup):
+    with pytest.raises(NotInverseSemigroup,
+                       match="^the semigroup is not inverse$"):
         involution_pig_isomorphism(adjoin_zero(families.left_zero(2)))
 
 

@@ -397,3 +397,33 @@ def test_suite_skeletal_names_a_failing_graph(name, check, monkeypatch):
     else:
         assert fields["is_skeleton"] == str(is_skeleton(g))
         assert fields["brute_force_proper_skeletal"] == str(not real(g))
+
+
+@pytest.mark.parametrize("name, fake, check", [
+    ("fibre_subgraph_is_complete", lambda g, phi, v: False,
+     "fibre cliques and embedded copies on random blow-ups"),
+    # the true composite followed by a rotation of the base vertices
+    ("compose_skeletal", lambda g, h, k, phi, psi: VertexMap(
+        g.order, k.order,
+        tuple((psi[phi[v]] + 1) % k.order for v in range(g.order))),
+     "skeletal maps compose"),
+])
+def test_suite_skeletal_names_a_failing_blow_up(name, fake, check,
+                                                monkeypatch):
+    monkeypatch.setattr(verify.skeletal, name, fake)
+    result = next(c for c in verify.suite_skeletal(3).checks
+                  if c.name == check)
+    assert not result.passed
+    fields = dict(item.split("=", 1) for item in result.detail.split("; "))
+    assert fields["seed"] == "3" and fields["iteration"] == "0"
+    base = from_edges(int(fields["order"]), json.loads(fields["edges"]))
+    big, collapse = blow_up(base, json.loads(fields["sizes"]))
+    assert verify_skeletal(big, base, collapse).is_skeletal
+    if name == "compose_skeletal":
+        assert fields["composed_skeletal"] == "False"
+        top, lift = blow_up(big, json.loads(fields["top_sizes"]))
+        composed = compose_skeletal(top, big, base, lift, collapse)
+        assert verify_skeletal(top, base, composed).is_skeletal
+    else:
+        assert fields["collapse_skeletal"] == "True"
+        assert fields["fibre_cliques"] == "False"

@@ -1,10 +1,11 @@
 import itertools
+import json
 import random
 
 import pytest
 import sympy
 
-from pigraphs import spectral
+from pigraphs import spectral, verify
 from pigraphs.errors import NotSymmetric
 from pigraphs.graphs import (
     complete_graph,
@@ -13,12 +14,11 @@ from pigraphs.graphs import (
     from_edges,
     random_graph,
 )
-from pigraphs.skeletal import VertexMap, blow_up
+from pigraphs.skeletal import VertexMap, blow_up, twin_partition
 from pigraphs.spectral import (
     eigen_multiplicity,
     graph_matrix,
     integer_rank,
-    matvec,
     quotient_degree_eigenvalues,
     twin_spectral_report,
 )
@@ -141,6 +141,10 @@ def test_twin_report_empty_for_twin_free_graphs():
     assert report.classes == () and report.all_pass
 
 
+def dense_product(m, x):
+    return [sum(mij * xj for mij, xj in zip(row, x)) for row in m]
+
+
 def test_twin_report_on_random_blow_ups():
     rng = random.Random(23)
     for _ in range(20):
@@ -152,7 +156,8 @@ def test_twin_report_on_random_blow_ups():
         for cls in report.classes:
             x = [0] * big.order
             x[cls.vertices[0]], x[cls.vertices[1]] = 1, -1
-            assert matvec(graph_matrix(big, "A"), x) == [-v for v in x]
+            assert dense_product(graph_matrix(big, "A"), x) == \
+                [-v for v in x]
 
 
 def test_quotient_degree_variant_fails_on_triangle_merge():
@@ -161,6 +166,19 @@ def test_quotient_degree_variant_fails_on_triangle_merge():
     assert alt["quotient_degree"] == 1 and alt["fibre_size"] == 3
     # s+1 = 2 is not a Laplacian eigenvalue of K4 at all
     assert alt["laplacian_multiplicity"] == 0
+
+
+def assert_report_matches_full_recount(g):
+    """Every multiplicity of the quotient report equals the n x n rank."""
+    report = twin_spectral_report(g)
+    assert report.all_pass
+    a, lap, q = (graph_matrix(g, kind) for kind in "ALQ")
+    for c in report.classes:
+        assert c.adjacency_multiplicity == eigen_multiplicity(a, -1)
+        assert c.laplacian_multiplicity == eigen_multiplicity(lap,
+                                                              c.degree + 1)
+        assert c.signless_multiplicity == eigen_multiplicity(q, c.degree - 1)
+    return report
 
 
 def test_twin_report_computes_each_rank_once(monkeypatch):
@@ -173,13 +191,59 @@ def test_twin_report_computes_each_rank_once(monkeypatch):
     monkeypatch.undo()
     degrees = {c.degree for c in report.classes}
     assert len(report.classes) == 6 and len(degrees) == 2
-    # A at -1 once, then L and Q once per distinct class degree
+    # A at -1 once, then L and Q once per distinct class degree, each on
+    # the m x m quotient form, never on the n x n matrix
+    m = twin_partition(g).size
     assert len(ranks) == 1 + 2 * len(degrees)
-    a, lap, q = (graph_matrix(g, "A"), graph_matrix(g, "L"),
-                 graph_matrix(g, "Q"))
-    for c in report.classes:
-        assert c.adjacency_multiplicity == eigen_multiplicity(a, -1)
-        assert c.laplacian_multiplicity == eigen_multiplicity(lap,
-                                                              c.degree + 1)
-        assert c.signless_multiplicity == eigen_multiplicity(q, c.degree - 1)
-    assert report.all_pass
+    assert m == 6 < g.order and ranks == [m] * len(ranks)
+    assert assert_report_matches_full_recount(g) == report
+
+
+def test_twin_report_matches_full_recount_on_every_small_graph():
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            assert_report_matches_full_recount(from_edges(
+                n, [p for i, p in enumerate(pairs) if mask >> i & 1]))
+
+
+def test_twin_report_matches_full_recount_on_seeded_graphs():
+    rng = random.Random(31)
+    for _ in range(200):
+        assert_report_matches_full_recount(
+            random_graph(rng.randrange(6, 9), rng.random(), rng))
+    # orders 12, 18, 24, 31 and 39
+    for base_order in (6, 9, 12, 16, 20):
+        base = random_graph(base_order, 0.5, rng)
+        big, _ = blow_up(base, [1 + j % 3 for j in range(base_order)])
+        assert assert_report_matches_full_recount(big).classes
+
+
+def test_twin_report_against_charpoly_on_small_blow_ups():
+    rng = random.Random(37)
+    for _ in range(3):
+        base = random_graph(3, 0.5, rng)
+        big, _ = blow_up(base, [2, 3, 1])
+        report = twin_spectral_report(big)
+        assert report.all_pass and report.classes
+        a, lap, q = (graph_matrix(big, kind) for kind in "ALQ")
+        for c in report.classes:
+            assert c.adjacency_multiplicity == charpoly_multiplicity(a, -1)
+            assert c.laplacian_multiplicity == \
+                charpoly_multiplicity(lap, c.degree + 1)
+            assert c.signless_multiplicity == \
+                charpoly_multiplicity(q, c.degree - 1)
+
+
+def test_suite_spectral_names_a_failing_blow_up(monkeypatch):
+    monkeypatch.setattr(verify.spectral, "eigen_multiplicity",
+                        lambda m, lam: -1)
+    result = next(c for c in verify.suite_spectral(4).checks
+                  if c.name == "twin eigenvalue bounds on random blow-ups")
+    assert not result.passed
+    fields = dict(item.split("=", 1) for item in result.detail.split("; "))
+    assert fields["seed"] == "4" and fields["iteration"] == "0"
+    assert fields["all_pass"] == "True"
+    assert fields["recount_agrees"] == "False"
+    g = from_edges(int(fields["order"]), json.loads(fields["edges"]))
+    assert twin_spectral_report(g).classes
