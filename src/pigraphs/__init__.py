@@ -13,6 +13,7 @@ from .families import (
 )
 from .graphs import (
     Graph,
+    VertexMap,
     are_isomorphic,
     components,
     degree_of_subset_vertex,
@@ -20,8 +21,8 @@ from .graphs import (
     intersection_graph,
     verify_isomorphism,
 )
-from .green import Partition, l_classes, principal_left_ideal, \
-    principal_right_ideal, r_classes
+from .green import l_classes, principal_left_ideal, principal_right_ideal, \
+    r_classes
 from .pig import (
     involution_pig_isomorphism,
     isn_left_pig,
@@ -41,7 +42,6 @@ from .semigroups import (
 )
 from .skeletal import (
     SkeletalReport,
-    VertexMap,
     brute_force_has_proper_skeletal,
     compose_skeletal,
     embedded_copy,

@@ -73,7 +73,7 @@ def cmd_stats(args) -> int:
     g = graphs.from_json_dict(_read_json(args.graph))
     st = graphs.graph_stats(g)
     print(json.dumps({"order": g.order, **asdict(st),
-                      "components": len(graphs.components(g).classes)},
+                      "components": graphs.components(g).codomain_order},
                      indent=2))
     return 0
 
@@ -100,13 +100,9 @@ def cmd_skeletal(args) -> int:
         if len(raw) != g.order:
             raise SizeMismatch(
                 f"map has {len(raw)} entries for a graph of order {g.order}")
-        # VertexMap first: a negative or missing id raises NotSurjective here
-        phi = skeletal.VertexMap(g.order, max(raw, default=-1) + 1, tuple(raw))
-        fibres = [[] for _ in range(phi.codomain_order)]
-        for u, v in enumerate(raw):
-            fibres[v].append(u)
-        h, _ = skeletal.quotient_by_partition(
-            g, skeletal.Partition(tuple(raw), tuple(map(tuple, fibres))))
+        # a negative or missing id raises NotSurjective here
+        phi = graphs.VertexMap(g.order, max(raw, default=-1) + 1, tuple(raw))
+        h, _ = skeletal.quotient_by_partition(g, phi)
         report = skeletal.verify_skeletal(g, h, phi)
         print(json.dumps(asdict(report), indent=2))
         return 0 if report.is_skeletal else 1

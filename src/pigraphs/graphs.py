@@ -1,15 +1,17 @@
-"""Simple undirected graphs with bit-set adjacency rows.
+"""Simple undirected graphs with bit-set adjacency rows, and vertex maps.
 
 Adjacency rows are Python ints used as bit-sets; row v has bit u set iff
 u and v are adjacent.  All graphs are simple: symmetric and irreflexive.
+A VertexMap's fibres partition its domain, so it also stands for partitions.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 from .errors import IndexOutOfRange, MalformedDocument, NotABijection, \
-    NotSimpleGraph, SizeLimitExceeded, SizeMismatch
-from .green import Partition, partition_from_groups
+    NotSimpleGraph, NotSurjective, SizeLimitExceeded, SizeMismatch
+from .families import subset_label
 from .semigroups import _check_labels
 
 ISO_MAX_ORDER = 40
@@ -54,6 +56,48 @@ class Graph:
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
+
+
+@dataclass(frozen=True)
+class VertexMap:
+    """A surjection onto range(codomain_order), stored as the codomain id
+    of each domain vertex; its fibres partition the domain."""
+
+    domain_order: int
+    codomain_order: int
+    map: tuple
+
+    def __post_init__(self):
+        if len(self.map) != self.domain_order:
+            raise SizeMismatch("map length differs from domain order")
+        if set(self.map) != set(range(self.codomain_order)):
+            raise NotSurjective("map does not cover the codomain")
+
+    def __getitem__(self, v: int) -> int:
+        return self.map[v]
+
+    @cached_property
+    def masks(self) -> tuple:
+        """The fibre over each codomain vertex, as a bit-mask."""
+        masks = [0] * self.codomain_order
+        for a, p in enumerate(self.map):
+            masks[p] |= 1 << a
+        return tuple(masks)
+
+    @cached_property
+    def classes(self) -> tuple:
+        """The fibre over each codomain vertex, as ascending members."""
+        return tuple(tuple(bits(m)) for m in self.masks)
+
+
+def partition_from_groups(n: int, groups) -> VertexMap:
+    """The map of {0..n-1} onto its groups, ids ordered by minimal member."""
+    ordered = sorted(groups, key=min)
+    class_of = [0] * n
+    for cid, group in enumerate(ordered):
+        for x in group:
+            class_of[x] = cid
+    return VertexMap(n, len(ordered), tuple(class_of))
 
 
 def _trusted_graph(order: int, adj: tuple, labels=None) -> Graph:
@@ -112,7 +156,7 @@ class GraphStats:
     is_null: bool
 
 
-def components(g: Graph) -> Partition:
+def components(g: Graph) -> VertexMap:
     """Connected components as a vertex partition."""
     seen = 0
     groups = []
@@ -144,7 +188,7 @@ def graph_stats(g: Graph) -> GraphStats:
     return GraphStats(
         degrees=degrees,
         edge_count=edge_count,
-        is_connected=components(g).size <= 1,
+        is_connected=components(g).codomain_order <= 1,
         is_complete=all(d == g.order - 1 for d in degrees),
         is_null=edge_count == 0,
     )
@@ -192,7 +236,6 @@ def intersection_graph(n: int) -> Graph:
 
     Vertex k stands for bitmask k+1; labels spell the subsets out.
     """
-    from .families import subset_label
     if not 1 <= n <= 6:
         raise SizeLimitExceeded("intersection_graph supports 1 <= n <= 6")
     masks = range(1, 1 << n)
@@ -257,11 +300,6 @@ def are_isomorphic(g: Graph, h: Graph, max_order: int = ISO_MAX_ORDER):
     if g.order > max_order:
         raise SizeLimitExceeded(
             f"isomorphism search guarded at order {max_order}")
-    if g.order == 0:
-        return []
-    if sorted(g.degree(v) for v in range(g.order)) != \
-            sorted(h.degree(v) for v in range(h.order)):
-        return None
     cg, ch = _joint_refinement(g, h)
     if sorted(cg) != sorted(ch):
         return None

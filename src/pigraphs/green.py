@@ -4,31 +4,8 @@ Ideals are bit-sets over element indices (Python ints), so equality and
 intersection tests are single integer operations.
 """
 
-from dataclasses import dataclass
-
+from .graphs import VertexMap, partition_from_groups
 from .semigroups import Semigroup
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A partition of {0..n-1} into classes ordered by minimal member."""
-
-    class_of: tuple
-    classes: tuple
-
-    @property
-    def size(self) -> int:
-        return len(self.classes)
-
-
-def partition_from_groups(n: int, groups) -> Partition:
-    classes = tuple(tuple(sorted(g)) for g in
-                    sorted(groups, key=lambda g: min(g)))
-    class_of = [0] * n
-    for cid, cls in enumerate(classes):
-        for x in cls:
-            class_of[x] = cid
-    return Partition(class_of=tuple(class_of), classes=classes)
 
 
 def _ideal(a: int, products) -> int:
@@ -56,7 +33,7 @@ def right_ideals(s: Semigroup) -> list:
     return [_ideal(a, row) for a, row in enumerate(s.table)]
 
 
-def classes_by_ideal(ideals) -> Partition:
+def classes_by_ideal(ideals) -> VertexMap:
     """Partition of the elements by equality of their ideals."""
     groups = {}
     for a, ideal in enumerate(ideals):
@@ -64,11 +41,11 @@ def classes_by_ideal(ideals) -> Partition:
     return partition_from_groups(len(ideals), groups.values())
 
 
-def l_classes(s: Semigroup) -> Partition:
+def l_classes(s: Semigroup) -> VertexMap:
     """Partition by equality of principal left ideals."""
     return classes_by_ideal(left_ideals(s))
 
 
-def r_classes(s: Semigroup) -> Partition:
+def r_classes(s: Semigroup) -> VertexMap:
     """Partition by equality of principal right ideals."""
     return classes_by_ideal(right_ideals(s))

@@ -19,10 +19,9 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .families import ISN_MAX, all_partial_bijections
-from .graphs import Graph, _trusted_graph, mask_intersection_graph, \
-    verify_isomorphism
-from .green import classes_by_ideal, l_classes, left_ideals, \
-    partition_from_groups, right_ideals
+from .graphs import Graph, VertexMap, _trusted_graph, \
+    mask_intersection_graph, partition_from_groups, verify_isomorphism
+from .green import classes_by_ideal, left_ideals, right_ideals
 from .semigroups import Semigroup, check_involution, inverses
 from .skeletal import _checked_quotient
 
@@ -91,17 +90,13 @@ def isn_left_pig(n: int) -> Graph:
                                    tuple(p.label() for p in elems))
 
 
-def _blocks(s: Semigroup, partition) -> list:
-    """The nonzero classes, in the partition's order (by minimal member)."""
-    return [cls for cls in partition.classes if s.zero not in cls]
-
-
-def _s_pig(s: Semigroup, full: Graph, partition):
-    """Quotient of full by the partition's nonzero blocks, checked skeletal."""
+def _s_pig(s: Semigroup, full: Graph, partition: VertexMap):
+    """Quotient of full by the partition's nonzero classes, checked skeletal."""
     verts = pig_vertices(s)
     pos = {v: i for i, v in enumerate(verts)}
-    blocks = partition_from_groups(
-        full.order, [[pos[x] for x in cls] for cls in _blocks(s, partition)])
+    blocks = partition_from_groups(full.order, [
+        [pos[x] for x in cls] for cls in partition.classes
+        if s.zero not in cls])
     try:
         quotient, phi = _checked_quotient(full, blocks)
     except InconsistentQuotient as exc:
@@ -127,9 +122,11 @@ def s_right_pig(s: Semigroup):
     return _s_pig(s, _pig(s, ideals), classes_by_ideal(ideals))
 
 
-def s_pig_class_elements(s: Semigroup) -> list:
-    """Element indices per quotient vertex, matching s_left_pig order."""
-    return [list(b) for b in _blocks(s, l_classes(s))]
+def s_pig_class_elements(s: Semigroup, phi: VertexMap) -> list:
+    """Element indices per quotient vertex, read off the quotient map phi
+    that s_left_pig or s_right_pig returned."""
+    verts = pig_vertices(s)
+    return [[verts[v] for v in cls] for cls in phi.classes]
 
 
 def involution_pig_isomorphism(s: Semigroup) -> list:

@@ -15,36 +15,14 @@ from .errors import (
     InconsistentQuotient,
     IsomorphismCheckFailed,
     NotSkeletal,
-    NotSurjective,
     SizeLimitExceeded,
     SizeMismatch,
 )
-from .graphs import Graph, _trusted_graph, bits, induced_subgraph, \
-    verify_isomorphism
-from .green import Partition, classes_by_ideal
+from .graphs import Graph, VertexMap, _trusted_graph, bits, \
+    induced_subgraph, verify_isomorphism
+from .green import classes_by_ideal
 
 BRUTE_MAX_ORDER = 8
-
-
-@dataclass(frozen=True)
-class VertexMap:
-    """A surjective vertex map, stored as codomain ids per domain vertex."""
-
-    domain_order: int
-    codomain_order: int
-    map: tuple
-
-    def __post_init__(self):
-        if len(self.map) != self.domain_order:
-            raise SizeMismatch("map length differs from domain order")
-        if set(self.map) != set(range(self.codomain_order)):
-            raise NotSurjective("map does not cover the codomain")
-
-    def __getitem__(self, v: int) -> int:
-        return self.map[v]
-
-    def fibre(self, v: int) -> list:
-        return [u for u in range(self.domain_order) if self.map[u] == v]
 
 
 @dataclass(frozen=True)
@@ -65,9 +43,7 @@ def verify_skeletal(g: Graph, h: Graph, phi: VertexMap) -> SkeletalReport:
     """
     if phi.domain_order != g.order or phi.codomain_order != h.order:
         raise SizeMismatch("map does not fit the given graphs")
-    fibres = [0] * h.order
-    for a, p in enumerate(phi.map):
-        fibres[p] |= 1 << a
+    fibres = phi.masks
     sizes = tuple(f.bit_count() for f in fibres)
     expected = [None] * h.order  # built on first use: most bad maps fail early
     for a, p in enumerate(phi.map):
@@ -80,7 +56,7 @@ def verify_skeletal(g: Graph, h: Graph, phi: VertexMap) -> SkeletalReport:
     return SkeletalReport(True, None, sizes)
 
 
-def twin_partition(g: Graph) -> Partition:
+def twin_partition(g: Graph) -> VertexMap:
     """Partition into closed-twin classes (equal closed neighborhoods).
 
     Equal closed neighborhoods force adjacency, so grouping by the
@@ -89,30 +65,29 @@ def twin_partition(g: Graph) -> Partition:
     return classes_by_ideal([row | 1 << v for v, row in enumerate(g.adj)])
 
 
-def quotient_by_partition(g: Graph, partition: Partition):
-    """Quotient graph with block adjacency = any cross edge, plus the map.
+def quotient_by_partition(g: Graph, phi: VertexMap):
+    """Quotient graph whose blocks are the fibres of phi, plus phi itself.
 
     Block i is adjacent to block j != i when the union of the rows of i's
-    members meets j's members.  The result is only claimed to be skeletal
-    for twin partitions; use verify_skeletal to check arbitrary partitions.
+    members meets j's members (any cross edge).  The result is only
+    claimed to be skeletal for twin partitions; use verify_skeletal to
+    check arbitrary partitions.
     """
-    blocks = partition.classes
-    members, reach = [0] * len(blocks), [0] * len(blocks)
-    for v, i in enumerate(partition.class_of):
-        members[i] |= 1 << v
+    if phi.domain_order != g.order:
+        raise SizeMismatch("map length differs from graph order")
+    reach = [0] * phi.codomain_order
+    for v, i in enumerate(phi.map):
         reach[i] |= g.adj[v]
-    adj = [sum(1 << j for j, m in enumerate(members) if r & m and j != i)
+    adj = [sum(1 << j for j, m in enumerate(phi.masks) if r & m and j != i)
            for i, r in enumerate(reach)]
     labels = None if g.labels is None else tuple(
-        g.label(min(b)) for b in blocks)
-    h = _trusted_graph(len(blocks), tuple(adj), labels)
-    phi = VertexMap(g.order, len(blocks), tuple(partition.class_of))
-    return h, phi
+        g.label(b[0]) for b in phi.classes)
+    return _trusted_graph(phi.codomain_order, tuple(adj), labels), phi
 
 
-def _checked_quotient(g: Graph, partition: Partition):
+def _checked_quotient(g: Graph, phi: VertexMap):
     """The partition quotient; InconsistentQuotient unless it is skeletal."""
-    h, phi = quotient_by_partition(g, partition)
+    h, _ = quotient_by_partition(g, phi)
     witness = verify_skeletal(g, h, phi).witness
     if witness is not None:
         raise InconsistentQuotient(
@@ -127,7 +102,7 @@ def max_skeletal(g: Graph):
 
 def is_skeleton(g: Graph) -> bool:
     """True iff no proper skeletal exists, i.e. all twin classes are trivial."""
-    return twin_partition(g).size == g.order
+    return twin_partition(g).codomain_order == g.order
 
 
 def _block_partitions(n: int):
@@ -217,7 +192,7 @@ def embedded_copy(g: Graph, h: Graph, phi: VertexMap):
     """
     if not verify_skeletal(g, h, phi).is_skeletal:
         raise NotSkeletal("map is not skeletal")
-    reps = sorted(min(phi.fibre(v)) for v in range(h.order))
+    reps = sorted(fibre[0] for fibre in phi.classes)
     sub = induced_subgraph(g, reps)
     bijection = [phi[r] for r in reps]
     if not verify_isomorphism(sub, h, bijection):
@@ -228,7 +203,7 @@ def embedded_copy(g: Graph, h: Graph, phi: VertexMap):
 
 def fibre_subgraph_is_complete(g: Graph, phi: VertexMap, v: int) -> bool:
     """Whether the fibre of v induces a complete subgraph of g."""
-    fibre = phi.fibre(v)
+    fibre = phi.classes[v]
     return all(g.has_edge(a, b) for i, a in enumerate(fibre)
                for b in fibre[i + 1:])
 
@@ -242,11 +217,8 @@ def blow_up(g: Graph, sizes):
     if len(sizes) != g.order or any(s < 1 for s in sizes):
         raise SizeMismatch("blow_up needs one positive size per vertex")
     owner = [v for v in range(g.order) for _ in range(sizes[v])]
-    fibres = [0] * g.order
-    for a, v in enumerate(owner):
-        fibres[v] |= 1 << a
+    collapse = VertexMap(len(owner), g.order, tuple(owner))
     # a's closed row is the union of the fibres over v's closed row
-    adj = [sum(fibres[q] for q in bits(g.adj[v] | 1 << v)) & ~(1 << a)
-           for a, v in enumerate(owner)]
-    n = len(owner)
-    return Graph(n, tuple(adj)), VertexMap(n, g.order, tuple(owner))
+    adj = [sum(collapse.masks[q] for q in bits(g.adj[v] | 1 << v))
+           & ~(1 << a) for a, v in enumerate(owner)]
+    return Graph(len(owner), tuple(adj)), collapse

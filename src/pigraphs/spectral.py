@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from functools import cache
 
 from .errors import NotSymmetric
-from .graphs import Graph
-from .skeletal import VertexMap, twin_partition
+from .graphs import Graph, VertexMap
+from .skeletal import twin_partition
 
 
 def graph_matrix(g: Graph, kind: str) -> list:
@@ -117,11 +117,10 @@ def twin_spectral_report(g: Graph) -> TwinSpectralReport:
     lam*I), a symmetric m x m integer matrix, plus k_i - 1 for each class
     whose own eigenvalue is lam: -1 for A, d_i+1 for L, d_i-1 for Q.
     """
-    blocks = twin_partition(g).classes
-    if all(len(c) == 1 for c in blocks):
-        return TwinSpectralReport(())
-    masks = [sum(1 << v for v in c) for c in blocks]
-    rows = [[(row & mask).bit_count() for mask in masks] for row in g.adj]
+    twins = twin_partition(g)
+    blocks = twins.classes
+    rows = [[(row & mask).bit_count() for mask in twins.masks]
+            for row in g.adj]
     quotient = [rows[c[0]] for c in blocks]
     sizes = [len(c) for c in blocks]
     degrees = [sum(row) for row in quotient]
@@ -160,7 +159,7 @@ def quotient_degree_eigenvalues(g: Graph, h: Graph, phi: VertexMap,
     v in the quotient graph; returns their exact multiplicities so the
     caller can see where that variant fails."""
     s = h.degree(v)
-    k = len(phi.fibre(v))
+    k = len(phi.classes[v])
     return {
         "quotient_degree": s,
         "fibre_size": k,

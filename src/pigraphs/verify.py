@@ -9,6 +9,7 @@ import random
 from dataclasses import dataclass
 
 from . import families, graphs, pig, skeletal, spectral
+from .errors import PigError
 from .green import classes_by_ideal, l_classes, left_ideals, \
     principal_left_ideal, right_ideals
 from .semigroups import idempotents, inverses
@@ -73,16 +74,16 @@ def suite_isn(n: int = 3) -> SuiteResult:
     _check(checks, "left classes grouped by image",
            all(len({elems[x].image_mask() for x in cls}) == 1
                for cls in lp.classes)
-           and lp.size == 1 << n)
+           and lp.codomain_order == 1 << n)
     _check(checks, "right classes grouped by domain",
            all(len({elems[x].domain_mask() for x in cls}) == 1
                for cls in rp.classes)
-           and rp.size == 1 << n)
+           and rp.codomain_order == 1 << n)
 
     quotient, phi = pig._s_pig(s, full, lp)
     _check(checks, "quotient vertex count is 2^n - 1",
            quotient.order == (1 << n) - 1)
-    class_elems = pig._blocks(s, lp)
+    class_elems = pig.s_pig_class_elements(s, phi)
     deg_ok = all(
         quotient.degree(v) == graphs.degree_of_subset_vertex(
             n, elems[class_elems[v][0]].rank())
@@ -118,7 +119,7 @@ def suite_brandt(group_order: int = 2, indices: int = 2) -> SuiteResult:
     full = pig.left_pig(s)
     comps = graphs.components(full)
     _check(checks, "left graph splits into one component per index",
-           comps.size == indices)
+           comps.codomain_order == indices)
     _check(checks, "each component is complete on |I|*|G| vertices",
            graphs.all_components_complete(full)
            and all(len(c) == indices * group_order for c in comps.classes))
@@ -174,6 +175,33 @@ def _witness(seed, iteration, g, **verdicts) -> str:
                       *(f"{k}={v}" for k, v in verdicts.items())])
 
 
+def _trials(checks, name, seed, rng, count, draw, judge, also=True):
+    """One check over count seeded cases, failed by the first bad case.
+
+    draw(rng) returns a case: its graph "g" and the other drawn values.
+    judge(**case) returns (passed, verdicts); a PigError raised while
+    judging fails the case with error=<message>.  When every case passes,
+    the check passes iff also holds.
+    """
+    for i in range(count):
+        case = draw(rng)
+        try:
+            passed, verdicts = judge(**case)
+        except PigError as exc:
+            passed, verdicts = False, {"error": exc}
+        if not passed:
+            return _check(checks, name, False,
+                          _witness(seed, i, **case, **verdicts))
+    _check(checks, name, also)
+
+
+def _blow_up_case(rng, bound) -> dict:
+    """A G(m, 1/2) base, 3 <= m < 3 + bound, and fibre sizes in [1, bound)."""
+    m = rng.randrange(3, 3 + bound)
+    return {"g": graphs.random_graph(m, 0.5, rng),
+            "sizes": [rng.randrange(1, bound) for _ in range(m)]}
+
+
 def _random_tree(order: int, rng) -> graphs.Graph:
     edges = [(rng.randrange(v), v) for v in range(1, order)]
     return graphs.from_edges(order, edges)
@@ -185,7 +213,7 @@ def suite_skeletal(seed: int = 0) -> SuiteResult:
 
     k4 = graphs.complete_graph(4)
     k2 = graphs.complete_graph(2)
-    phi = skeletal.VertexMap(4, 2, (0, 0, 0, 1))
+    phi = graphs.VertexMap(4, 2, (0, 0, 0, 1))
     _check(checks, "merging a triangle of K4 onto one end of K2 is skeletal",
            skeletal.verify_skeletal(k4, k2, phi).is_skeletal)
 
@@ -202,83 +230,75 @@ def suite_skeletal(seed: int = 0) -> SuiteResult:
            not skeletal.is_skeleton(graphs.complete_graph(2))
            and not skeletal.is_skeleton(graphs.complete_graph(3)))
 
-    witness = ""
-    for i in range(60):
-        m = rng.randrange(3, 8)
-        g = graphs.random_graph(m, rng.choice([0.3, 0.6, 0.9]), rng)
+    def complete_iff_two_block(g):
         complete = graphs.graph_stats(g).is_complete
         two_block = skeletal.has_two_block_skeletal(g)
-        if complete != two_block:
-            witness = _witness(seed, i, g, complete=complete,
-                               two_block_skeletal=two_block)
-            break
-    complete_ok = not witness and all(
-        skeletal.has_two_block_skeletal(graphs.complete_graph(m))
-        for m in range(3, 7))
-    _check(checks, "complete iff a two-vertex skeletal exists", complete_ok,
-           witness)
+        return complete == two_block, dict(complete=complete,
+                                           two_block_skeletal=two_block)
 
-    witness = ""
-    for i in range(40):
-        m = rng.randrange(4, 8)
-        g = graphs.random_graph(m, rng.choice([0.25, 0.5, 0.75]), rng)
+    _trials(checks, "complete iff a two-vertex skeletal exists", seed, rng,
+            60, lambda rng: {"g": graphs.random_graph(
+                rng.randrange(3, 8), rng.choice([0.3, 0.6, 0.9]), rng)},
+            complete_iff_two_block, all(skeletal.has_two_block_skeletal(
+                graphs.complete_graph(m)) for m in range(3, 7)))
+
+    def twin_test(g):
         skeleton = skeletal.is_skeleton(g)
         proper = skeletal.brute_force_has_proper_skeletal(g)
-        if skeleton == proper:
-            witness = _witness(seed, i, g, is_skeleton=skeleton,
-                               brute_force_proper_skeletal=proper)
-            break
-    _check(checks, "twin test agrees with the partition brute force",
-           not witness, witness)
+        return skeleton != proper, dict(is_skeleton=skeleton,
+                                        brute_force_proper_skeletal=proper)
+
+    _trials(checks, "twin test agrees with the partition brute force", seed,
+            rng, 40, lambda rng: {"g": graphs.random_graph(
+                rng.randrange(4, 8), rng.choice([0.25, 0.5, 0.75]), rng)},
+            twin_test)
 
     # blow-up witnesses name the base graph and the fibre sizes
-    witness = ""
-    for i in range(30):
-        m = rng.randrange(3, 7)
-        base = graphs.random_graph(m, 0.5, rng)
-        sizes = [rng.randrange(1, 4) for _ in range(m)]
-        big, collapse = skeletal.blow_up(base, sizes)
-        collapses = skeletal.verify_skeletal(big, base, collapse).is_skeletal
+    def fibre_cliques(g, sizes):
+        big, collapse = skeletal.blow_up(g, sizes)
+        collapses = skeletal.verify_skeletal(big, g, collapse).is_skeletal
         cliques = collapses and all(
             skeletal.fibre_subgraph_is_complete(big, collapse, v)
-            for v in range(base.order))
-        if not cliques:
-            witness = _witness(seed, i, base, sizes=sizes,
-                               collapse_skeletal=collapses,
-                               fibre_cliques=cliques)
-            break
-        skeletal.embedded_copy(big, base, collapse)
-    _check(checks, "fibre cliques and embedded copies on random blow-ups",
-           not witness, witness)
+            for v in range(g.order))
+        if cliques:
+            skeletal.embedded_copy(big, g, collapse)
+        return cliques, dict(collapse_skeletal=collapses,
+                             fibre_cliques=cliques)
 
-    witness = ""
-    for i in range(20):
-        m = rng.randrange(3, 6)
-        base = graphs.random_graph(m, 0.5, rng)
-        sizes = [rng.randrange(1, 3) for _ in range(m)]
-        mid, phi1 = skeletal.blow_up(base, sizes)
-        top_sizes = [rng.randrange(1, 3) for _ in range(mid.order)]
+    _trials(checks, "fibre cliques and embedded copies on random blow-ups",
+            seed, rng, 30, lambda rng: _blow_up_case(rng, 4), fibre_cliques)
+
+    def stacked_case(rng):
+        case = _blow_up_case(rng, 3)
+        mid_order = sum(case["sizes"])
+        return {**case, "top_sizes": [rng.randrange(1, 3)
+                                      for _ in range(mid_order)]}
+
+    def composes(g, sizes, top_sizes):
+        mid, phi1 = skeletal.blow_up(g, sizes)
         top, phi2 = skeletal.blow_up(mid, top_sizes)
-        composed = skeletal.compose_skeletal(top, mid, base, phi2, phi1)
-        if not skeletal.verify_skeletal(top, base, composed).is_skeletal:
-            witness = _witness(seed, i, base, sizes=sizes,
-                               top_sizes=top_sizes, composed_skeletal=False)
-            break
-    _check(checks, "skeletal maps compose", not witness, witness)
+        composed = skeletal.compose_skeletal(top, mid, g, phi2, phi1)
+        ok = skeletal.verify_skeletal(top, g, composed).is_skeletal
+        return ok, dict(composed_skeletal=ok)
+
+    _trials(checks, "skeletal maps compose", seed, rng, 20, stacked_case,
+            composes)
     return SuiteResult("skeletal", tuple(checks))
 
 
-def _twin_report_recounted(g: graphs.Graph) -> tuple:
-    """The twin report's verdict, and whether n x n ranks recount each
-    multiplicity it gives."""
+def _twin_bounds(g: graphs.Graph) -> tuple:
+    """Whether the twin report passes and n x n ranks recount each
+    multiplicity it gives, with both verdicts."""
     report = spectral.twin_spectral_report(g)
     mats = [spectral.graph_matrix(g, kind) for kind in "ALQ"]
-    return report.all_pass, all(
+    recount = all(
         [c.adjacency_multiplicity, c.laplacian_multiplicity,
          c.signless_multiplicity]
         == [spectral.eigen_multiplicity(m, lam) for m, lam
             in zip(mats, (-1, c.degree + 1, c.degree - 1))]
         for c in report.classes)
+    return report.all_pass and recount, dict(all_pass=report.all_pass,
+                                              recount_agrees=recount)
 
 
 def suite_spectral(seed: int = 0) -> SuiteResult:
@@ -295,25 +315,15 @@ def suite_spectral(seed: int = 0) -> SuiteResult:
     ]
     for name, g in named:
         _check(checks, f"twin eigenvalue bounds on {name}",
-               all(_twin_report_recounted(g)))
+               _twin_bounds(g)[0])
 
-    witness = ""
-    for i in range(25):
-        m = rng.randrange(3, 7)
-        base = graphs.random_graph(m, 0.5, rng)
-        big, _ = skeletal.blow_up(base, [rng.randrange(1, 4)
-                                         for _ in range(m)])
-        passed, recount = _twin_report_recounted(big)
-        if not (passed and recount):
-            witness = _witness(seed, i, big, all_pass=passed,
-                               recount_agrees=recount)
-            break
-    _check(checks, "twin eigenvalue bounds on random blow-ups", not witness,
-           witness)
+    _trials(checks, "twin eigenvalue bounds on random blow-ups", seed, rng,
+            25, lambda rng: {"g": skeletal.blow_up(
+                **_blow_up_case(rng, 4))[0]}, _twin_bounds)
 
     k4 = graphs.complete_graph(4)
     k2 = graphs.complete_graph(2)
-    phi = skeletal.VertexMap(4, 2, (0, 0, 0, 1))
+    phi = graphs.VertexMap(4, 2, (0, 0, 0, 1))
     alt = spectral.quotient_degree_eigenvalues(k4, k2, phi, 0)
     _check(checks,
            "quotient-degree constant s+1 fails on the K4/K2 instance "

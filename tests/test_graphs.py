@@ -14,6 +14,7 @@ from pigraphs.errors import (
 )
 from pigraphs.graphs import (
     Graph,
+    VertexMap,
     all_components_complete,
     are_isomorphic,
     complement,
@@ -26,6 +27,7 @@ from pigraphs.graphs import (
     graph_stats,
     intersection_graph,
     mask_intersection_graph,
+    partition_from_groups,
     path_graph,
     random_graph,
     to_dot,
@@ -60,11 +62,40 @@ def test_stats_null2():
     assert not st2.is_connected and st2.is_null
 
 
+def random_surjection(n, m, rng):
+    """A seeded map of range(n) onto range(m), ids in no particular order."""
+    ids = list(range(m)) + [rng.randrange(m) for _ in range(n - m)]
+    rng.shuffle(ids)
+    return tuple(ids)
+
+
+def test_vertex_map_fibres_match_the_definition():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randrange(12)
+        m = rng.randrange(1, n + 1) if n else 0
+        ids = random_surjection(n, m, rng)
+        phi = VertexMap(n, m, ids)
+        assert len(phi.masks) == len(phi.classes) == m
+        for v in range(m):
+            fibre = tuple(u for u in range(n) if ids[u] == v)
+            assert phi.classes[v] == fibre
+            assert phi.masks[v] == sum(1 << u for u in fibre)
+            assert phi.masks[v].bit_count() == ids.count(v)
+
+
+def test_partition_from_groups_orders_ids_by_minimal_member():
+    phi = partition_from_groups(5, [[4, 2], [3], [1, 0]])
+    assert phi.map == (0, 0, 1, 2, 1)
+    assert phi.classes == ((0, 1), (2, 4), (3,))
+    assert phi.masks == (0b00011, 0b10100, 0b01000)
+
+
 def test_components():
     g = from_edges(6, [(0, 1), (2, 3), (2, 4), (3, 4)])
     comps = components(g)
     assert comps.classes == ((0, 1), (2, 3, 4), (5,))
-    assert components(cycle_graph(5)).size == 1
+    assert components(cycle_graph(5)).codomain_order == 1
 
 
 @given(graph_strategy())
@@ -125,12 +156,25 @@ def brute_force_isomorphic(g, h):
                for p in itertools.permutations(range(g.order)))
 
 
+def labelled_graphs(n):
+    """Every simple graph on the vertices 0..n-1, one per edge subset."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for chosen in range(1 << len(pairs)):
+        yield from_edges(n, [e for i, e in enumerate(pairs)
+                             if chosen >> i & 1])
+
+
 def test_isomorphism_agrees_with_permutation_search():
     rng = random.Random(7)
+    pairs = []
     for _ in range(40):
         n = rng.randrange(2, 7)
-        g = random_graph(n, 0.5, rng)
-        h = random_graph(n, 0.5, rng)
+        pairs.append((random_graph(n, 0.5, rng), random_graph(n, 0.5, rng)))
+    # every pair of labelled graphs of order 0..4, orders mixed too
+    small = [g for n in range(5) for g in labelled_graphs(n)]
+    assert len(small) == 1 + 1 + 2 + 8 + 64
+    pairs += itertools.product(small, repeat=2)
+    for g, h in pairs:
         found = are_isomorphic(g, h)
         if found is not None:
             assert verify_isomorphism(g, h, found)

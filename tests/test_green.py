@@ -67,8 +67,8 @@ def test_brandt_classes_by_index():
 
 def test_group_is_one_class():
     s = families.cyclic_group(4)
-    assert l_classes(s).size == 1
-    assert r_classes(s).size == 1
+    assert l_classes(s).codomain_order == 1
+    assert r_classes(s).codomain_order == 1
 
 
 def test_partition_consistency():
@@ -80,7 +80,7 @@ def test_partition_consistency():
         assert sorted(x for c in lp.classes for x in c) == list(range(s.order))
         for a in range(s.order):
             for b in range(s.order):
-                same = lp.class_of[a] == lp.class_of[b]
+                same = lp.map[a] == lp.map[b]
                 assert same == (ideals[a] == ideals[b])
 
 

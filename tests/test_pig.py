@@ -11,9 +11,10 @@ from pigraphs.graphs import (
     complement,
     components,
     graph_stats,
+    partition_from_groups,
     verify_isomorphism,
 )
-from pigraphs.green import l_classes, partition_from_groups
+from pigraphs.green import l_classes
 from pigraphs.pig import (
     involution_pig_isomorphism,
     isn_left_pig,
@@ -46,7 +47,8 @@ def test_brandt_c1_2_two_disjoint_edges():
     s = families.brandt(families.cyclic_group(1), 2)
     g = left_pig(s)
     comps = components(g)
-    assert comps.size == 2 and all(len(c) == 2 for c in comps.classes)
+    assert comps.codomain_order == 2
+    assert all(len(c) == 2 for c in comps.classes)
     assert all_components_complete(g)
     # the right graph groups by left index instead
     r = right_pig(s)
@@ -152,9 +154,9 @@ def test_idempotent_adjacency_iff_nonzero_product(isn):
 
 def test_quotient_complement_is_zero_product_graph(isn):
     for s in (isn[3], families.subset_meet_semilattice(3)):
-        q, _ = s_left_pig(s)
+        q, phi = s_left_pig(s)
         comp = complement(q)
-        classes = s_pig_class_elements(s)
+        classes = s_pig_class_elements(s, phi)
         idem = set(idempotents(s))
         reps = [next(x for x in cls if x in idem) for cls in classes]
         for u in range(q.order):

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pigraphs import verify
+from pigraphs import cli, skeletal, verify
 from pigraphs.errors import (
     NotSkeletal,
     NotSurjective,
@@ -13,16 +13,17 @@ from pigraphs.errors import (
     SizeMismatch,
 )
 from pigraphs.graphs import (
+    VertexMap,
     complete_graph,
     cycle_graph,
     from_edges,
     graph_stats,
+    partition_from_groups,
     path_graph,
     random_graph,
 )
-from pigraphs.green import partition_from_groups
 from pigraphs.skeletal import (
-    VertexMap,
+    SkeletalReport,
     _block_partitions,
     _blocks_are_skeletal,
     blow_up,
@@ -88,7 +89,7 @@ def test_vertex_map_validation():
 
 def test_twin_partition():
     assert twin_partition(complete_graph(5)).classes == ((0, 1, 2, 3, 4),)
-    assert twin_partition(cycle_graph(4)).size == 4
+    assert twin_partition(cycle_graph(4)).codomain_order == 4
     assert twin_partition(K4).classes == ((0, 1, 2, 3),)
 
 
@@ -160,11 +161,48 @@ def test_verify_skeletal_matches_pairwise_definition():
     assert len(verdicts) > 4000 and 0 < sum(verdicts) < len(verdicts)
 
 
+def reference_check_quotient(g, raw):
+    """The quotient as `pig skeletal --op check` used to build it: fibre
+    lists from one pass over the raw map, two fibres adjacent when any
+    cross edge joins them, each labelled by its minimal member."""
+    fibres = [[] for _ in range(max(raw) + 1)]
+    for u, v in enumerate(raw):
+        fibres[v].append(u)
+    adj = tuple(sum(1 << j for j, other in enumerate(fibres)
+                    if j != i and any(g.has_edge(a, b) for a in fibre
+                                      for b in other))
+                for i, fibre in enumerate(fibres))
+    return adj, tuple(map(tuple, fibres)), tuple(g.label(f[0])
+                                                 for f in fibres)
+
+
+def test_quotient_by_partition_takes_any_vertex_map():
+    rng = random.Random(23)
+    unordered = 0
+    for _ in range(150):
+        n = rng.randrange(1, 9)
+        g = from_edges(n, random_graph(n, 0.5, rng).edges(),
+                       labels=[f"v{u}" for u in range(n)])
+        m = rng.randrange(1, n + 1)
+        raw = list(range(m)) + [rng.randrange(m) for _ in range(n - m)]
+        rng.shuffle(raw)
+        firsts = [raw.index(v) for v in range(m)]
+        unordered += firsts != sorted(firsts)
+        phi = VertexMap(n, m, tuple(raw))
+        h, same = quotient_by_partition(g, phi)
+        assert same is phi
+        assert (h.adj, phi.classes, h.labels) \
+            == reference_check_quotient(g, raw)
+    assert unordered > 50
+    with pytest.raises(SizeMismatch):
+        quotient_by_partition(complete_graph(3), VertexMap(2, 1, (0, 0)))
+
+
 def test_quotient_by_partition_matches_any_cross_edge():
     for g, part, _ in seeded_partitions(8, max_order=6):
         h, phi = quotient_by_partition(g, part)
         blocks = part.classes
-        assert h.order == len(blocks) and phi.map == part.class_of
+        assert h.order == len(blocks) and phi.map == part.map
         for i in range(h.order):
             assert not h.has_edge(i, i)
             for j in range(h.order):
@@ -427,3 +465,21 @@ def test_suite_skeletal_names_a_failing_blow_up(name, fake, check,
     else:
         assert fields["collapse_skeletal"] == "True"
         assert fields["fibre_cliques"] == "False"
+
+
+def test_suite_skeletal_reports_a_raising_composition(monkeypatch, capsys):
+    # compose_skeletal raises NotSkeletal on an inner map judged not skeletal
+    monkeypatch.setattr(skeletal, "verify_skeletal",
+                        lambda g, h, phi: SkeletalReport(False, (0, 1), ()))
+    assert cli.main(["verify", "--suite", "skeletal", "--seed", "3"]) == 1
+    prefix = "[FAIL] skeletal: skeletal maps compose  ("
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith(prefix))
+    fields = dict(item.split("=", 1)
+                  for item in line[len(prefix):-1].split("; "))
+    assert fields["seed"] == "3" and fields["iteration"] == "0"
+    assert fields["error"] == "first map is not skeletal"
+    base = from_edges(int(fields["order"]), json.loads(fields["edges"]))
+    sizes = json.loads(fields["sizes"])
+    assert len(sizes) == base.order
+    assert len(json.loads(fields["top_sizes"])) == sum(sizes)

@@ -8,13 +8,14 @@ import sympy
 from pigraphs import spectral, verify
 from pigraphs.errors import NotSymmetric
 from pigraphs.graphs import (
+    VertexMap,
     complete_graph,
     components,
     cycle_graph,
     from_edges,
     random_graph,
 )
-from pigraphs.skeletal import VertexMap, blow_up, twin_partition
+from pigraphs.skeletal import blow_up, twin_partition
 from pigraphs.spectral import (
     eigen_multiplicity,
     graph_matrix,
@@ -110,7 +111,7 @@ def test_laplacian_nullity_counts_components():
     for _ in range(15):
         g = random_graph(rng.randrange(2, 8), 0.3, rng)
         nullity = eigen_multiplicity(graph_matrix(g, "L"), 0)
-        assert nullity == components(g).size
+        assert nullity == components(g).codomain_order
 
 
 def test_twin_report_k4():
@@ -193,7 +194,7 @@ def test_twin_report_computes_each_rank_once(monkeypatch):
     assert len(report.classes) == 6 and len(degrees) == 2
     # A at -1 once, then L and Q once per distinct class degree, each on
     # the m x m quotient form, never on the n x n matrix
-    m = twin_partition(g).size
+    m = twin_partition(g).codomain_order
     assert len(ranks) == 1 + 2 * len(degrees)
     assert m == 6 < g.order and ranks == [m] * len(ranks)
     assert assert_report_matches_full_recount(g) == report

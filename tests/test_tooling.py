@@ -1,8 +1,10 @@
-"""Static checks on the package source: no asserts, no runtime deps.
+"""Static checks on the package source: no asserts, no runtime deps,
+and a strict module layering.
 
-Asserts vanish under ``python -O``, so invariants must raise instead; and
-the package promises pure Python, so every absolute import must name a
-standard-library module.
+Asserts vanish under ``python -O``, so invariants must raise instead; the
+package promises pure Python, so every absolute import must name a
+standard-library module; and every relative import, function-level ones
+included, must name a module of an earlier layer.
 """
 
 import ast
@@ -32,4 +34,29 @@ def test_no_asserts_and_only_stdlib_or_relative_imports():
                 f"{path.name}:{node.lineno}: imports {name}"
                 for name in _absolute_imports(node)
                 if name.split(".")[0] not in sys.stdlib_module_names)
+    assert problems == []
+
+
+# every module of the package, each importing only modules before it
+LAYERS = ("errors", "semigroups", "families", "graphs", "green", "skeletal",
+          "pig", "spectral", "verify", "cli")
+
+
+def _relative_imports(node):
+    if isinstance(node, ast.ImportFrom) and node.level > 0:
+        return [node.module] if node.module else [a.name for a in node.names]
+    return []
+
+
+def test_modules_import_only_earlier_layers():
+    modules = [path for path in SOURCES if path.stem != "__init__"]
+    assert sorted(path.stem for path in modules) == sorted(LAYERS)
+    problems = []
+    for path in modules:
+        earlier = LAYERS[:LAYERS.index(path.stem)]
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            problems.extend(
+                f"{path.name}:{node.lineno}: imports {name}"
+                for name in _relative_imports(node)
+                if name.split(".")[0] not in earlier)
     assert problems == []
