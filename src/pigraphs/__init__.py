@@ -21,8 +21,7 @@ from .graphs import (
     intersection_graph,
     verify_isomorphism,
 )
-from .green import l_classes, principal_left_ideal, principal_right_ideal, \
-    r_classes
+from .green import l_classes, principal_left_ideal, r_classes
 from .pig import (
     involution_pig_isomorphism,
     isn_left_pig,

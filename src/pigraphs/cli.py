@@ -222,8 +222,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PigError, FileNotFoundError, json.JSONDecodeError, KeyError,
-            ValueError) as exc:
+    except (PigError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -90,14 +90,14 @@ class VertexMap:
         return tuple(tuple(bits(m)) for m in self.masks)
 
 
-def partition_from_groups(n: int, groups) -> VertexMap:
-    """The map of {0..n-1} onto its groups, ids ordered by minimal member."""
-    ordered = sorted(groups, key=min)
-    class_of = [0] * n
-    for cid, group in enumerate(ordered):
-        for x in group:
-            class_of[x] = cid
-    return VertexMap(n, len(ordered), tuple(class_of))
+def partition_by_key(keys) -> VertexMap:
+    """Vertices u and v share a class iff keys[u] == keys[v].
+
+    Classes are numbered by first occurrence, so by minimal member.
+    """
+    ids = {}
+    class_of = tuple(ids.setdefault(key, len(ids)) for key in keys)
+    return VertexMap(len(class_of), len(ids), class_of)
 
 
 def _trusted_graph(order: int, adj: tuple, labels=None) -> Graph:
@@ -158,10 +158,9 @@ class GraphStats:
 
 def components(g: Graph) -> VertexMap:
     """Connected components as a vertex partition."""
-    seen = 0
-    groups = []
+    component_of = [0] * g.order
     for v in range(g.order):
-        if seen >> v & 1:
+        if component_of[v]:
             continue
         comp = 0
         frontier = 1 << v
@@ -171,9 +170,9 @@ def components(g: Graph) -> VertexMap:
             for u in bits(frontier):
                 nxt |= g.adj[u]
             frontier = nxt & ~comp
-        seen |= comp
-        groups.append(list(bits(comp)))
-    return partition_from_groups(g.order, groups)
+        for u in bits(comp):
+            component_of[u] = comp
+    return partition_by_key(component_of)
 
 
 def all_components_complete(g: Graph) -> bool:
@@ -355,12 +354,13 @@ def from_json_dict(doc: dict) -> Graph:
 
 
 def to_dot(g: Graph) -> str:
+    # nodes are named by quoted label; \ goes first, so that the \ put
+    # before each " is not doubled
+    names = ['"' + g.label(v).replace("\\", "\\\\").replace('"', '\\"') + '"'
+             for v in range(g.order)]
     lines = ["graph {"]
-    isolated = [v for v in range(g.order) if g.adj[v] == 0]
-    for v in isolated:
-        lines.append(f'  "{g.label(v)}";')
-    for u, v in g.edges():
-        lines.append(f'  "{g.label(u)}" -- "{g.label(v)}";')
+    lines += [f"  {names[v]};" for v in range(g.order) if g.adj[v] == 0]
+    lines += [f"  {names[u]} -- {names[v]};" for u, v in g.edges()]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

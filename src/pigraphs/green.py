@@ -4,7 +4,7 @@ Ideals are bit-sets over element indices (Python ints), so equality and
 intersection tests are single integer operations.
 """
 
-from .graphs import VertexMap, partition_from_groups
+from .graphs import VertexMap, partition_by_key
 from .semigroups import Semigroup
 
 
@@ -18,11 +18,6 @@ def principal_left_ideal(s: Semigroup, a: int) -> int:
     return _ideal(a, (row[a] for row in s.table))
 
 
-def principal_right_ideal(s: Semigroup, a: int) -> int:
-    """Bit-set of {a*x : x in S} together with a itself."""
-    return _ideal(a, s.table[a])
-
-
 def left_ideals(s: Semigroup) -> list:
     """Every principal left ideal, each read off its column of the table."""
     return [_ideal(a, col) for a, col in enumerate(zip(*s.table))]
@@ -33,19 +28,11 @@ def right_ideals(s: Semigroup) -> list:
     return [_ideal(a, row) for a, row in enumerate(s.table)]
 
 
-def classes_by_ideal(ideals) -> VertexMap:
-    """Partition of the elements by equality of their ideals."""
-    groups = {}
-    for a, ideal in enumerate(ideals):
-        groups.setdefault(ideal, []).append(a)
-    return partition_from_groups(len(ideals), groups.values())
-
-
 def l_classes(s: Semigroup) -> VertexMap:
     """Partition by equality of principal left ideals."""
-    return classes_by_ideal(left_ideals(s))
+    return partition_by_key(left_ideals(s))
 
 
 def r_classes(s: Semigroup) -> VertexMap:
     """Partition by equality of principal right ideals."""
-    return classes_by_ideal(right_ideals(s))
+    return partition_by_key(right_ideals(s))

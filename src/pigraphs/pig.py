@@ -20,8 +20,8 @@ from .errors import (
 )
 from .families import ISN_MAX, all_partial_bijections
 from .graphs import Graph, VertexMap, _trusted_graph, \
-    mask_intersection_graph, partition_from_groups, verify_isomorphism
-from .green import classes_by_ideal, left_ideals, right_ideals
+    mask_intersection_graph, partition_by_key, verify_isomorphism
+from .green import left_ideals, right_ideals
 from .semigroups import Semigroup, check_involution, inverses
 from .skeletal import _checked_quotient
 
@@ -90,15 +90,12 @@ def isn_left_pig(n: int) -> Graph:
                                    tuple(p.label() for p in elems))
 
 
-def _s_pig(s: Semigroup, full: Graph, partition: VertexMap):
-    """Quotient of full by the partition's nonzero classes, checked skeletal."""
+def _s_pig(s: Semigroup, full: Graph, keys):
+    """Quotient of full by equal keys[v] of its vertices, checked skeletal."""
     verts = pig_vertices(s)
-    pos = {v: i for i, v in enumerate(verts)}
-    blocks = partition_from_groups(full.order, [
-        [pos[x] for x in cls] for cls in partition.classes
-        if s.zero not in cls])
     try:
-        quotient, phi = _checked_quotient(full, blocks)
+        quotient, phi = _checked_quotient(
+            full, partition_by_key([keys[v] for v in verts]))
     except InconsistentQuotient as exc:
         x, y = (verts[v] for v in exc.witness)
         raise InconsistentQuotient(
@@ -113,13 +110,13 @@ def _s_pig(s: Semigroup, full: Graph, partition: VertexMap):
 def s_left_pig(s: Semigroup):
     """L-class quotient of left_pig plus the quotient vertex map."""
     ideals = left_ideals(s)
-    return _s_pig(s, _pig(s, ideals), classes_by_ideal(ideals))
+    return _s_pig(s, _pig(s, ideals), ideals)
 
 
 def s_right_pig(s: Semigroup):
     """R-class quotient of right_pig plus the quotient vertex map."""
     ideals = right_ideals(s)
-    return _s_pig(s, _pig(s, ideals), classes_by_ideal(ideals))
+    return _s_pig(s, _pig(s, ideals), ideals)
 
 
 def s_pig_class_elements(s: Semigroup, phi: VertexMap) -> list:

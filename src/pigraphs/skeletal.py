@@ -19,8 +19,7 @@ from .errors import (
     SizeMismatch,
 )
 from .graphs import Graph, VertexMap, _trusted_graph, bits, \
-    induced_subgraph, verify_isomorphism
-from .green import classes_by_ideal
+    induced_subgraph, partition_by_key, verify_isomorphism
 
 BRUTE_MAX_ORDER = 8
 
@@ -45,10 +44,9 @@ def verify_skeletal(g: Graph, h: Graph, phi: VertexMap) -> SkeletalReport:
         raise SizeMismatch("map does not fit the given graphs")
     fibres = phi.masks
     sizes = tuple(f.bit_count() for f in fibres)
-    expected = [None] * h.order  # built on first use: most bad maps fail early
+    expected = [sum(fibres[q] for q in bits(row | 1 << p))
+                for p, row in enumerate(h.adj)]
     for a, p in enumerate(phi.map):
-        if expected[p] is None:
-            expected[p] = sum(fibres[q] for q in bits(h.adj[p] | 1 << p))
         diff = (g.adj[a] | 1 << a) ^ expected[p]
         if diff:
             return SkeletalReport(
@@ -62,7 +60,7 @@ def twin_partition(g: Graph) -> VertexMap:
     Equal closed neighborhoods force adjacency, so grouping by the
     closed-neighborhood bit-set is transitive by construction.
     """
-    return classes_by_ideal([row | 1 << v for v, row in enumerate(g.adj)])
+    return partition_by_key([row | 1 << v for v, row in enumerate(g.adj)])
 
 
 def quotient_by_partition(g: Graph, phi: VertexMap):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .errors import NotSymmetric
-from .graphs import Graph, VertexMap
+from .graphs import Graph
 from .skeletal import twin_partition
 
 
@@ -151,20 +151,3 @@ def twin_spectral_report(g: Graph) -> TwinSpectralReport:
                                      for u in cls),
         )
         for cls, d in zip(blocks, degrees) if len(cls) >= 2))
-
-
-def quotient_degree_eigenvalues(g: Graph, h: Graph, phi: VertexMap,
-                                v: int) -> dict:
-    """Evaluate the alternative constants s+1 / s-1 with s the degree of
-    v in the quotient graph; returns their exact multiplicities so the
-    caller can see where that variant fails."""
-    s = h.degree(v)
-    k = len(phi.classes[v])
-    return {
-        "quotient_degree": s,
-        "fibre_size": k,
-        "laplacian_multiplicity": eigen_multiplicity(graph_matrix(g, "L"),
-                                                     s + 1),
-        "signless_multiplicity": eigen_multiplicity(graph_matrix(g, "Q"),
-                                                    s - 1),
-    }

@@ -178,6 +178,25 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_directory_paths_exit_2(tmp_path, capsys):
+    sg, graph, folder = (tmp_path / "sg.json", tmp_path / "g.json",
+                         str(tmp_path))
+    run(capsys, "build", "--family", "isn", "--n", "2", "--out", str(sg))
+    run(capsys, "graph", "--input", str(sg), "--out", str(graph))
+    for argv in (["build", "--family", "isn", "--out", folder],
+                 ["graph", "--input", folder],
+                 ["graph", "--input", str(sg), "--out", folder],
+                 ["classes", "--input", folder],
+                 ["stats", "--graph", folder],
+                 ["skeletal", "--graph", folder, "--op", "max"],
+                 ["skeletal", "--graph", str(graph), "--op", "check",
+                  "--map", folder],
+                 ["spectral", "--graph", folder]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: "), argv
+        assert folder in err, argv
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

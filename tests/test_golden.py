@@ -1,13 +1,17 @@
 """Byte-for-byte pins of the CLI's IS_3/IS_4 graph documents, of the
 `pig verify --suite all --n 4` and `--suite isn --n 5` reports, of the
 `pig build` documents of the small families, of `pig spectral` on the
-IS_3 left graph, and of `pig spectral --twin-report` on seeded blow-ups.
+IS_3 left graph, of `pig classes` on four semigroups, and of
+`pig spectral --twin-report`, `pig skeletal --op max` and `pig stats` on
+seeded blow-ups.
 
 The graph and verify hashes were taken from the outputs of the pair-loop
 implementation that preceded the grouped mask-intersection builders; the
 family and spectral hashes from the outputs of the per-family `Semigroup`
 constructors and the three separate matrix builders; the blow-up twin
-report hashes from the report that took full n x n ranks.  Any change to
+report hashes from the report that took full n x n ranks; the class,
+max-skeletal and stats hashes from the partitions built by grouping equal
+ideals or rows and sorting the groups by minimal member.  Any change to
 vertex order, labels, edges, zero or identity detection, matrix entries or
 check wording shows up here.
 """
@@ -100,6 +104,45 @@ BLOW_UP_TWIN_REPORT_SHA256 = {
 }
 
 
+# `pig classes --side left|right` on built semigroups: (family and
+# parameters, side) -> stdout
+CLASSES_SHA256 = {
+    ("brandt --group-order 2 --indices 3", "left"):
+        "360a4fd40aac153046c0a793e739fceba87a2985e14bc59a58596bd69c5c7b2f",
+    ("brandt --group-order 2 --indices 3", "right"):
+        "7a8b3b761163ee41b6fc2dd5eebd7c8f472efcace5608b81631c5dd04495d4e7",
+    ("isn --n 3", "left"):
+        "b9e962238c3da80ccba6a8ad9087d1e4935ffee43fea0e44a1e16636332cf3dd",
+    ("isn --n 3", "right"):
+        "68ac2aa663042a801c4bf07db0d63537d80e29cfe2db91478987f82551006496",
+    ("isn --n 4", "left"):
+        "46412df8f7a201e4f9c5023066e65e1bb8483585de683a7576e4c13b98ea9db1",
+    ("isn --n 4", "right"):
+        "ce450d39f7b2b00887304e30f1b091cee74a1e159f05300709162ab387281876",
+    ("leftzero --n 3 --adjoin-zero", "left"):
+        "91d389e85a6cb3ccc0b2587e40b1f2a1ff09e0460625b3ff2dc4e737f9c7b141",
+    ("leftzero --n 3 --adjoin-zero", "right"):
+        "98d2dc241a3615ef0aba1cd8fe2c255984506247e62dbf160af448fdcb21671d",
+}
+
+# `pig skeletal --op max` and `pig stats` on the same seeded blow-ups: base
+# order -> (max-skeletal stdout, stats stdout)
+BLOW_UP_MAX_AND_STATS_SHA256 = {
+    12: ("91c67392fc245efcfda356ca59a4d744cfd2b19f75101839b2b744134e0f9386",
+         "322916fd18ac1b2e76f3699bd6267e40dbbd0606ead72c30b5f06a4432281266"),
+    15: ("aab6d98033dfae392bc6883b42ccc57fa1453734a218bdd5c712703b41a7c0e8",
+         "085a803fd7fdb315bd31904ead0b7746ce746affeb03d2e7d7c8f525db8b4512"),
+    18: ("e884b050d6416376a79e6a2f2df4738d66261441bdc55f5db92cb1471a085b02",
+         "84f19cb085d04e9ab775526d4f0ab8389afb5d61f4041d024bebd3cfd5b3daba"),
+    21: ("4c2f081660f578431970ec76686b99c8009bf051519619987be8c31e0ce8d59f",
+         "d08f49541f826ac59a32c038eb46334b8f04242f716c98294ddf909e08db5916"),
+    24: ("66293229a7b17ee6518b5d043c8ffb05f2410e24cba4c8c0694d168a9e71b698",
+         "937d82b313876aa935176eb4516087a045ed8d43118091c3691afc33dc40542c"),
+    27: ("dcb3d2bed0ec4a7f430cc3d871382c960999d98e40cdf247597dbbfc1e660d38",
+         "1870dea32affdb5e586059581646fc3755db113e18fe055254e934ac3e494a8f"),
+}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -152,13 +195,40 @@ def test_spectral_reports_are_unchanged(tmp_path, capsys):
     assert sha256(capsys.readouterr().out.encode()) == TWIN_REPORT_SHA256
 
 
-def test_blow_up_twin_reports_are_unchanged(tmp_path, capsys):
+def _blow_up_documents(path):
+    """Write each seeded blow-up to path in turn; yields its base order."""
     rng = random.Random(2026)
-    path = tmp_path / "blow-up.json"
-    for base_order, want in BLOW_UP_TWIN_REPORT_SHA256.items():
+    for base_order in BLOW_UP_TWIN_REPORT_SHA256:
         base = graphs.random_graph(base_order, 0.5, rng)
         big, _ = skeletal.blow_up(base, [1 + j % 3
                                          for j in range(base_order)])
         path.write_text(json.dumps(graphs.to_json_dict(big)))
+        yield base_order
+
+
+def test_blow_up_twin_reports_are_unchanged(tmp_path, capsys):
+    path = tmp_path / "blow-up.json"
+    for base_order in _blow_up_documents(path):
         assert main(["spectral", "--graph", str(path), "--twin-report"]) == 0
-        assert sha256(capsys.readouterr().out.encode()) == want, base_order
+        assert sha256(capsys.readouterr().out.encode()) == \
+            BLOW_UP_TWIN_REPORT_SHA256[base_order], base_order
+
+
+def test_blow_up_max_skeletals_and_stats_are_unchanged(tmp_path, capsys):
+    path = tmp_path / "blow-up.json"
+    for base_order in _blow_up_documents(path):
+        for argv, want in zip((["skeletal", "--op", "max"], ["stats"]),
+                              BLOW_UP_MAX_AND_STATS_SHA256[base_order]):
+            assert main([*argv, "--graph", str(path)]) == 0
+            assert sha256(capsys.readouterr().out.encode()) == want, \
+                (base_order, argv)
+
+
+@pytest.mark.parametrize("family,side", sorted(CLASSES_SHA256))
+def test_class_listings_are_unchanged(family, side, tmp_path, capsys):
+    sg = tmp_path / "sg.json"
+    assert main(["build", "--family", *family.split(), "--out", str(sg)]) == 0
+    capsys.readouterr()
+    assert main(["classes", "--input", str(sg), "--side", side]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == \
+        CLASSES_SHA256[family, side]

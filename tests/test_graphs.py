@@ -27,7 +27,7 @@ from pigraphs.graphs import (
     graph_stats,
     intersection_graph,
     mask_intersection_graph,
-    partition_from_groups,
+    partition_by_key,
     path_graph,
     random_graph,
     to_dot,
@@ -84,11 +84,27 @@ def test_vertex_map_fibres_match_the_definition():
             assert phi.masks[v].bit_count() == ids.count(v)
 
 
-def test_partition_from_groups_orders_ids_by_minimal_member():
-    phi = partition_from_groups(5, [[4, 2], [3], [1, 0]])
+def test_partition_by_key_numbers_classes_by_minimal_member():
+    phi = partition_by_key(["b", "b", "c", "a", "c"])
     assert phi.map == (0, 0, 1, 2, 1)
     assert phi.classes == ((0, 1), (2, 4), (3,))
     assert phi.masks == (0b00011, 0b10100, 0b01000)
+    assert partition_by_key([]) == VertexMap(0, 0, ())
+
+
+def test_partition_by_key_equals_groups_sorted_by_minimal_member():
+    rng = random.Random(9)
+    for _ in range(200):
+        n = rng.randrange(1, 30)
+        keys = [rng.randrange(1 + rng.randrange(n)) for _ in range(n)]
+        groups = {}
+        for v, key in enumerate(keys):
+            groups.setdefault(key, []).append(v)
+        ordered = sorted(groups.values(), key=min)
+        phi = partition_by_key(keys)
+        assert phi.classes == tuple(map(tuple, ordered))
+        assert all(phi[v] == i for i, group in enumerate(ordered)
+                   for v in group)
 
 
 def test_components():
@@ -203,6 +219,12 @@ def test_dot_and_edge_list():
     dot = to_dot(g)
     assert dot.splitlines() == ["graph {", '  "y";', '  "x" -- "z";', "}"]
     assert to_edge_list(g) == "0 2\n"
+
+
+def test_dot_escapes_backslashes_and_quotes_in_labels():
+    g = from_edges(3, [(0, 1)], labels=['x"y', "a\\", "\\\""])
+    assert to_dot(g).splitlines() == [
+        "graph {", '  "\\\\\\"";', '  "x\\"y" -- "a\\\\";', "}"]
 
 
 def test_complement():

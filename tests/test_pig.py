@@ -1,9 +1,10 @@
 import pytest
 
-from pigraphs import families
+from pigraphs import families, verify
 from pigraphs.errors import (
     EmptyVertexSet,
     InconsistentQuotient,
+    IsomorphismCheckFailed,
     NotInverseSemigroup,
 )
 from pigraphs.graphs import (
@@ -11,7 +12,6 @@ from pigraphs.graphs import (
     complement,
     components,
     graph_stats,
-    partition_from_groups,
     verify_isomorphism,
 )
 from pigraphs.green import l_classes
@@ -185,6 +185,27 @@ def test_involution_requires_inverse_semigroup():
         involution_pig_isomorphism(adjoin_zero(families.left_zero(2)))
 
 
+CHECK = "triple inversion is a left/right graph isomorphism"
+
+
+def test_a_failed_involution_check_is_a_fail_line(monkeypatch):
+    def refuse(s):
+        raise IsomorphismCheckFailed("no isomorphism here")
+
+    monkeypatch.setattr(verify.pig, "involution_pig_isomorphism", refuse)
+    result = next(c for c in verify.suite_brandt().checks if c.name == CHECK)
+    assert not result.passed and result.detail == "no isomorphism here"
+
+
+def test_a_defect_in_an_involution_check_is_raised(monkeypatch):
+    def broken(s):
+        raise TypeError("a defect, not a failed check")
+
+    monkeypatch.setattr(verify.pig, "involution_pig_isomorphism", broken)
+    with pytest.raises(TypeError, match="^a defect, not a failed check$"):
+        verify.suite_brandt()
+
+
 def test_twin_classes_are_the_nonzero_classes(isn):
     for n in range(2, 5):
         s = isn[n]
@@ -198,20 +219,17 @@ def test_twin_classes_are_the_nonzero_classes(isn):
 def test_s_pig_rejects_representative_dependent_partitions(isn):
     s = isn[3]
     full = left_pig(s)
-    by_image = {}
-    for x in range(s.order):
-        by_image.setdefault(s.elements[x].image_mask(), []).append(x)
+    images = [p.image_mask() for p in s.elements]
     # images {0} and {1}: merged elements are not adjacent;
     # images {0} and {0,1}: adjacent, but with different neighbourhoods
     for a, b in [(0b001, 0b010), (0b001, 0b011)]:
-        groups = [g for m, g in by_image.items() if m not in (a, b)]
-        groups.append(by_image[a] + by_image[b])
+        keys = [a if m == b else m for m in images]
         with pytest.raises(InconsistentQuotient) as err:
-            _s_pig(s, full, partition_from_groups(s.order, groups))
+            _s_pig(s, full, keys)
         # the witness names two nonzero elements, one of them merged
         x, y = err.value.witness
         assert s.zero not in (x, y) and x < y
         assert {s.elements[x].image_mask(), s.elements[y].image_mask()} \
             & {a, b}
     # the L-classes themselves pass
-    _s_pig(s, full, partition_from_groups(s.order, by_image.values()))
+    _s_pig(s, full, images)

@@ -18,7 +18,7 @@ from pigraphs.graphs import (
     cycle_graph,
     from_edges,
     graph_stats,
-    partition_from_groups,
+    partition_by_key,
     path_graph,
     random_graph,
 )
@@ -105,11 +105,20 @@ def test_max_skeletal_examples():
     assert h.adj == c5.adj
 
 
+def block_map(n, blocks):
+    """The partition of range(n) into the given blocks."""
+    block_of = [0] * n
+    for i, block in enumerate(blocks):
+        for v in block:
+            block_of[v] = i
+    return partition_by_key(block_of)
+
+
 def smallest_skeletal_order(g):
     """Brute-force the minimum codomain order over all skeletal partitions."""
     best = g.order
     for blocks in all_partitions(list(range(g.order))):
-        part = partition_from_groups(g.order, blocks)
+        part = block_map(g.order, blocks)
         h, phi = quotient_by_partition(g, part)
         if verify_skeletal(g, h, phi).is_skeletal:
             best = min(best, h.order)
@@ -145,7 +154,7 @@ def seeded_partitions(seed, max_order=7, per_order=2):
         for _ in range(per_order):
             g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
             for blocks in all_partitions(list(range(n))):
-                yield g, partition_from_groups(n, blocks), rng
+                yield g, block_map(n, blocks), rng
 
 
 def test_verify_skeletal_matches_pairwise_definition():
@@ -252,8 +261,7 @@ def reference_has_proper_skeletal(g):
     for blocks in all_partitions(list(range(g.order))):
         if len(blocks) == g.order:
             continue
-        h, phi = quotient_by_partition(
-            g, partition_from_groups(g.order, blocks))
+        h, phi = quotient_by_partition(g, block_map(g.order, blocks))
         if verify_skeletal(g, h, phi).is_skeletal:
             return True
     return False

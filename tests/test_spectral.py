@@ -20,7 +20,6 @@ from pigraphs.spectral import (
     eigen_multiplicity,
     graph_matrix,
     integer_rank,
-    quotient_degree_eigenvalues,
     twin_spectral_report,
 )
 
@@ -163,10 +162,10 @@ def test_twin_report_on_random_blow_ups():
 
 def test_quotient_degree_variant_fails_on_triangle_merge():
     phi = VertexMap(4, 2, (0, 0, 0, 1))
-    alt = quotient_degree_eigenvalues(K4, complete_graph(2), phi, 0)
-    assert alt["quotient_degree"] == 1 and alt["fibre_size"] == 3
+    s = complete_graph(2).degree(phi[0])
+    assert s == 1 and len(phi.classes[phi[0]]) == 3
     # s+1 = 2 is not a Laplacian eigenvalue of K4 at all
-    assert alt["laplacian_multiplicity"] == 0
+    assert eigen_multiplicity(graph_matrix(K4, "L"), s + 1) == 0
 
 
 def assert_report_matches_full_recount(g):

@@ -60,3 +60,21 @@ def test_modules_import_only_earlier_layers():
                 for name in _relative_imports(node)
                 if name.split(".")[0] not in earlier)
     assert problems == []
+
+
+# graph-side modules: they work on any graph and know no semigroup
+GRAPH_SIDE = ("skeletal", "spectral")
+SEMIGROUP_SIDE = ("semigroups", "families", "green", "pig")
+
+
+def test_graph_side_modules_import_no_semigroup_module():
+    problems = []
+    for path in SOURCES:
+        if path.stem not in GRAPH_SIDE:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            problems.extend(
+                f"{path.name}:{node.lineno}: imports {name}"
+                for name in _relative_imports(node)
+                if name.split(".")[0] in SEMIGROUP_SIDE)
+    assert problems == []
