@@ -102,7 +102,7 @@ def cmd_skeletal(args) -> int:
                 f"map has {len(raw)} entries for a graph of order {g.order}")
         # a negative or missing id raises NotSurjective here
         phi = graphs.VertexMap(g.order, max(raw, default=-1) + 1, tuple(raw))
-        h, _ = skeletal.quotient_by_partition(g, phi)
+        h = skeletal.quotient_by_partition(g, phi)
         report = skeletal.verify_skeletal(g, h, phi)
         print(json.dumps(asdict(report), indent=2))
         return 0 if report.is_skeletal else 1
@@ -222,7 +222,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PigError, OSError, KeyError, ValueError) as exc:
+    except (PigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,10 +17,6 @@ class IndexOutOfRange(PigError):
     pass
 
 
-class NotAPermutation(PigError):
-    pass
-
-
 class SizeLimitExceeded(PigError):
     pass
 

@@ -11,8 +11,6 @@ from operator import itemgetter
 
 from .errors import IndexOutOfRange, MalformedDocument, NotABijection, \
     NotSimpleGraph, NotSurjective, SizeLimitExceeded, SizeMismatch
-from .families import subset_label
-from .semigroups import _check_labels
 
 ISO_MAX_ORDER = 40
 
@@ -73,9 +71,6 @@ class VertexMap:
         if set(self.map) != set(range(self.codomain_order)):
             raise NotSurjective("map does not cover the codomain")
 
-    def __getitem__(self, v: int) -> int:
-        return self.map[v]
-
     @cached_property
     def masks(self) -> tuple:
         """The fibre over each codomain vertex, as a bit-mask."""
@@ -98,6 +93,25 @@ def partition_by_key(keys) -> VertexMap:
     ids = {}
     class_of = tuple(ids.setdefault(key, len(ids)) for key in keys)
     return VertexMap(len(class_of), len(ids), class_of)
+
+
+def _check_labels(labels, n):
+    """Accept no labels, or exactly n distinct strings in a list or tuple."""
+    if labels is None:
+        return
+    if not (isinstance(labels, (list, tuple))
+            and all(isinstance(x, str) for x in labels)):
+        raise MalformedDocument("labels must be a list of strings")
+    if len(labels) != n:
+        raise SizeMismatch(f"{len(labels)} labels for order {n}")
+    if len(set(labels)) != n:
+        repeat = next(x for i, x in enumerate(labels) if labels.index(x) < i)
+        raise MalformedDocument(f"label {repeat!r} repeats")
+
+
+def subset_label(mask: int) -> str:
+    members = [str(i) for i in range(mask.bit_length()) if mask >> i & 1]
+    return "{" + ",".join(members) + "}"
 
 
 def _trusted_graph(order: int, adj: tuple, labels=None) -> Graph:

@@ -53,10 +53,11 @@ def right_pig(s: Semigroup) -> Graph:
 
 
 def left_pig_inverse_fast(s: Semigroup) -> Graph:
-    """Adjacency via the inverse-semigroup criterion x * inv(y) != zero."""
+    """Adjacency via the inverse-semigroup criterion x * inv(y) != zero:
+    a recount of left_pig from n^2 table products, not a faster path."""
     inv = inverses(s)
     if inv is None:
-        raise NotInverseSemigroup("fast path needs an inverse semigroup")
+        raise NotInverseSemigroup("the criterion needs an inverse semigroup")
     return _pig_inverse_fast(s, inv)
 
 

@@ -11,7 +11,8 @@ from itertools import chain, compress, count
 from operator import itemgetter, ne
 
 from .errors import AssociativityViolation, IndexOutOfRange, \
-    MalformedDocument, NotAPermutation, SizeMismatch
+    MalformedDocument, NotABijection, SizeMismatch
+from .graphs import _check_labels
 
 
 @dataclass(frozen=True)
@@ -22,8 +23,8 @@ class Semigroup:
     ``checked`` records whether associativity was verified exhaustively
     (family constructors that are associative by construction skip it).
     ``elements`` optionally carries structured element values (partial
-    bijections, Brandt triples, subset masks) for fast paths; it does not
-    take part in equality and is not serialized.
+    bijections, Brandt triples, subset masks) for the suites' recounts;
+    it does not take part in equality and is not serialized.
     """
 
     order: int
@@ -52,17 +53,6 @@ def _check_entries(table):
         for v in row:
             if type(v) is not int or not 0 <= v < n:
                 raise IndexOutOfRange(f"table entry {v!r} not in [0, {n})")
-
-
-def _check_labels(labels, n):
-    """Accept no labels, or exactly n strings in a list or tuple."""
-    if labels is None:
-        return
-    if not (isinstance(labels, (list, tuple))
-            and all(isinstance(x, str) for x in labels)):
-        raise MalformedDocument("labels must be a list of strings")
-    if len(labels) != n:
-        raise SizeMismatch(f"{len(labels)} labels for order {n}")
 
 
 def _check_associativity(table):
@@ -163,7 +153,7 @@ def check_involution(s: Semigroup, sigma) -> bool:
     so the law is checked one whole row against one column at a time.
     """
     if sorted(sigma) != list(range(s.order)):
-        raise NotAPermutation("sigma must permute the element indices")
+        raise NotABijection("sigma must permute the element indices")
     if any(sigma[sigma[a]] != a for a in range(s.order)):
         return False
     t = s.table

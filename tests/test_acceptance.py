@@ -173,7 +173,7 @@ def test_criterion_7_twin_spectral(isn):
     # merge of K4 onto K2: 2 is not a Laplacian eigenvalue of K4
     k4 = graphs.complete_graph(4)
     phi = skeletal.VertexMap(4, 2, (0, 0, 0, 1))
-    s = graphs.complete_graph(2).degree(phi[0])
+    s = graphs.complete_graph(2).degree(phi.map[0])
     assert s + 1 == 2
     assert spectral.eigen_multiplicity(spectral.graph_matrix(k4, "L"),
                                        s + 1) == 0

@@ -197,6 +197,18 @@ def test_directory_paths_exit_2(tmp_path, capsys):
         assert folder in err, argv
 
 
+def test_a_key_error_from_a_command_is_not_caught(tmp_path, monkeypatch):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(GRAPH))
+
+    def defect(g):
+        raise KeyError("defect")
+
+    monkeypatch.setattr("pigraphs.graphs.graph_stats", defect)
+    with pytest.raises(KeyError):
+        main(["stats", "--graph", str(graph)])
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
@@ -259,8 +271,11 @@ BAD_INPUT = {
     "edge is not a pair": ("graph", {**GRAPH, "edges": [5]}),
     "graph labels are not a list": ("graph", {**GRAPH, "labels": 5}),
     "graph labels are too few": ("graph", {**GRAPH, "labels": ["a"]}),
+    "graph labels repeat": ("graph", {**GRAPH, "labels": ["a", "b", "a"]}),
     "semigroup labels are not a list": ("semigroup",
                                         {**SEMIGROUP, "labels": 5}),
+    "semigroup labels repeat": ("semigroup", {"table": [[0, 0], [1, 1]],
+                                              "labels": ["a", "a"]}),
     "semigroup label is not a string": (
         "semigroup", {**SEMIGROUP, "labels": [3] + SEMIGROUP["labels"][1:]}),
     "table entries are bools": (
@@ -296,6 +311,8 @@ FIELD_ERRORS = {
     "semigroup order is a float": "'order' must be an integer",
     "graph has no order": "graph document has no 'order' field",
     "graph has no edges": "graph document has no 'edges' field",
+    "graph labels repeat": "label 'a' repeats",
+    "semigroup labels repeat": "label 'a' repeats",
 }
 
 

@@ -103,7 +103,7 @@ def test_partition_by_key_equals_groups_sorted_by_minimal_member():
         ordered = sorted(groups.values(), key=min)
         phi = partition_by_key(keys)
         assert phi.classes == tuple(map(tuple, ordered))
-        assert all(phi[v] == i for i, group in enumerate(ordered)
+        assert all(phi.map[v] == i for i, group in enumerate(ordered)
                    for v in group)
 
 

@@ -1,10 +1,11 @@
-from pigraphs import families
+from pigraphs import families, verify
 from pigraphs.green import (
     l_classes,
     principal_left_ideal,
     r_classes,
     right_ideals,
 )
+from pigraphs.graphs import VertexMap
 from pigraphs.semigroups import from_cayley_table, idempotents
 
 
@@ -101,3 +102,13 @@ def test_idempotent_ideal_intersection_is_product_ideal(isn):
             for f in idempotents(s):
                 lhs = principal_left_ideal(s, e) & principal_left_ideal(s, f)
                 assert lhs == principal_left_ideal(s, s.table[e][f])
+
+
+def test_suite_green_fails_classes_split_below_ideal_equality(monkeypatch):
+    # singleton classes: one ideal per class, but IS_2 has classes that
+    # share an ideal, so they are finer than ideal equality
+    monkeypatch.setattr(verify, "l_classes", lambda s: VertexMap(
+        s.order, s.order, tuple(range(s.order))))
+    result = next(c for c in verify.suite_green().checks
+                  if c.name == "classes are exactly ideal-equality classes")
+    assert not result.passed

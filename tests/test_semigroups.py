@@ -7,7 +7,7 @@ from pigraphs.errors import (
     AssociativityViolation,
     IndexOutOfRange,
     MalformedDocument,
-    NotAPermutation,
+    NotABijection,
     SizeMismatch,
 )
 from pigraphs.semigroups import (
@@ -211,7 +211,7 @@ def test_check_involution():
     assert not check_involution(lz, [0, 1])
     sl = families.subset_meet_semilattice(2)
     assert check_involution(sl, list(range(sl.order)))
-    with pytest.raises(NotAPermutation):
+    with pytest.raises(NotABijection):
         check_involution(c3, [0, 0, 1])
 
 
