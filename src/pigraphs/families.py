@@ -89,7 +89,12 @@ def partial_bijection_count(n: int) -> int:
 
 
 def symmetric_inverse(n: int) -> Semigroup:
-    """The symmetric inverse semigroup of all partial bijections on n points."""
+    """The symmetric inverse semigroup of all partial bijections on n points.
+
+    Each x is e_D * p, the idempotent on D = dom(x) and then a permutation p
+    extending x, so row x is row e_D read at the entries of row p; only the
+    2^n idempotent and n! permutation rows are composed entry by entry.
+    """
     if not 1 <= n <= ISN_MAX:
         raise SizeLimitExceeded(f"symmetric_inverse supports 1 <= n <= {ISN_MAX}")
     elems = all_partial_bijections(n)
@@ -98,14 +103,24 @@ def symmetric_inverse(n: int) -> Semigroup:
     # The padding also keeps itemgetter's result a tuple when n = 1.
     padded = [p.mapping + (None,) for p in elems]
     index = {m: i for i, m in enumerate(padded)}
-    table = tuple(
-        tuple(map(index.__getitem__,
-                  map(itemgetter(*(n if v is None else v for v in x)),
-                      padded)))
-        for x in padded
-    )
-    return _trusted_semigroup(table, tuple(p.label() for p in elems), "isn",
-                              elements=elems)
+    factors = []
+    for m in padded:
+        free = iter(set(range(n)).difference(m))
+        factors.append((
+            index[tuple(None if v is None else i for i, v in enumerate(m))],
+            index[tuple(next(free) if v is None else v for v in m[:n])
+                  + (None,)]))
+    rows = [None] * len(padded)
+    # composed rows first: x is its own e_D or its own p
+    for x in sorted(range(len(padded)), key=lambda x: x not in factors[x]):
+        e, p = factors[x]
+        if x in (e, p):
+            rows[x] = tuple(map(index.__getitem__, map(itemgetter(
+                *(n if v is None else v for v in padded[x])), padded)))
+        else:
+            rows[x] = itemgetter(*rows[p])(rows[e])
+    return _trusted_semigroup(tuple(rows), tuple(p.label() for p in elems),
+                              "isn", elements=elems)
 
 
 def _check_group(g: Semigroup):

@@ -115,6 +115,11 @@ def from_cayley_table(table, labels=None, *, unchecked=False,
     return _trusted_semigroup(table, labels, family, not unchecked)
 
 
+def _gather(keys):
+    """itemgetter(*keys), but returning a tuple for a single key too."""
+    return itemgetter(*keys) if len(keys) > 1 else lambda seq: (seq[keys[0]],)
+
+
 def idempotents(s: Semigroup) -> list:
     """Indices of all elements with e*e = e, ascending."""
     return [e for e in range(s.order) if s.table[e][e] == e]
@@ -128,13 +133,12 @@ def inverses(s: Semigroup):
     partner; otherwise ``None`` (the semigroup is not inverse).
     """
     t = s.table
-    everything = range(s.order)
     inv = []
     for x, (row, col) in enumerate(zip(t, zip(*t))):
-        # col[row[y]] is x*y*x, so this walks the y with x*y*x = x
-        xyx = map(col.__getitem__, row)
-        found = None
-        for y in compress(everything, map(x.__eq__, xyx)):
+        # col read at row holds x*y*x at y; index() finds each x*y*x = x
+        xyx, found, y = _gather(row)(col), None, -1
+        for _ in range(xyx.count(x)):
+            y = xyx.index(x, y + 1)
             if t[t[y][x]][y] == y:
                 if found is not None:
                     return None
@@ -156,20 +160,20 @@ def check_involution(s: Semigroup, sigma) -> bool:
         raise NotABijection("sigma must permute the element indices")
     if any(sigma[sigma[a]] != a for a in range(s.order)):
         return False
-    t = s.table
-    return all(
-        list(map(sigma.__getitem__, t[sigma[c]]))
-        == list(map(col.__getitem__, sigma))
-        for c, col in enumerate(zip(*t)))
+    t, image, in_sigma_order = s.table, tuple(sigma), _gather(sigma)
+    return all(_gather(t[sigma[c]])(image) == in_sigma_order(col)
+               for c, col in enumerate(zip(*t)))
 
 
 def adjoin_zero(s: Semigroup) -> Semigroup:
     """Adjoin a fresh two-sided zero as the new last element."""
     n = s.order
     table = tuple(tuple(row) + (n,) for row in s.table) + ((n,) * (n + 1),)
-    labels = None
-    if s.labels is not None:
-        labels = tuple(s.labels) + ("0*",)
+    labels = s.labels
+    if labels is not None:
+        # the first of "0*", "0**", ... that no element is labelled with
+        stars = next(k for k in count(1) if "0" + "*" * k not in labels)
+        labels = (*labels, "0" + "*" * stars)
     # adjoining an absorbing element preserves associativity, so the
     # checked status of the input carries over
     return _trusted_semigroup(table, labels, s.family, s.checked)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -150,6 +152,28 @@ def test_symmetric_inverse_table_matches_composition(n, isn):
                       for x in elems)
     assert isn[n].table == reference
     assert isn[n].elements == tuple(elems)
+
+
+def test_symmetric_inverse_5_rows_match_composition():
+    # the 2^5 idempotent and 5! permutation rows (the identity is both)
+    # are composed directly; every other row is gathered from two of them
+    s = families.symmetric_inverse(5)
+    elems = s.elements
+    index = {p.mapping: i for i, p in enumerate(elems)}
+    composed = {x for x, p in enumerate(elems)
+                if p.rank() == 5 or p.compose(p) == p}
+    assert len(composed) == 32 + 120 - 1
+    rng = random.Random(5)
+    gathered = [x for k in range(1, 5) for x in rng.sample(
+        [x for x, p in enumerate(elems)
+         if p.rank() == k and x not in composed], 2)]
+    # composed rows at a seeded third of the columns each, to stay under
+    # a second; gathered rows at every column
+    for x in sorted(composed) + gathered:
+        ys = (sorted(rng.sample(range(s.order), 512)) if x in composed
+              else range(s.order))
+        assert [s.table[x][y] for y in ys] == \
+            [index[elems[x].compose(elems[y]).mapping] for y in ys]
 
 
 def test_partial_bijection_rejects_non_injective_mapping():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pigraphs import families, verify
@@ -77,6 +79,29 @@ def test_fast_path_equivalence(isn):
               families.subset_meet_semilattice(3),
               families.cyclic_group(3)):
         assert left_pig(s).adj == left_pig_inverse_fast(s).adj
+
+
+def test_inverse_criterion_on_one_nonzero_vertex():
+    # one vertex makes the partner gather a single-index itemgetter
+    for s in (families.subset_meet_semilattice(1),
+              families.symmetric_inverse(1)):
+        g = left_pig_inverse_fast(s)
+        assert g.order == 1
+        assert g.adj == left_pig(s).adj
+
+
+def test_inverse_criterion_matches_pairwise_definition():
+    rng = random.Random(12)
+    brandt = families.brandt(families.cyclic_group(rng.randint(1, 3)),
+                             rng.randint(2, 3))
+    for s in (brandt, families.symmetric_inverse(3)):
+        inv = inverses(s)
+        verts = [x for x in range(s.order) if x != s.zero]
+        adj = tuple(
+            sum(1 << j for j, y in enumerate(verts)
+                if y != x and s.table[x][inv[y]] != s.zero)
+            for x in verts)
+        assert left_pig_inverse_fast(s).adj == adj
 
 
 def test_fast_path_requires_inverse_semigroup():

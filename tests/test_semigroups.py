@@ -240,6 +240,33 @@ def test_json_round_trip():
         assert to_json_dict(again) == doc
 
 
+def brute_inverses(s):
+    t = s.table
+    partners = [[y for y in range(s.order)
+                 if t[t[x][y]][x] == x and t[t[y][x]][y] == y]
+                for x in range(s.order)]
+    if all(len(p) == 1 for p in partners):
+        return [p[0] for p in partners]
+    return None
+
+
+def relabelled(s, rng):
+    """s with its elements renumbered by a random permutation."""
+    perm = list(range(s.order))
+    rng.shuffle(perm)
+    table = [[0] * s.order for _ in range(s.order)]
+    for x in range(s.order):
+        for y in range(s.order):
+            table[perm[x]][perm[y]] = perm[s.table[x][y]]
+    return from_cayley_table(table)
+
+
+def random_brandt(rng):
+    b = families.brandt(families.cyclic_group(rng.randint(1, 3)),
+                        rng.randint(2, 3))
+    return relabelled(b, rng)
+
+
 def pairwise_anti_involution(s, sigma):
     t = s.table
     return all(sigma[sigma[a]] == a for a in range(s.order)) and all(
@@ -262,15 +289,41 @@ def test_check_involution_rejects_planted_swap():
 
 
 def test_check_involution_matches_pairwise_definition():
+    rng = random.Random(13)
     samples = [families.brandt(families.cyclic_group(3), 2),
                families.subset_meet_semilattice(2),
-               from_cayley_table([[0]]), from_cayley_table(C2)]
+               from_cayley_table([[0]]), from_cayley_table(C2),
+               random_brandt(rng), families.symmetric_inverse(3)]
     for s in samples:
         inv = inverses(s)
-        for sigma in (inv, list(range(s.order)), inv[::-1]):
+        # a random involution: the shuffled elements swapped in pairs
+        perm = list(range(s.order))
+        rng.shuffle(perm)
+        involution = list(range(s.order))
+        for a, b in zip(perm[::2], perm[1::2]):
+            involution[a], involution[b] = b, a
+        for sigma in (inv, list(range(s.order)), inv[::-1], involution):
             if sorted(sigma) == list(range(s.order)):
                 assert check_involution(s, sigma) == \
                     pairwise_anti_involution(s, sigma)
+
+
+def test_inverses_match_pairwise_definition():
+    # the order-1 table makes every row gather a single-index itemgetter
+    rng = random.Random(11)
+    for s in (from_cayley_table([[0]]), random_brandt(rng),
+              families.symmetric_inverse(3),
+              relabelled(adjoin_zero(families.left_zero(3)), rng)):
+        assert inverses(s) == brute_inverses(s)
+    assert inverses(from_cayley_table([[0]])) == [0]
+
+
+def test_adjoin_zero_label_is_fresh_and_round_trips():
+    s = adjoin_zero(from_cayley_table([[0, 0], [1, 1]], ["a", "0*"]))
+    assert s.labels == ("a", "0*", "0**")
+    again = from_json_dict(to_json_dict(s))
+    assert again == s and again.labels == s.labels
+    assert adjoin_zero(from_cayley_table(C2, ["a", "b"])).labels[-1] == "0*"
 
 
 def test_from_json_dict_rejects_malformed_documents():

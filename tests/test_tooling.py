@@ -1,5 +1,5 @@
-"""Static checks on the package source: no asserts, no runtime deps,
-and a strict module layering.
+"""Checks on the package source: no asserts, no runtime deps, a strict
+module layering, and the same verdicts under ``python -O``.
 
 Asserts vanish under ``python -O``, so invariants must raise instead; the
 package promises pure Python, so every absolute import must name a
@@ -8,11 +8,13 @@ included, must name a module of an earlier layer.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent
-                  / "src" / "pigraphs").glob("*.py"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "pigraphs").glob("*.py"))
 
 
 def _absolute_imports(node):
@@ -78,3 +80,14 @@ def test_graph_side_modules_import_no_semigroup_module():
                 for name in _relative_imports(node)
                 if name.split(".")[0] in SEMIGROUP_SIDE)
     assert problems == []
+
+
+def test_verify_report_is_the_same_under_python_O():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = ["-m", "pigraphs.cli", "verify", "--suite", "isn", "--n", "3"]
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *argv], env=env,
+                       capture_output=True, timeout=120)
+        for flags in ([], ["-O"]))
+    assert plain.returncode == optimized.returncode == 0, optimized.stderr
+    assert optimized.stdout == plain.stdout != b""
