@@ -13,7 +13,7 @@ from operator import itemgetter
 
 from .errors import NotABijection, NotAGroup, SizeLimitExceeded
 from .graphs import subset_label
-from .semigroups import Semigroup, _trusted_semigroup
+from .semigroups import Semigroup
 
 ISN_MAX = 5
 SEMILATTICE_MAX = 5
@@ -119,8 +119,8 @@ def symmetric_inverse(n: int) -> Semigroup:
                 *(n if v is None else v for v in padded[x])), padded)))
         else:
             rows[x] = itemgetter(*rows[p])(rows[e])
-    return _trusted_semigroup(tuple(rows), tuple(p.label() for p in elems),
-                              "isn", elements=elems)
+    return Semigroup(tuple(rows), tuple(p.label() for p in elems), "isn",
+                     elements=tuple(elems))
 
 
 def _check_group(g: Semigroup):
@@ -161,8 +161,8 @@ def brandt(g: Semigroup, r: int) -> Semigroup:
     labels = tuple(
         f"({i},{g.label(a)},{j})" for (i, a, j) in triples
     ) + ("0",)
-    return _trusted_semigroup(table, labels, "brandt",
-                              elements=tuple(triples) + (None,))
+    return Semigroup(table, labels, "brandt",
+                     elements=tuple(triples) + (None,))
 
 
 def subset_meet_semilattice(n: int) -> Semigroup:
@@ -173,8 +173,8 @@ def subset_meet_semilattice(n: int) -> Semigroup:
     size = 1 << n
     table = tuple(tuple(x & y for y in range(size)) for x in range(size))
     labels = tuple(subset_label(m) for m in range(size))
-    return _trusted_semigroup(table, labels, "semilattice",
-                              elements=range(size))
+    return Semigroup(table, labels, "semilattice",
+                     elements=tuple(range(size)))
 
 
 def cyclic_group(m: int) -> Semigroup:
@@ -182,7 +182,7 @@ def cyclic_group(m: int) -> Semigroup:
     if m < 1:
         raise SizeLimitExceeded("group order must be positive")
     table = tuple(tuple((x + y) % m for y in range(m)) for x in range(m))
-    return _trusted_semigroup(table, tuple(str(x) for x in range(m)), "cyclic")
+    return Semigroup(table, tuple(str(x) for x in range(m)), "cyclic")
 
 
 def left_zero(n: int) -> Semigroup:
@@ -190,5 +190,4 @@ def left_zero(n: int) -> Semigroup:
     if n < 1:
         raise SizeLimitExceeded("order must be positive")
     table = tuple(tuple(x for _ in range(n)) for x in range(n))
-    return _trusted_semigroup(table, tuple(f"a{x}" for x in range(n)),
-                              "leftzero")
+    return Semigroup(table, tuple(f"a{x}" for x in range(n)), "leftzero")

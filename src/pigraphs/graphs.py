@@ -133,8 +133,6 @@ def from_edges(order: int, edges, labels=None) -> Graph:
         u, v = edge
         if not (0 <= u < order and 0 <= v < order):
             raise IndexOutOfRange(f"edge ({u}, {v}) not in [0, {order})")
-        if u == v:
-            continue
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(order, tuple(adj),

@@ -7,8 +7,6 @@ nonzero element.  The quotient graph has one vertex per nonzero L-class
 quotient of the full graph, and verify_skeletal checks that the quotient
 map is skeletal, i.e. that adjacency does not depend on the chosen
 representatives.
-The private helpers take layers already built, so a pipeline can build
-each layer once.
 """
 
 from .errors import (
@@ -21,8 +19,7 @@ from .errors import (
 from .families import ISN_MAX, all_partial_bijections
 from .graphs import Graph, VertexMap, _trusted_graph, \
     mask_intersection_graph, partition_by_key, verify_isomorphism
-from .green import left_ideals, right_ideals
-from .semigroups import Semigroup, _gather, check_involution, inverses
+from .semigroups import Semigroup, _gather, check_involution
 from .skeletal import _checked_quotient
 
 
@@ -45,31 +42,27 @@ def _pig(s: Semigroup, ideals) -> Graph:
 
 
 def left_pig(s: Semigroup) -> Graph:
-    return _pig(s, left_ideals(s))
+    return _pig(s, s.left_ideals)
 
 
 def right_pig(s: Semigroup) -> Graph:
-    return _pig(s, right_ideals(s))
-
-
-def left_pig_inverse_fast(s: Semigroup) -> Graph:
-    """Adjacency via the inverse-semigroup criterion x * inv(y) != zero:
-    a recount of left_pig from n^2 table products read by row gathers,
-    still slower than left_pig's ideal masks, not a faster path."""
-    inv = inverses(s)
-    if inv is None:
-        raise NotInverseSemigroup("the criterion needs an inverse semigroup")
-    return _pig_inverse_fast(s, inv)
+    return _pig(s, s.right_ideals)
 
 
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _pig_inverse_fast(s: Semigroup, inv) -> Graph:
-    """Row x marks the y with x * inv(y) != zero, read off row x at once.
+def left_pig_inverse_fast(s: Semigroup) -> Graph:
+    """Adjacency via the inverse-semigroup criterion x * inv(y) != zero:
+    a recount of left_pig from n^2 table products read by row gathers,
+    still slower than left_pig's ideal masks, not a faster path.
 
-    Symmetric since (x * inv(y))^-1 = y * inv(x) in an inverse semigroup.
+    Row x marks the y with x * inv(y) != zero, read off row x at once;
+    symmetric since (x * inv(y))^-1 = y * inv(x) in an inverse semigroup.
     """
+    inv = s.inverses
+    if inv is None:
+        raise NotInverseSemigroup("the criterion needs an inverse semigroup")
     verts = pig_vertices(s)
     products = _gather([inv[v] for v in verts])
     nonzero = bytes(x != s.zero for x in range(s.order))
@@ -111,14 +104,12 @@ def _s_pig(s: Semigroup, full: Graph, keys):
 
 def s_left_pig(s: Semigroup):
     """L-class quotient of left_pig plus the quotient vertex map."""
-    ideals = left_ideals(s)
-    return _s_pig(s, _pig(s, ideals), ideals)
+    return _s_pig(s, left_pig(s), s.left_ideals)
 
 
 def s_right_pig(s: Semigroup):
     """R-class quotient of right_pig plus the quotient vertex map."""
-    ideals = right_ideals(s)
-    return _s_pig(s, _pig(s, ideals), ideals)
+    return _s_pig(s, right_pig(s), s.right_ideals)
 
 
 def s_pig_class_elements(s: Semigroup, phi: VertexMap) -> list:
@@ -134,20 +125,15 @@ def involution_pig_isomorphism(s: Semigroup) -> list:
     Returned in vertex-position space: entry i is the right_pig vertex
     matching left_pig vertex i.
     """
-    sigma = inverses(s)
+    sigma = s.inverses
     if sigma is None:
         raise NotInverseSemigroup("the semigroup is not inverse")
-    return _involution_isomorphism(s, sigma, left_pig(s), right_pig(s))
-
-
-def _involution_isomorphism(s: Semigroup, sigma, left: Graph,
-                            right: Graph) -> list:
     if not check_involution(s, sigma):
-        raise NotInverseSemigroup("supplied map is not an involution")
+        raise NotInverseSemigroup("the inverse map is not an involution")
     verts = pig_vertices(s)
     pos = {v: i for i, v in enumerate(verts)}
     mapping = [pos[sigma[v]] for v in verts]
-    if not verify_isomorphism(left, right, mapping):
+    if not verify_isomorphism(left_pig(s), right_pig(s), mapping):
         raise IsomorphismCheckFailed(
             "involution did not carry the left graph onto the right graph")
     return mapping

@@ -1,12 +1,13 @@
 """Finite semigroups represented by Cayley tables.
 
 The table convention is row-times-column: ``table[x][y]`` is the product
-``x*y``.  All structural queries (zero, identity, idempotents, inverses)
-work off the table alone, so any associative table is accepted regardless
-of how it was produced.
+``x*y``.  All structural queries (zero, identity, ideals, idempotents,
+inverses) work off the table alone, so any associative table is accepted
+regardless of how it was produced.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, compress, count
 from operator import itemgetter, ne
 
@@ -19,25 +20,77 @@ from .graphs import _check_labels
 class Semigroup:
     """An immutable finite semigroup given by its Cayley table.
 
-    ``zero`` and ``identity`` are detected at construction and cached.
-    ``checked`` records whether associativity was verified exhaustively
-    (family constructors that are associative by construction skip it).
-    ``elements`` optionally carries structured element values (partial
-    bijections, Brandt triples, subset masks) for the suites' recounts;
-    it does not take part in equality and is not serialized.
+    The fields are the inputs only.  ``checked`` records whether
+    associativity was verified exhaustively (family constructors that are
+    associative by construction skip it).  ``elements`` optionally carries
+    structured element values (partial bijections, Brandt triples, subset
+    masks) for the suites' recounts; it does not take part in equality and
+    is not serialized.  Everything the table determines (order, zero,
+    identity, principal ideals, inverse map) is a cached attribute, so it
+    is computed once per semigroup and cannot disagree with the table.
+    The constructor trusts its square tuple table; ``from_cayley_table``
+    validates any other.
     """
 
-    order: int
     table: tuple
     labels: tuple | None = None
-    zero: int | None = None
-    identity: int | None = None
     family: str | None = None
-    checked: bool = field(default=True, compare=False)
+    checked: bool = field(default=False, compare=False)
     elements: tuple | None = field(default=None, compare=False)
 
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels is not None else str(x)
+
+    @cached_property
+    def order(self) -> int:
+        return len(self.table)
+
+    @cached_property
+    def zero(self) -> int | None:
+        return _two_sided(self.table, lambda x, y: x)
+
+    @cached_property
+    def identity(self) -> int | None:
+        return _two_sided(self.table, lambda x, y: y)
+
+    @cached_property
+    def left_ideals(self) -> tuple:
+        """Every principal left ideal, each read off its column."""
+        return tuple(_ideal(a, col) for a, col in enumerate(zip(*self.table)))
+
+    @cached_property
+    def right_ideals(self) -> tuple:
+        """Every principal right ideal, each read off its row."""
+        return tuple(_ideal(a, row) for a, row in enumerate(self.table))
+
+    @cached_property
+    def inverses(self) -> tuple | None:
+        """The inverse map of an inverse semigroup, or ``None``.
+
+        ``inv[x]`` satisfies ``x*inv[x]*x = x`` and
+        ``inv[x]*x*inv[x] = inv[x]`` when every element has exactly one
+        such partner; otherwise the semigroup is not inverse.
+        """
+        t = self.table
+        inv = []
+        for x, (row, col) in enumerate(zip(t, zip(*t))):
+            # col read at row holds x*y*x at y; index() finds each x*y*x = x
+            xyx, found, y = _gather(row)(col), None, -1
+            for _ in range(xyx.count(x)):
+                y = xyx.index(x, y + 1)
+                if t[t[y][x]][y] == y:
+                    if found is not None:
+                        return None
+                    found = y
+            if found is None:
+                return None
+            inv.append(found)
+        return tuple(inv)
+
+
+def _ideal(a: int, products) -> int:
+    """Bit-set (a Python int) of the given products together with a."""
+    return sum(map((1).__lshift__, set(products))) | 1 << a
 
 
 def _check_entries(table):
@@ -83,22 +136,6 @@ def _two_sided(table, value):
     return None
 
 
-def _trusted_semigroup(table, labels=None, family=None, checked=False,
-                       elements=None) -> Semigroup:
-    """A Semigroup from a square tuple table whose entries are already
-    known to be valid; the zero and the identity are read off the table."""
-    return Semigroup(
-        order=len(table),
-        table=table,
-        labels=tuple(labels) if labels is not None else None,
-        zero=_two_sided(table, lambda x, y: x),
-        identity=_two_sided(table, lambda x, y: y),
-        family=family,
-        checked=checked,
-        elements=tuple(elements) if elements is not None else None,
-    )
-
-
 def from_cayley_table(table, labels=None, *, unchecked=False,
                       family=None) -> Semigroup:
     """Build a validated :class:`Semigroup` from a square table.
@@ -112,7 +149,8 @@ def from_cayley_table(table, labels=None, *, unchecked=False,
     _check_labels(labels, len(table))
     if not unchecked:
         _check_associativity(table)
-    return _trusted_semigroup(table, labels, family, not unchecked)
+    return Semigroup(table, tuple(labels) if labels is not None else None,
+                     family, not unchecked)
 
 
 def _gather(keys):
@@ -123,30 +161,6 @@ def _gather(keys):
 def idempotents(s: Semigroup) -> list:
     """Indices of all elements with e*e = e, ascending."""
     return [e for e in range(s.order) if s.table[e][e] == e]
-
-
-def inverses(s: Semigroup):
-    """The inverse map of an inverse semigroup, or ``None``.
-
-    Returns a list ``inv`` with ``x*inv[x]*x = x`` and
-    ``inv[x]*x*inv[x] = inv[x]`` when every element has exactly one such
-    partner; otherwise ``None`` (the semigroup is not inverse).
-    """
-    t = s.table
-    inv = []
-    for x, (row, col) in enumerate(zip(t, zip(*t))):
-        # col read at row holds x*y*x at y; index() finds each x*y*x = x
-        xyx, found, y = _gather(row)(col), None, -1
-        for _ in range(xyx.count(x)):
-            y = xyx.index(x, y + 1)
-            if t[t[y][x]][y] == y:
-                if found is not None:
-                    return None
-                found = y
-        if found is None:
-            return None
-        inv.append(found)
-    return inv
 
 
 def check_involution(s: Semigroup, sigma) -> bool:
@@ -176,7 +190,7 @@ def adjoin_zero(s: Semigroup) -> Semigroup:
         labels = (*labels, "0" + "*" * stars)
     # adjoining an absorbing element preserves associativity, so the
     # checked status of the input carries over
-    return _trusted_semigroup(table, labels, s.family, s.checked)
+    return Semigroup(table, labels, s.family, s.checked)
 
 
 def to_json_dict(s: Semigroup) -> dict:

@@ -86,15 +86,13 @@ class TwinClassSpectral:
     adjacency_multiplicity: int
     laplacian_multiplicity: int
     signless_multiplicity: int
-    eigenvector_verified: bool
 
     @property
     def passed(self) -> bool:
         need = self.size - 1
         return (self.adjacency_multiplicity >= need
                 and self.laplacian_multiplicity >= need
-                and self.signless_multiplicity >= need
-                and self.eigenvector_verified)
+                and self.signless_multiplicity >= need)
 
 
 @dataclass(frozen=True)
@@ -147,6 +145,5 @@ def twin_spectral_report(g: Graph) -> TwinSpectralReport:
             adjacency_multiplicity=multiplicity("A", -1),
             laplacian_multiplicity=multiplicity("L", d + 1),
             signless_multiplicity=multiplicity("Q", d - 1),
-            eigenvector_verified=True,
         )
         for cls, d in zip(blocks, degrees) if len(cls) >= 2))

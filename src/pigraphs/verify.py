@@ -10,9 +10,8 @@ from dataclasses import dataclass
 
 from . import families, graphs, pig, skeletal, spectral
 from .errors import PigError
-from .green import l_classes, left_ideals, principal_left_ideal, \
-    right_ideals
-from .semigroups import idempotents, inverses
+from .green import l_classes, principal_left_ideal, r_classes
+from .semigroups import idempotents
 
 
 @dataclass(frozen=True)
@@ -58,19 +57,17 @@ def suite_isn(n: int = 3) -> SuiteResult:
     _check(checks, "idempotent count is 2^n",
            len(idempotents(s)) == 1 << n)
 
-    # each layer is built once and handed on; the three left graphs stay
-    # independent recounts (ideals, table plus inverses, image masks)
-    lideals, rideals = left_ideals(s), right_ideals(s)
-    inv = inverses(s)
-    full = pig._pig(s, lideals)
+    # s caches its ideals and inverses, so each layer is computed once; the
+    # three left graphs stay independent recounts (ideals, table plus
+    # inverses, image masks)
+    full = pig.left_pig(s)
     _check(checks, "inverse criterion graph equals ideal-intersection graph",
-           full.adj == pig._pig_inverse_fast(s, inv).adj)
+           full.adj == pig.left_pig_inverse_fast(s).adj)
     _check(checks, "image-intersection graph equals ideal-intersection graph",
            full.adj == pig.isn_left_pig(n).adj)
 
     elems = s.elements
-    lp = graphs.partition_by_key(lideals)
-    rp = graphs.partition_by_key(rideals)
+    lp, rp = l_classes(s), r_classes(s)
     _check(checks, "left classes grouped by image",
            all(len({elems[x].image_mask() for x in cls}) == 1
                for cls in lp.classes)
@@ -80,7 +77,7 @@ def suite_isn(n: int = 3) -> SuiteResult:
                for cls in rp.classes)
            and rp.codomain_order == 1 << n)
 
-    quotient, phi = pig._s_pig(s, full, lideals)
+    quotient, phi = pig.s_left_pig(s)
     _check(checks, "quotient vertex count is 2^n - 1",
            quotient.order == (1 << n) - 1)
     class_elems = pig.s_pig_class_elements(s, phi)
@@ -103,8 +100,7 @@ def suite_isn(n: int = 3) -> SuiteResult:
            graphs.are_isomorphic(quotient, inter) is not None)
 
     _check_runs(checks, "inversion maps the left graph onto the right graph",
-                lambda: pig._involution_isomorphism(s, inv, full,
-                                                    pig._pig(s, rideals)))
+                lambda: pig.involution_pig_isomorphism(s))
     _check(checks, "left graph of a monoid is connected",
            graphs.graph_stats(full).is_connected)
     return SuiteResult("isn", tuple(checks))

@@ -300,6 +300,7 @@ BAD_INPUT = {
     "semigroup order is a float": ("semigroup", {**SEMIGROUP, "order": 7.0}),
     "graph has no order": ("graph", {"labels": None, "edges": []}),
     "graph has no edges": ("graph", {"order": 3, "labels": None}),
+    "edge is a loop": ("graph", {"order": 2, "edges": [[0, 0], [0, 1]]}),
 }
 # the exact error line of the cases that must name a field
 FIELD_ERRORS = {

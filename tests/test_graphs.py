@@ -293,6 +293,14 @@ def test_from_edges_rejects_out_of_range_endpoints():
             from_edges(3, [edge])
 
 
+def test_from_edges_rejects_loops():
+    # a loop sets its own bit, which Graph turns away as not simple
+    with pytest.raises(NotSimpleGraph, match="^vertex 0 has a loop$"):
+        from_edges(2, [(0, 0), (0, 1)])
+    with pytest.raises(NotSimpleGraph):
+        cycle_graph(1)
+
+
 def test_from_edges_rejects_malformed_input():
     bad = [("2", []), (True, []), (2.0, []), (-1, []),
            (2, [("a", 0)]), (2, [(True, False)]), (2, [(0.5, 1)]),

@@ -3,7 +3,6 @@ from pigraphs.green import (
     l_classes,
     principal_left_ideal,
     r_classes,
-    right_ideals,
 )
 from pigraphs.graphs import VertexMap
 from pigraphs.semigroups import from_cayley_table, idempotents
@@ -18,7 +17,7 @@ def test_semilattice_ideal_is_the_downset():
     for a in range(s.order):
         downset = {b for b in range(s.order) if b & a == b}
         assert as_set(principal_left_ideal(s, a)) == downset
-        assert as_set(right_ideals(s)[a]) == downset
+        assert as_set(s.right_ideals[a]) == downset
 
 
 def test_brandt_ideals():
@@ -27,12 +26,12 @@ def test_brandt_ideals():
     left = {i for i, t in enumerate(s.elements[:-1]) if t[2] == 1}
     assert as_set(principal_left_ideal(s, a)) == left | {s.zero}
     right = {i for i, t in enumerate(s.elements[:-1]) if t[0] == 0}
-    assert as_set(right_ideals(s)[a]) == right | {s.zero}
+    assert as_set(s.right_ideals[a]) == right | {s.zero}
 
 
 def test_left_zero_right_ideal_is_singleton():
     s = families.left_zero(2)
-    assert as_set(right_ideals(s)[0]) == {0}
+    assert as_set(s.right_ideals[0]) == {0}
 
 
 def test_identity_generates_everything(isn):

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
+from functools import cached_property
 
 import pytest
 
-from pigraphs import families, verify
+from pigraphs import families, semigroups, verify
 from pigraphs.errors import (
     EmptyVertexSet,
     InconsistentQuotient,
@@ -29,8 +31,7 @@ from pigraphs.pig import (
     _s_pig,
     s_right_pig,
 )
-from pigraphs.semigroups import adjoin_zero, from_cayley_table, idempotents, \
-    inverses
+from pigraphs.semigroups import adjoin_zero, from_cayley_table, idempotents
 from pigraphs.skeletal import max_skeletal, verify_skeletal
 
 
@@ -95,7 +96,7 @@ def test_inverse_criterion_matches_pairwise_definition():
     brandt = families.brandt(families.cyclic_group(rng.randint(1, 3)),
                              rng.randint(2, 3))
     for s in (brandt, families.symmetric_inverse(3)):
-        inv = inverses(s)
+        inv = s.inverses
         verts = [x for x in range(s.order) if x != s.zero]
         adj = tuple(
             sum(1 << j for j, y in enumerate(verts)
@@ -195,7 +196,7 @@ def test_involution_isomorphism(isn):
     mapping = involution_pig_isomorphism(s)
     assert verify_isomorphism(left_pig(s), right_pig(s), mapping)
     b = families.brandt(families.cyclic_group(2), 2)
-    inv = inverses(b)
+    inv = b.inverses
     for x, (i, g, j) in enumerate(b.elements[:-1]):
         # C2 elements are self-inverse, so (i,g,j) inverts to (j,g,i)
         assert b.elements[inv[x]] == (j, g, i)
@@ -258,3 +259,34 @@ def test_s_pig_rejects_representative_dependent_partitions(isn):
             & {a, b}
     # the L-classes themselves pass
     _s_pig(s, full, images)
+
+
+def test_each_layer_is_built_once(monkeypatch):
+    """The ideals and the inverse map are read off the table once per
+    semigroup, however many graphs and partitions are built from them."""
+    s = families.symmetric_inverse(3)
+    passes = Counter()
+    ideal, search = semigroups._ideal, semigroups.Semigroup.inverses.func
+
+    def counted_ideal(a, products):
+        # the right pass hands over the row itself, the left one a column
+        passes["right" if products is s.table[a] else "left", a] += 1
+        return ideal(a, products)
+
+    def counted_search(t):
+        passes["inverse search"] += 1
+        return search(t)
+
+    inverses = cached_property(counted_search)
+    inverses.__set_name__(semigroups.Semigroup, "inverses")
+    monkeypatch.setattr(semigroups, "_ideal", counted_ideal)
+    monkeypatch.setattr(semigroups.Semigroup, "inverses", inverses)
+    left_pig(s)
+    s_left_pig(s)
+    l_classes(s)
+    left_pig_inverse_fast(s)
+    involution_pig_isomorphism(s)
+    assert s.order == 34
+    assert passes == Counter({**{(side, a): 1 for side in ("left", "right")
+                                 for a in range(34)},
+                              "inverse search": 1})

@@ -11,12 +11,12 @@ from pigraphs.errors import (
     SizeMismatch,
 )
 from pigraphs.semigroups import (
+    Semigroup,
     adjoin_zero,
     check_involution,
     from_cayley_table,
     from_json_dict,
     idempotents,
-    inverses,
     to_json_dict,
 )
 
@@ -174,9 +174,9 @@ def test_idempotents():
 
 def test_inverses_group_and_isn():
     s = from_cayley_table(C2)
-    assert inverses(s) == [0, 1]
+    assert s.inverses == (0, 1)
     s2 = families.symmetric_inverse(2)
-    inv = inverses(s2)
+    inv = s2.inverses
     assert inv is not None
     for x, pb in enumerate(s2.elements):
         assert s2.elements[inv[x]] == pb.inverse()
@@ -185,14 +185,14 @@ def test_inverses_group_and_isn():
 def test_inverses_absent_for_left_zero_with_zero():
     s = adjoin_zero(families.left_zero(3))
     # x*y*x = x for every y, so inverse partners are not unique
-    assert inverses(s) is None
+    assert s.inverses is None
 
 
 def test_inverse_laws_and_commuting_idempotents():
     for s in (from_cayley_table(C2), families.symmetric_inverse(3),
               families.brandt(families.cyclic_group(2), 2),
               families.subset_meet_semilattice(3)):
-        inv = inverses(s)
+        inv = s.inverses
         assert inv is not None
         for x in range(s.order):
             assert s.table[s.table[x][inv[x]]][x] == x
@@ -246,7 +246,7 @@ def brute_inverses(s):
                  if t[t[x][y]][x] == x and t[t[y][x]][y] == y]
                 for x in range(s.order)]
     if all(len(p) == 1 for p in partners):
-        return [p[0] for p in partners]
+        return tuple(p[0] for p in partners)
     return None
 
 
@@ -276,7 +276,7 @@ def pairwise_anti_involution(s, sigma):
 
 def test_check_involution_rejects_planted_swap():
     s = families.symmetric_inverse(3)
-    inv = inverses(s)
+    inv = s.inverses
     idem = idempotents(s)
     assert all(inv[e] == e for e in idem)
     for e, f in [(idem[1], idem[-1]), (idem[2], idem[3])]:
@@ -295,7 +295,7 @@ def test_check_involution_matches_pairwise_definition():
                from_cayley_table([[0]]), from_cayley_table(C2),
                random_brandt(rng), families.symmetric_inverse(3)]
     for s in samples:
-        inv = inverses(s)
+        inv = s.inverses
         # a random involution: the shuffled elements swapped in pairs
         perm = list(range(s.order))
         rng.shuffle(perm)
@@ -314,8 +314,8 @@ def test_inverses_match_pairwise_definition():
     for s in (from_cayley_table([[0]]), random_brandt(rng),
               families.symmetric_inverse(3),
               relabelled(adjoin_zero(families.left_zero(3)), rng)):
-        assert inverses(s) == brute_inverses(s)
-    assert inverses(from_cayley_table([[0]])) == [0]
+        assert s.inverses == brute_inverses(s)
+    assert from_cayley_table([[0]]).inverses == (0,)
 
 
 def test_adjoin_zero_label_is_fresh_and_round_trips():
@@ -358,3 +358,16 @@ def test_from_json_dict_checks_associativity_up_to_order_256():
     with pytest.raises(AssociativityViolation):
         from_json_dict(spoiled_left_zero(256))
     assert not from_json_dict(spoiled_left_zero(257)).checked
+
+
+def test_derived_attributes_come_from_the_table_alone():
+    tables = [families.symmetric_inverse(2).table,
+              families.brandt(families.cyclic_group(2), 2).table,
+              families.subset_meet_semilattice(2).table,
+              families.cyclic_group(3).table, families.left_zero(3).table,
+              adjoin_zero(families.left_zero(2)).table]
+    for t in tables:
+        bare, built = Semigroup(t), from_cayley_table(t)
+        assert (bare.order, bare.zero, bare.identity) == \
+            (built.order, built.zero, built.identity)
+        assert bare == built and not bare.checked and built.checked

@@ -1,10 +1,12 @@
 """Checks on the package source: no asserts, no runtime deps, a strict
-module layering, and the same verdicts under ``python -O``.
+module layering, front ends that use only public names, and the same
+verdicts under ``python -O``.
 
 Asserts vanish under ``python -O``, so invariants must raise instead; the
 package promises pure Python, so every absolute import must name a
 standard-library module; and every relative import, function-level ones
-included, must name a module of an earlier layer.
+included, must name a module of an earlier layer.  The front ends reach
+the layers only through public names, so each layer has one way in.
 """
 
 import ast
@@ -79,6 +81,34 @@ def test_graph_side_modules_import_no_semigroup_module():
                 f"{path.name}:{node.lineno}: imports {name}"
                 for name in _relative_imports(node)
                 if name.split(".")[0] in SEMIGROUP_SIDE)
+    assert problems == []
+
+
+# the front ends: they reach the layers only through their public names
+FRONT_ENDS = ("verify", "cli")
+
+
+def _private_reaches(tree):
+    """`from .x import _y` names, and `m._y` on a module m got by
+    `from . import m`."""
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               and node.module is None for alias in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            yield from (f"{node.lineno}: imports {alias.name}"
+                        for alias in node.names
+                        if alias.name.startswith("_"))
+        elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            yield f"{node.lineno}: reads {node.value.id}.{node.attr}"
+
+
+def test_front_ends_use_only_public_names():
+    problems = [f"{stem}.py:{problem}" for stem in FRONT_ENDS
+                for problem in _private_reaches(ast.parse(
+                    (SRC / "pigraphs" / f"{stem}.py").read_text()))]
     assert problems == []
 
 
