@@ -16,8 +16,12 @@ from .green import l_classes, r_classes
 
 
 def _read_json(path: str):
+    """The parsed document; any decoding failure is a MalformedDocument."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise MalformedDocument(f"{path} is not JSON: {exc}") from None
 
 
 def _write(text: str, out: str | None):
@@ -222,7 +226,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PigError, OSError, ValueError) as exc:
+    except (PigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

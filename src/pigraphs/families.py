@@ -88,6 +88,10 @@ def partial_bijection_count(n: int) -> int:
     return sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
 
 
+# no family table is larger than the largest IS_n table
+FAMILY_MAX_ORDER = partial_bijection_count(ISN_MAX)
+
+
 def symmetric_inverse(n: int) -> Semigroup:
     """The symmetric inverse semigroup of all partial bijections on n points.
 
@@ -143,11 +147,14 @@ def brandt(g: Semigroup, r: int) -> Semigroup:
     """
     if r < 1:
         raise NotAGroup("index count must be positive")
+    order = r * r * g.order + 1
+    if order > FAMILY_MAX_ORDER:
+        raise SizeLimitExceeded(
+            f"Brandt order {order} exceeds {FAMILY_MAX_ORDER}")
     _check_group(g)
     triples = [(i, a, j) for i in range(r) for a in range(g.order)
                for j in range(r)]
     index = {t: k for k, t in enumerate(triples)}
-    order = len(triples) + 1
     zero = order - 1
     table = []
     for (i, a, j) in triples:
@@ -179,15 +186,16 @@ def subset_meet_semilattice(n: int) -> Semigroup:
 
 def cyclic_group(m: int) -> Semigroup:
     """Addition modulo m."""
-    if m < 1:
-        raise SizeLimitExceeded("group order must be positive")
+    if not 1 <= m <= FAMILY_MAX_ORDER:
+        raise SizeLimitExceeded(
+            f"group order must be in [1, {FAMILY_MAX_ORDER}]")
     table = tuple(tuple((x + y) % m for y in range(m)) for x in range(m))
     return Semigroup(table, tuple(str(x) for x in range(m)), "cyclic")
 
 
 def left_zero(n: int) -> Semigroup:
     """The left zero semigroup: x*y = x."""
-    if n < 1:
-        raise SizeLimitExceeded("order must be positive")
+    if not 1 <= n <= FAMILY_MAX_ORDER:
+        raise SizeLimitExceeded(f"order must be in [1, {FAMILY_MAX_ORDER}]")
     table = tuple(tuple(x for _ in range(n)) for x in range(n))
     return Semigroup(table, tuple(f"a{x}" for x in range(n)), "leftzero")

@@ -231,14 +231,13 @@ def mask_intersection_graph(masks, labels=None) -> Graph:
     Vertices with equal masks share one row, so only the distinct masks
     are intersected pairwise.  A zero mask leaves its vertex isolated.
     """
-    members = {}
-    for v, m in enumerate(masks):
-        members[m] = members.get(m, 0) | 1 << v
-    row_of = {m: sum(vs for other, vs in members.items() if m & other)
-              for m in members}
+    groups = partition_by_key(masks)
+    distinct = [masks[cls[0]] for cls in groups.classes]
+    rows = [sum(vs for other, vs in zip(distinct, groups.masks) if m & other)
+            for m in distinct]
     return _trusted_graph(
         len(masks),
-        tuple(row_of[m] & ~(1 << v) for v, m in enumerate(masks)),
+        tuple(rows[p] & ~(1 << v) for v, p in enumerate(groups.map)),
         labels)
 
 
@@ -282,68 +281,49 @@ def verify_isomorphism(g: Graph, h: Graph, mapping) -> bool:
                for row, image in zip(g.adj, mapping))
 
 
-def _joint_refinement(g: Graph, h: Graph):
-    """Iterated degree refinement over both graphs with shared color ids."""
-    cg = [g.degree(v) for v in range(g.order)]
-    ch = [h.degree(v) for v in range(h.order)]
-    for _ in range(g.order):
-        sg = [(cg[v], tuple(sorted(cg[u] for u in bits(g.adj[v]))))
-              for v in range(g.order)]
-        sh = [(ch[v], tuple(sorted(ch[u] for u in bits(h.adj[v]))))
-              for v in range(h.order)]
-        ids = {sig: i for i, sig in enumerate(sorted(set(sg) | set(sh)))}
-        ng = [ids[s] for s in sg]
-        nh = [ids[s] for s in sh]
-        if ng == cg and nh == ch:
-            break
-        cg, ch = ng, nh
-    return cg, ch
-
-
 def are_isomorphic(g: Graph, h: Graph, max_order: int = ISO_MAX_ORDER):
     """A vertex bijection preserving (non-)adjacency, or None.
 
-    Backtracking over color classes produced by iterated degree
-    refinement; intended for small orders.
+    Degree colours are refined on the disjoint union of g and h (h's
+    vertices shifted up by g's order), so both graphs share one set of
+    colour ids; then a backtracking search over the colour classes;
+    intended for small orders.
     """
     if g.order != h.order:
         return None
     if g.order > max_order:
         raise SizeLimitExceeded(
             f"isomorphism search guarded at order {max_order}")
-    cg, ch = _joint_refinement(g, h)
+    n = g.order
+    adj = g.adj + tuple(row << n for row in h.adj)
+    colour, classes = partition_by_key(row.bit_count() for row in adj), 0
+    # a round only splits classes; stop after the first that splits none
+    while colour.codomain_order > classes:
+        classes, c = colour.codomain_order, colour.map
+        colour = partition_by_key(
+            (c[v], tuple(sorted(c[u] for u in bits(row))))
+            for v, row in enumerate(adj))
+    cg, ch = colour.map[:n], colour.map[n:]
     if sorted(cg) != sorted(ch):
         return None
-    candidates = {v: [u for u in range(h.order) if ch[u] == cg[v]]
-                  for v in range(g.order)}
-    order = sorted(range(g.order), key=lambda v: (len(candidates[v]), -g.degree(v)))
-    mapping = [-1] * g.order
-    used = [False] * h.order
+    candidates = [[u for u in range(n) if ch[u] == cg[v]] for v in range(n)]
+    order = sorted(range(n), key=lambda v: (len(candidates[v]), -g.degree(v)))
+    mapping = [-1] * n
 
-    def extend(i):
-        if i == g.order:
+    def extend(i, used):
+        if i == n:
             return True
         v = order[i]
         for u in candidates[v]:
-            if used[u]:
-                continue
-            ok = True
-            for w in order[:i]:
-                if g.has_edge(v, w) != h.has_edge(u, mapping[w]):
-                    ok = False
-                    break
-            if ok:
+            if not used >> u & 1 and all(
+                    g.has_edge(v, w) == h.has_edge(u, mapping[w])
+                    for w in order[:i]):
                 mapping[v] = u
-                used[u] = True
-                if extend(i + 1):
+                if extend(i + 1, used | 1 << u):
                     return True
-                used[u] = False
-                mapping[v] = -1
         return False
 
-    if extend(0):
-        return mapping
-    return None
+    return mapping if extend(0, 0) else None
 
 
 def to_json_dict(g: Graph) -> dict:

@@ -6,7 +6,8 @@ nonzero element.  The quotient graph has one vertex per nonzero L-class
 (or R-class), ordered by minimal representative.  It is the partition
 quotient of the full graph, and verify_skeletal checks that the quotient
 map is skeletal, i.e. that adjacency does not depend on the chosen
-representatives.
+representatives.  Vertices carry their elements' labels (the index when
+the table has none); a quotient vertex is "[x]", x its least member's.
 """
 
 from .errors import (
@@ -33,12 +34,9 @@ def pig_vertices(s: Semigroup) -> list:
 
 def _pig(s: Semigroup, ideals) -> Graph:
     verts = pig_vertices(s)
-    nonzero = (1 << s.order) - 1
-    if s.zero is not None:
-        nonzero ^= 1 << s.zero
-    labels = tuple(s.label(v) for v in verts) if s.labels else None
+    nonzero = sum(1 << v for v in verts)
     return mask_intersection_graph([ideals[v] & nonzero for v in verts],
-                                   labels)
+                                   tuple(map(s.label, verts)))
 
 
 def left_pig(s: Semigroup) -> Graph:
@@ -72,8 +70,7 @@ def left_pig_inverse_fast(s: Semigroup) -> Graph:
         # int() reads the highest bit first, so the flags go in reversed
         row = int(flags[::-1].translate(_BINARY_DIGITS), 2)
         adj.append(row & ~(1 << i))
-    labels = tuple(s.label(v) for v in verts) if s.labels else None
-    return _trusted_graph(len(verts), tuple(adj), labels)
+    return _trusted_graph(len(verts), tuple(adj), tuple(map(s.label, verts)))
 
 
 def isn_left_pig(n: int) -> Graph:
@@ -96,10 +93,8 @@ def _s_pig(s: Semigroup, full: Graph, keys):
         raise InconsistentQuotient(
             f"class quotient depends on the representative: element {x} "
             f"vs element {y}", (x, y)) from None
-    if quotient.labels is not None:
-        quotient = _trusted_graph(quotient.order, quotient.adj,
-                                  tuple(f"[{x}]" for x in quotient.labels))
-    return quotient, phi
+    return _trusted_graph(quotient.order, quotient.adj,
+                          tuple(f"[{x}]" for x in quotient.labels)), phi
 
 
 def s_left_pig(s: Semigroup):

@@ -158,7 +158,11 @@ def brute_force_has_proper_skeletal(g: Graph) -> bool:
 
 
 def has_two_block_skeletal(g: Graph) -> bool:
-    """Whether some surjection onto K2 (one edge, two vertices) is skeletal."""
+    """Whether some surjection onto K2 (one edge, two vertices) is skeletal.
+
+    Every closed row must then hold both blocks, so this holds iff g is
+    complete with order >= 2; the mask search is kept as the oracle.
+    """
     closed = [row | 1 << v for v, row in enumerate(g.adj)]
     full = (1 << g.order) - 1
     # n-1 is never in mask; in a skeletal quotient its block shares its closed

@@ -50,6 +50,13 @@ def test_build_left_zero_with_zero(tmp_path, capsys):
 def test_build_invalid_params(capsys):
     code, _, err = run(capsys, "build", "--family", "isn", "--n", "9")
     assert code == 2 and "error" in err
+    # families stop at the IS_5 order, 1,546; a Brandt order is r^2 |G| + 1
+    for argv in (["build", "--family", "cyclic", "--n", "100000"],
+                 ["build", "--family", "leftzero", "--n", "1547"],
+                 ["verify", "--suite", "brandt", "--group-order", "2",
+                  "--indices", "28"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: "), argv
 
 
 def test_graph_spig_edges(tmp_path, capsys):
@@ -71,6 +78,20 @@ def test_graph_brandt_json(tmp_path, capsys):
     assert code == 0
     doc = json.loads(gpath.read_text())
     assert doc["order"] == 4 and len(doc["edges"]) == 2
+
+
+def test_unlabelled_table_graphs_name_vertices_by_element(tmp_path, capsys):
+    # element 0 is the zero, so the one vertex is element 1
+    sg = tmp_path / "sg.json"
+    sg.write_text(json.dumps({"table": [[0, 0], [0, 1]]}))
+    graph = ["graph", "--input", str(sg)]
+    for side in ("left", "right"):
+        code, out, _ = run(capsys, *graph, "--side", side, "--format", "dot")
+        assert code == 0 and out == 'graph {\n  "1";\n}\n'
+        code, out, _ = run(capsys, *graph, "--side", side)
+        assert code == 0 and json.loads(out)["labels"] == ["1"]
+        code, out, _ = run(capsys, *graph, "--side", side, "--variant", "spig")
+        assert code == 0 and json.loads(out)["labels"] == ["[1]"]
 
 
 def test_graph_output_is_deterministic(tmp_path, capsys):
@@ -207,6 +228,40 @@ def test_a_key_error_from_a_command_is_not_caught(tmp_path, monkeypatch):
     monkeypatch.setattr("pigraphs.graphs.graph_stats", defect)
     with pytest.raises(KeyError):
         main(["stats", "--graph", str(graph)])
+
+
+def test_a_value_error_from_a_command_is_not_caught(tmp_path, monkeypatch):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(GRAPH))
+
+    def defect(g):
+        raise ValueError("defect")
+
+    monkeypatch.setattr("pigraphs.graphs.graph_stats", defect)
+    with pytest.raises(ValueError):
+        main(["stats", "--graph", str(graph)])
+
+
+def test_undecodable_documents_exit_2(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(GRAPH))
+    contents = {"deep.json": b"[" * 100_000 + b"]" * 100_000,
+                "text.json": b"not json",
+                "non_utf8.json": b'{"order": 0, "labels": ["caf\xe9"]}'}
+    for name, data in contents.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        for argv in (["stats", "--graph", path],
+                     ["graph", "--input", path],
+                     ["classes", "--input", path],
+                     ["skeletal", "--graph", path, "--op", "max"],
+                     ["skeletal", "--graph", good, "--op", "check",
+                      "--map", path],
+                     ["spectral", "--graph", path]):
+            code, out, err = run(capsys, *map(str, argv))
+            assert code == 2 and out == "", (name, argv)
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert str(path) in err, (name, argv)
 
 
 def test_parser_is_built_once():

@@ -156,6 +156,24 @@ def test_isomorphism_basics():
     assert found is not None and verify_isomorphism(c5, c5, found)
     assert are_isomorphic(cycle_graph(4), complete_graph(4)) is None
     assert are_isomorphic(path_graph(4), from_edges(4, [(0, 1), (0, 2), (0, 3)])) is None
+    # regular graphs that colour refinement cannot split
+    cube = from_edges(8, [(u, u ^ 1 << b) for u in range(8) for b in range(3)
+                          if u < u ^ 1 << b])
+    wagner = from_edges(8, [(v, (v + 1) % 8) for v in range(8)]
+                        + [(v, v + 4) for v in range(4)])
+    assert are_isomorphic(cube, wagner) is None
+    two_c4 = from_edges(8, [(v, v + 1 - 4 * (v % 4 == 3)) for v in range(8)])
+    assert are_isomorphic(cycle_graph(8), two_c4) is None
+    petersen = from_edges(10, [(v, (v + 1) % 5) for v in range(5)]
+                          + [(v, v + 5) for v in range(5)]
+                          + [(v + 5, (v + 2) % 5 + 5) for v in range(5)])
+    assert are_isomorphic(Graph(0, ()), Graph(0, ())) == []
+    rng = random.Random(13)
+    for g, limit in ((petersen, 10), (intersection_graph(6), 63)):
+        perm = rng.sample(range(g.order), g.order)
+        h = from_edges(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
+        found = are_isomorphic(g, h, max_order=limit)
+        assert found is not None and verify_isomorphism(g, h, found)
 
 
 def test_isomorphism_guard():
