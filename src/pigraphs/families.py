@@ -95,9 +95,11 @@ FAMILY_MAX_ORDER = partial_bijection_count(ISN_MAX)
 def symmetric_inverse(n: int) -> Semigroup:
     """The symmetric inverse semigroup of all partial bijections on n points.
 
-    Each x is e_D * p, the idempotent on D = dom(x) and then a permutation p
-    extending x, so row x is row e_D read at the entries of row p; only the
-    2^n idempotent and n! permutation rows are composed entry by entry.
+    IS_n is generated by the n-cycle, the transposition (0 1) and the
+    partial identity on {1..n-1} (Gomes and Howie 1987), so a
+    breadth-first walk over x -> x*g from the generators g reaches every
+    element.  Only the three generator rows are composed entry by entry;
+    row x*g is row x read at the entries of row g, as (x*g)*z = x*(g*z).
     """
     if not 1 <= n <= ISN_MAX:
         raise SizeLimitExceeded(f"symmetric_inverse supports 1 <= n <= {ISN_MAX}")
@@ -107,22 +109,22 @@ def symmetric_inverse(n: int) -> Semigroup:
     # The padding also keeps itemgetter's result a tuple when n = 1.
     padded = [p.mapping + (None,) for p in elems]
     index = {m: i for i, m in enumerate(padded)}
-    factors = []
-    for m in padded:
-        free = iter(set(range(n)).difference(m))
-        factors.append((
-            index[tuple(None if v is None else i for i, v in enumerate(m))],
-            index[tuple(next(free) if v is None else v for v in m[:n])
-                  + (None,)]))
+    # for n = 1 the transposition is the identity
+    gens = [index[m + (None,)] for m in (
+        tuple((i + 1) % n for i in range(n)),
+        (1, 0, *range(2, n)) if n > 1 else (0,),
+        (None, *range(1, n)))]
     rows = [None] * len(padded)
-    # composed rows first: x is its own e_D or its own p
-    for x in sorted(range(len(padded)), key=lambda x: x not in factors[x]):
-        e, p = factors[x]
-        if x in (e, p):
-            rows[x] = tuple(map(index.__getitem__, map(itemgetter(
-                *(n if v is None else v for v in padded[x])), padded)))
-        else:
-            rows[x] = itemgetter(*rows[p])(rows[e])
+    for g in gens:
+        rows[g] = tuple(map(index.__getitem__, map(itemgetter(
+            *(n if v is None else v for v in padded[g])), padded)))
+    walk = list(gens)
+    for x in walk:
+        for g in gens:
+            y = rows[x][g]
+            if rows[y] is None:
+                rows[y] = itemgetter(*rows[g])(rows[x])
+                walk.append(y)
     return Semigroup(tuple(rows), tuple(p.label() for p in elems), "isn",
                      elements=tuple(elems))
 

@@ -68,7 +68,10 @@ class VertexMap:
     def __post_init__(self):
         if len(self.map) != self.domain_order:
             raise SizeMismatch("map length differs from domain order")
-        if set(self.map) != set(range(self.codomain_order)):
+        # the codomain's ids are built only once they number no more
+        # than the domain's vertices
+        ids = set(self.map)
+        if len(ids) != self.codomain_order or ids != set(range(len(ids))):
             raise NotSurjective("map does not cover the codomain")
 
     @cached_property
@@ -266,6 +269,8 @@ def verify_isomorphism(g: Graph, h: Graph, mapping) -> bool:
     Both graphs are simple, so it suffices that each row of g, carried
     into h's vertex space, equals the row of its image.  Rows are carried
     as big-endian bit strings, where character i stands for vertex n-1-i.
+    Carrying is bitwise and neither graph has loops, so the closed row
+    row | 1 << v is carried instead, once per distinct closed row.
     """
     if (g.order != h.order or len(mapping) != g.order
             or sorted(mapping) != list(range(h.order))):
@@ -277,8 +282,11 @@ def verify_isomorphism(g: Graph, h: Graph, mapping) -> bool:
     for v, w in enumerate(mapping):
         source[n - 1 - w] = n - 1 - v
     gather, width = itemgetter(*source), f"0{n}b"
-    return all(int("".join(gather(format(row, width))), 2) == h.adj[image]
-               for row, image in zip(g.adj, mapping))
+    closed = [row | 1 << v for v, row in enumerate(g.adj)]
+    carried = {c: int("".join(gather(format(c, width))), 2)
+               for c in set(closed)}
+    return all(carried[c] == h.adj[w] | 1 << w
+               for c, w in zip(closed, mapping))
 
 
 def are_isomorphic(g: Graph, h: Graph, max_order: int = ISO_MAX_ORDER):

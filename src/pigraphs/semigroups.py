@@ -56,12 +56,12 @@ class Semigroup:
     @cached_property
     def left_ideals(self) -> tuple:
         """Every principal left ideal, each read off its column."""
-        return tuple(_ideal(a, col) for a, col in enumerate(zip(*self.table)))
+        return _ideals(zip(*self.table))
 
     @cached_property
     def right_ideals(self) -> tuple:
         """Every principal right ideal, each read off its row."""
-        return tuple(_ideal(a, row) for a, row in enumerate(self.table))
+        return _ideals(self.table)
 
     @cached_property
     def inverses(self) -> tuple | None:
@@ -88,9 +88,24 @@ class Semigroup:
         return tuple(inv)
 
 
-def _ideal(a: int, products) -> int:
-    """Bit-set (a Python int) of the given products together with a."""
-    return sum(map((1).__lshift__, set(products))) | 1 << a
+def _ideals(lines) -> tuple:
+    """Bit-set (a Python int) of each line b's products together with b.
+
+    An earlier r among b's products has S1r inside S1b, so S1r = S1b when
+    the two have the same size (Howie 1995, section 2.1): line b reuses
+    the mask of the first line of such an ideal, and only each distinct
+    ideal is summed into a mask.
+    """
+    masks, firsts = [], {}
+    for b, line in enumerate(lines):
+        products = {b, *line}
+        same = firsts.setdefault(len(products), {})
+        small, large = sorted((same, products), key=len)
+        mask = next((same[r] for r in small if r in large), None)
+        if mask is None:
+            mask = same[b] = sum(map((1).__lshift__, products))
+        masks.append(mask)
+    return tuple(masks)
 
 
 def _check_entries(table):

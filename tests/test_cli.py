@@ -1,6 +1,7 @@
 import io
 import json
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -162,6 +163,21 @@ def test_skeletal_check_rejects_bad_map(tmp_path, capsys):
     code, out, _ = run(capsys, "skeletal", "--graph", str(gpath),
                        "--op", "check", "--map", str(mpath))
     assert code == 1 and not json.loads(out)["is_skeletal"]
+
+
+def test_skeletal_check_rejects_a_huge_map_id_quickly(tmp_path, capsys):
+    # the codomain order is the largest id plus one; surjectivity is
+    # checked without building the codomain
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({"order": 2, "labels": None,
+                                 "edges": [[0, 1]]}))
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"map": [0, 10**12]}))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "skeletal", "--graph", str(gpath),
+                       "--op", "check", "--map", str(mpath))
+    assert code == 2 and err.startswith("error: ")
+    assert time.perf_counter() - start < 1
 
 
 def test_spectral_ops(tmp_path, capsys):

@@ -155,25 +155,34 @@ def test_symmetric_inverse_table_matches_composition(n, isn):
 
 
 def test_symmetric_inverse_5_rows_match_composition():
-    # the 2^5 idempotent and 5! permutation rows (the identity is both)
-    # are composed directly; every other row is gathered from two of them
+    # only the rows of the n-cycle, the transposition (0 1) and the partial
+    # identity on {1..4} are composed; every other row is gathered along a
+    # breadth-first walk x -> x*g, redone here with compose
     s = families.symmetric_inverse(5)
     elems = s.elements
     index = {p.mapping: i for i, p in enumerate(elems)}
-    composed = {x for x, p in enumerate(elems)
-                if p.rank() == 5 or p.compose(p) == p}
-    assert len(composed) == 32 + 120 - 1
+    gens = [index[m] for m in ((1, 2, 3, 4, 0), (1, 0, 2, 3, 4),
+                               (None, 1, 2, 3, 4))]
+    walk, seen = list(gens), set(gens)
+    for x in walk:
+        for g in gens:
+            y = index[elems[x].compose(elems[g]).mapping]
+            if y not in seen:
+                seen.add(y)
+                walk.append(y)
+    # the three generate IS_5, so the walk reaches every element; its last
+    # rows are gathered from the longest chains of gathers
+    assert len(walk) == s.order
+    last = walk[-8:]
     rng = random.Random(5)
-    gathered = [x for k in range(1, 5) for x in rng.sample(
-        [x for x, p in enumerate(elems)
-         if p.rank() == k and x not in composed], 2)]
-    # composed rows at a seeded third of the columns each, to stay under
-    # a second; gathered rows at every column
-    for x in sorted(composed) + gathered:
-        ys = (sorted(rng.sample(range(s.order), 512)) if x in composed
-              else range(s.order))
-        assert [s.table[x][y] for y in ys] == \
-            [index[elems[x].compose(elems[y]).mapping] for y in ys]
+    gathered = []
+    for k in range(6):
+        pool = [x for x, p in enumerate(elems)
+                if p.rank() == k and x not in gens]
+        gathered += rng.sample(pool, min(2, len(pool)))
+    for x in gens + last + gathered:
+        assert s.table[x] == tuple(index[elems[x].compose(y).mapping]
+                                   for y in elems)
 
 
 def test_partial_bijection_rejects_non_injective_mapping():

@@ -35,6 +35,7 @@ from pigraphs.graphs import (
     to_json_dict,
     verify_isomorphism,
 )
+from pigraphs.skeletal import blow_up
 
 
 def graph_strategy(max_order=8):
@@ -290,6 +291,27 @@ def test_verify_isomorphism_matches_pairwise_definition():
         other = random_graph(order, 0.5, rng)
         assert verify_isomorphism(g, other, mapping) == \
             pairwise_isomorphism(g, other, mapping)
+    # blow-ups repeat closed rows: twin classes of size 1-3
+    for order in range(1, 9):
+        sizes = [rng.randint(1, 3) for _ in range(order)]
+        g, _ = blow_up(random_graph(order, 0.5, rng), sizes)
+        other, _ = blow_up(random_graph(order, 0.5, rng), sizes)
+        mapping = rng.sample(range(g.order), g.order)
+        image = from_edges(g.order, [(mapping[u], mapping[v])
+                                     for u, v in g.edges()])
+        assert verify_isomorphism(g, image, mapping)
+        for h in (other, complement(image)):
+            assert verify_isomorphism(g, h, mapping) == \
+                pairwise_isomorphism(g, h, mapping)
+
+
+def test_verify_isomorphism_rejects_a_swap_across_twin_classes():
+    # P4 blown up to a, b1 b2, c1 c2, d: b1 and c1 both have degree 4
+    g, collapse = blow_up(path_graph(4), [1, 2, 2, 1])
+    assert collapse.map == (0, 1, 1, 2, 2, 3)
+    assert g.degree(1) == g.degree(3) == 4
+    assert verify_isomorphism(g, g, [0, 2, 1, 4, 3, 5])
+    assert not verify_isomorphism(g, g, [0, 3, 2, 1, 4, 5])
 
 
 def test_verify_isomorphism_rejects_one_flipped_edge():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 from pigraphs import families, verify
 from pigraphs.green import (
     l_classes,
@@ -5,7 +7,7 @@ from pigraphs.green import (
     r_classes,
 )
 from pigraphs.graphs import VertexMap
-from pigraphs.semigroups import from_cayley_table, idempotents
+from pigraphs.semigroups import adjoin_zero, from_cayley_table, idempotents
 
 
 def as_set(bitset):
@@ -32,6 +34,37 @@ def test_brandt_ideals():
 def test_left_zero_right_ideal_is_singleton():
     s = families.left_zero(2)
     assert as_set(s.right_ideals[0]) == {0}
+
+
+def chain(n, op):
+    return from_cayley_table([[op(x, y) for y in range(n)] for x in range(n)],
+                             unchecked=True)
+
+
+def test_ideal_lists_match_one_element_recounts(isn):
+    # shapes where ideals repeat (IS_3, Brandt, left zero, cyclic) and
+    # where every ideal is distinct (null semigroup, max and min chains)
+    for s in (isn[3], families.brandt(families.cyclic_group(2), 2),
+              adjoin_zero(families.left_zero(5)), families.cyclic_group(7),
+              chain(9, lambda x, y: 0), chain(9, max), chain(9, min)):
+        assert list(s.left_ideals) == [principal_left_ideal(s, a)
+                                       for a in range(s.order)]
+        assert list(s.right_ideals) == [
+            sum(1 << x for x in set(s.table[a])) | 1 << a
+            for a in range(s.order)]
+
+
+def test_ideal_lists_hold_only_the_masks():
+    # every ideal of a max chain is distinct, so nothing is reused; the
+    # masks alone peak near 0.2 MB, a frozenset kept per ideal near 5 MB
+    s = chain(400, max)
+    tracemalloc.start()
+    try:
+        s.left_ideals
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_identity_generates_everything(isn):

@@ -81,6 +81,10 @@ def test_constant_map_on_path_fails_with_witness():
 def test_vertex_map_validation():
     with pytest.raises(NotSurjective):
         VertexMap(3, 3, (0, 0, 1))
+    for ids in ((0, -1), (1, 1)):
+        for m in (1, 2):
+            with pytest.raises(NotSurjective):
+                VertexMap(2, m, ids)
     with pytest.raises(SizeMismatch):
         VertexMap(3, 2, (0, 1))
     with pytest.raises(SizeMismatch):
