@@ -26,8 +26,9 @@ class Semigroup:
     structured element values (partial bijections, Brandt triples, subset
     masks) for the suites' recounts; it does not take part in equality and
     is not serialized.  Everything the table determines (order, zero,
-    identity, principal ideals, inverse map) is a cached attribute, so it
-    is computed once per semigroup and cannot disagree with the table.
+    identity, principal ideals, inverse map, a generating set) is a
+    cached attribute, so it is computed once per semigroup and cannot
+    disagree with the table.
     The constructor trusts its square tuple table; ``from_cayley_table``
     validates any other.
     """
@@ -70,22 +71,74 @@ class Semigroup:
         ``inv[x]`` satisfies ``x*inv[x]*x = x`` and
         ``inv[x]*x*inv[x] = inv[x]`` when every element has exactly one
         such partner; otherwise the semigroup is not inverse.
+
+        A semigroup is inverse iff it is regular and its idempotents
+        commute (Howie 1995, Thm 5.1.1), so each idempotent is first
+        checked against the earlier ones, and a pair that does not
+        commute ends the search.  Then each L-class and each R-class
+        holds at most one idempotent, and an inverse y of x has e = y*x
+        in x's L-class, f = x*y in x's R-class, and lies in the H-class
+        of elements with f's left ideal and e's right ideal (section
+        2.3): only that H-class is searched, for x*y = f, and each hit is
+        checked against both laws.  Like the ideal masks, this assumes
+        associativity.
         """
-        t = self.table
-        inv = []
-        for x, (row, col) in enumerate(zip(t, zip(*t))):
-            # col read at row holds x*y*x at y; index() finds each x*y*x = x
-            xyx, found, y = _gather(row)(col), None, -1
-            for _ in range(xyx.count(x)):
-                y = xyx.index(x, y + 1)
-                if t[t[y][x]][y] == y:
-                    if found is not None:
-                        return None
-                    found = y
-            if found is None:
+        t, idem, idem_rows = self.table, [], []
+        for e, row in enumerate(t):
+            if row[e] != e:
+                continue
+            # e*f = f*e for every earlier idempotent f, read along row e
+            # and down column e
+            if tuple(map(row.__getitem__, idem)) != \
+                    tuple(map(itemgetter(e), idem_rows)):
                 return None
-            inv.append(found)
+            idem.append(e)
+            idem_rows.append(row)
+        left, right = self.left_ideals, self.right_ideals
+        left_idem = {left[e]: e for e in idem}
+        right_idem = {right[f]: f for f in idem}
+        h_classes = {}
+        for y, key in enumerate(zip(left, right)):
+            h_classes.setdefault(key, []).append(y)
+        inv = []
+        for x, row in enumerate(t):
+            e, f = left_idem.get(left[x]), right_idem.get(right[x])
+            h = None if e is None or f is None else \
+                h_classes.get((left[f], right[e]))
+            if h is None:
+                return None
+            hits = map(h.__getitem__, _indices(_gather(h)(row), f))
+            found = [y for y in hits
+                     if t[t[x][y]][x] == x and t[t[y][x]][y] == y]
+            if len(found) != 1:
+                return None
+            inv.append(found[0])
         return tuple(inv)
+
+    @cached_property
+    def generators(self) -> tuple:
+        """A generating set read off the table, assuming associativity.
+
+        Elements are taken largest principal left ideal first; each one
+        not yet reached becomes a generator, and the reached set is kept
+        closed under right multiplication by the generators, so it is
+        the subsemigroup they generate and ends as the whole semigroup.
+        """
+        t, left = self.table, self.left_ideals
+        reached, gens = bytearray(self.order), []
+        for g in sorted(range(self.order), key=lambda x: -left[x].bit_count()):
+            if reached[g]:
+                continue
+            gens.append(g)
+            times_gens = _gather(gens)
+            # the reached elements times g, read down column g
+            fresh = {g, *map(itemgetter(g), compress(t, reached))}
+            while fresh:
+                z = fresh.pop()
+                if not reached[z]:
+                    reached[z] = 1
+                    fresh.update(times_gens(t[z]))
+        return tuple(gens)
 
 
 def _ideals(lines) -> tuple:
@@ -173,6 +226,14 @@ def _gather(keys):
     return itemgetter(*keys) if len(keys) > 1 else lambda seq: (seq[keys[0]],)
 
 
+def _indices(seq, value):
+    """Every index of value in seq, ascending, found by C-level scans."""
+    i = -1
+    for _ in range(seq.count(value)):
+        i = seq.index(value, i + 1)
+        yield i
+
+
 def idempotents(s: Semigroup) -> list:
     """Indices of all elements with e*e = e, ascending."""
     return [e for e in range(s.order) if s.table[e][e] == e]
@@ -181,17 +242,23 @@ def idempotents(s: Semigroup) -> list:
 def check_involution(s: Semigroup, sigma) -> bool:
     """True iff sigma is an involutive anti-automorphism of the table.
 
-    For an involution, sigma(a*b) = sigma(b)*sigma(a) with a = sigma(c)
-    says that sigma applied to row a equals column c read in sigma order,
-    so the law is checked one whole row against one column at a time.
+    The bijection and sigma(sigma(a)) = a are checked on every element,
+    the law sigma(a*b) = sigma(b)*sigma(a) on the rows a of the
+    generating set ``s.generators`` only: by associativity it carries
+    from rows a and a' to row a*a', since sigma(a*a'*b) =
+    sigma(a'*b)*sigma(a) = sigma(b)*sigma(a')*sigma(a) =
+    sigma(b)*sigma(a*a').  Row a is sigma read at row a against column
+    sigma(a) read in sigma order.
     """
     if sorted(sigma) != list(range(s.order)):
         raise NotABijection("sigma must permute the element indices")
     if any(sigma[sigma[a]] != a for a in range(s.order)):
         return False
-    t, image, in_sigma_order = s.table, tuple(sigma), _gather(sigma)
-    return all(_gather(t[sigma[c]])(image) == in_sigma_order(col)
-               for c, col in enumerate(zip(*t)))
+    t, image = s.table, tuple(sigma)
+    rows_in_sigma_order = [t[b] for b in sigma]
+    return all(_gather(t[a])(image)
+               == tuple(map(itemgetter(sigma[a]), rows_in_sigma_order))
+               for a in s.generators)
 
 
 def adjoin_zero(s: Semigroup) -> Semigroup:
@@ -224,8 +291,11 @@ def to_json_dict(s: Semigroup) -> dict:
 
 def from_json_dict(doc: dict) -> Semigroup:
     """Rebuild a semigroup from its JSON document, checking associativity
-    exhaustively up to order 256 and trusting larger tables.  An `order`
-    field is optional but must match the table when present."""
+    exhaustively up to order 256.  Larger tables are trusted unchecked,
+    although the ideal masks, the inverse search and the involution check
+    all assume associativity: a non-associative table above order 256
+    gets answers that need not match its products.  An `order` field is
+    optional but must match the table when present."""
     if not isinstance(doc, dict):
         raise MalformedDocument("a semigroup document must be a JSON object")
     if "table" not in doc:

@@ -262,29 +262,39 @@ def test_s_pig_rejects_representative_dependent_partitions(isn):
 
 
 def test_each_layer_is_built_once(monkeypatch):
-    """The ideals and the inverse map are read off the table once per
-    semigroup, however many graphs and partitions are built from them."""
+    """The ideals, the inverse map and the generating set are read off the
+    table once per semigroup, however many graphs, partitions and
+    involution checks are built from them."""
     s = families.symmetric_inverse(3)
     passes = Counter()
-    ideals, search = semigroups._ideals, semigroups.Semigroup.inverses.func
+    ideals = semigroups._ideals
 
     def counted_ideals(lines):
         # the right pass hands over the table itself, the left its columns
         passes["right" if lines is s.table else "left"] += 1
         return ideals(lines)
 
-    def counted_search(t):
-        passes["inverse search"] += 1
-        return search(t)
+    def counted(attr, name):
+        compute = getattr(semigroups.Semigroup, attr).func
 
-    inverses = cached_property(counted_search)
-    inverses.__set_name__(semigroups.Semigroup, "inverses")
+        def counted_compute(t):
+            passes[name] += 1
+            return compute(t)
+
+        prop = cached_property(counted_compute)
+        prop.__set_name__(semigroups.Semigroup, attr)
+        monkeypatch.setattr(semigroups.Semigroup, attr, prop)
+
     monkeypatch.setattr(semigroups, "_ideals", counted_ideals)
-    monkeypatch.setattr(semigroups.Semigroup, "inverses", inverses)
+    counted("inverses", "inverse search")
+    counted("generators", "generating set")
     left_pig(s)
     s_left_pig(s)
     l_classes(s)
     left_pig_inverse_fast(s)
     involution_pig_isomorphism(s)
+    involution_pig_isomorphism(s)
+    assert semigroups.check_involution(s, s.inverses)
     assert s.order == 34
-    assert passes == Counter({"left": 1, "right": 1, "inverse search": 1})
+    assert passes == Counter({"left": 1, "right": 1, "inverse search": 1,
+                              "generating set": 1})

@@ -1,8 +1,10 @@
 import random
+from functools import cache
+from itertools import permutations, product
 
 import pytest
 
-from pigraphs import families
+from pigraphs import families, semigroups
 from pigraphs.errors import (
     AssociativityViolation,
     IndexOutOfRange,
@@ -250,6 +252,29 @@ def brute_inverses(s):
     return None
 
 
+@cache
+def small_semigroups():
+    """Every associative table on {0..n-1} for n = 1, 2, 3."""
+    out = []
+    for n in range(1, 4):
+        for flat in product(range(n), repeat=n * n):
+            table = [flat[i:i + n] for i in range(0, n * n, n)]
+            if brute_associative(table):
+                out.append(from_cayley_table(table))
+    return tuple(out)
+
+
+def involutions(n):
+    return [p for p in permutations(range(n))
+            if all(p[p[a]] == a for a in range(n))]
+
+
+def chain(n):
+    """The chain semilattice 0 < 1 < ... < n-1 under min."""
+    return from_cayley_table([[min(x, y) for y in range(n)]
+                              for x in range(n)])
+
+
 def relabelled(s, rng):
     """s with its elements renumbered by a random permutation."""
     perm = list(range(s.order))
@@ -286,6 +311,19 @@ def test_check_involution_rejects_planted_swap():
         assert all(sigma[sigma[a]] == a for a in range(s.order))
         assert not check_involution(s, sigma)
         assert not pairwise_anti_involution(s, sigma)
+    # the law is read on the generators' rows only, so a swap of two
+    # idempotents outside the generating set must be caught through them
+    for s in (families.symmetric_inverse(4),
+              families.brandt(families.cyclic_group(2), 3)):
+        inv = s.inverses
+        idem = [e for e in idempotents(s) if e not in s.generators]
+        for e, f in [(idem[0], idem[-1]), (idem[0], idem[1]),
+                     (idem[1], idem[2])]:
+            sigma = list(inv)
+            sigma[e], sigma[f] = f, e
+            assert sigma[e] != inv[e]
+            assert not check_involution(s, sigma)
+            assert not pairwise_anti_involution(s, sigma)
 
 
 def test_check_involution_matches_pairwise_definition():
@@ -293,7 +331,9 @@ def test_check_involution_matches_pairwise_definition():
     samples = [families.brandt(families.cyclic_group(3), 2),
                families.subset_meet_semilattice(2),
                from_cayley_table([[0]]), from_cayley_table(C2),
-               random_brandt(rng), families.symmetric_inverse(3)]
+               random_brandt(rng), families.symmetric_inverse(3),
+               families.cyclic_group(12),
+               relabelled(chain(6), random.Random(14))]
     for s in samples:
         inv = s.inverses
         # a random involution: the shuffled elements swapped in pairs
@@ -306,6 +346,13 @@ def test_check_involution_matches_pairwise_definition():
             if sorted(sigma) == list(range(s.order)):
                 assert check_involution(s, sigma) == \
                     pairwise_anti_involution(s, sigma)
+    checked = 0
+    for s in small_semigroups():
+        for sigma in involutions(s.order):
+            assert check_involution(s, sigma) == \
+                pairwise_anti_involution(s, sigma)
+            checked += 1
+    assert checked == 469
 
 
 def test_inverses_match_pairwise_definition():
@@ -313,9 +360,57 @@ def test_inverses_match_pairwise_definition():
     rng = random.Random(11)
     for s in (from_cayley_table([[0]]), random_brandt(rng),
               families.symmetric_inverse(3),
-              relabelled(adjoin_zero(families.left_zero(3)), rng)):
+              relabelled(adjoin_zero(families.left_zero(3)), rng),
+              families.cyclic_group(12), relabelled(chain(6), rng)):
         assert s.inverses == brute_inverses(s)
     assert from_cayley_table([[0]]).inverses == (0,)
+    small = small_semigroups()
+    assert len(small) == 122
+    assert all(s.inverses == brute_inverses(s) for s in small)
+    assert sum(s.inverses is not None for s in small) == 29
+
+
+def test_generators_generate():
+    """The closure of s.generators under the table is all of s."""
+    rng = random.Random(17)
+    isn = [families.symmetric_inverse(n) for n in range(1, 6)]
+    samples = isn + [random_brandt(rng), families.subset_meet_semilattice(3),
+                families.cyclic_group(12), chain(6),
+                adjoin_zero(families.left_zero(3)), from_cayley_table([[0]]),
+                from_cayley_table([])]
+    for s in samples:
+        gens = s.generators
+        reached, todo = set(gens), list(gens)
+        while todo:
+            x = todo.pop()
+            for y in gens:
+                if s.table[x][y] not in reached:
+                    reached.add(s.table[x][y])
+                    todo.append(s.table[x][y])
+        assert reached == set(range(s.order))
+        assert len(set(gens)) == len(gens)
+    assert len(isn[-1].generators) <= 8
+    assert len(chain(6).generators) == 6
+
+
+def test_inverse_layer_reads_only_what_it_needs(monkeypatch):
+    """A guard against a full-table scan coming back: the keys handed to
+    _gather by the inverse search and the involution check on IS_5."""
+    s = families.symmetric_inverse(5)
+    gens, keys = s.generators, []
+    gather = semigroups._gather
+
+    def counted_gather(k):
+        keys.append(len(k))
+        return gather(k)
+
+    monkeypatch.setattr(semigroups, "_gather", counted_gather)
+    inv = s.inverses
+    # the candidates: sum over x of |H_x| = sum_k C(5,k)^2 (k!)^2
+    assert 0 < sum(keys) <= 32_826
+    keys.clear()
+    assert check_involution(s, inv)
+    assert 0 < sum(keys) <= (len(gens) + 1) * 1546
 
 
 def test_adjoin_zero_label_is_fresh_and_round_trips():
