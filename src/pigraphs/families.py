@@ -7,7 +7,6 @@ associative by construction and skip the cubic check (``checked=False``).
 """
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
 from math import comb, factorial
 from operator import itemgetter
 
@@ -19,13 +18,14 @@ ISN_MAX = 5
 SEMILATTICE_MAX = 5
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class PartialBijection:
     """A partial injective map on {0..n-1}.
 
     ``mapping[i]`` is the image of ``i`` or ``None`` when ``i`` is outside
-    the domain.  Ordering is lexicographic on the mapping with undefined
-    sorting first, which puts the empty map at index 0 of the enumeration.
+    the domain.  :func:`all_partial_bijections` extends each prefix by
+    ``None``, then by each unused image in increasing order, so it lists
+    the mappings lexicographically with undefined first.
     """
 
     n: int
@@ -35,10 +35,6 @@ class PartialBijection:
         defined = [v for v in self.mapping if v is not None]
         if len(set(defined)) != len(defined):
             raise NotABijection(f"mapping {self.mapping} is not injective")
-
-    @property
-    def sort_key(self):
-        return tuple(-1 if v is None else v for v in self.mapping)
 
     def domain_mask(self) -> int:
         return sum(1 << i for i, v in enumerate(self.mapping) if v is not None)
@@ -69,18 +65,12 @@ class PartialBijection:
 
 
 def all_partial_bijections(n: int) -> list:
-    """All partial bijections on {0..n-1}, in canonical sorted order."""
-    out = []
-    ground = range(n)
-    for k in range(n + 1):
-        for dom in combinations(ground, k):
-            for img in permutations(ground, k):
-                mapping = [None] * n
-                for i, v in zip(dom, img):
-                    mapping[i] = v
-                out.append(PartialBijection(n, tuple(mapping)))
-    out.sort(key=lambda p: p.sort_key)
-    return out
+    """All partial bijections on {0..n-1}, the empty map first."""
+    prefixes = [()]
+    for _ in range(n):
+        prefixes = [p + (v,) for p in prefixes
+                    for v in (None, *(u for u in range(n) if u not in p))]
+    return [PartialBijection(n, p) for p in prefixes]
 
 
 def partial_bijection_count(n: int) -> int:
@@ -130,25 +120,23 @@ def symmetric_inverse(n: int) -> Semigroup:
 
 
 def _check_group(g: Semigroup):
+    # in a finite monoid a right inverse is two-sided (x*y = e => y*x = e)
     if g.identity is None:
         raise NotAGroup("group parameter has no identity")
-    e = g.identity
-    for x in range(g.order):
-        if not any(
-            g.table[x][y] == e and g.table[y][x] == e for y in range(g.order)
-        ):
+    for x, row in enumerate(g.table):
+        if g.identity not in row:
             raise NotAGroup(f"element {x} has no group inverse")
 
 
 def brandt(g: Semigroup, r: int) -> Semigroup:
     """Brandt semigroup over group ``g`` with ``r`` indices.
 
-    Elements are triples (i, a, j) ordered lexicographically, plus a zero
-    as the last element.  (i,a,j)(k,b,l) is (i, a*b, l) when j = k and
-    zero otherwise.
+    Elements are triples (i, a, j) in lexicographic order, so at index
+    (i*|G| + a)*r + j, then a zero.  (i,a,j)(k,b,l) is (i, a*b, l) when
+    j = k and zero otherwise: row (i, a, j) is zero but in columns k = j.
     """
     if r < 1:
-        raise NotAGroup("index count must be positive")
+        raise SizeLimitExceeded("index count must be positive")
     order = r * r * g.order + 1
     if order > FAMILY_MAX_ORDER:
         raise SizeLimitExceeded(
@@ -156,21 +144,18 @@ def brandt(g: Semigroup, r: int) -> Semigroup:
     _check_group(g)
     triples = [(i, a, j) for i in range(r) for a in range(g.order)
                for j in range(r)]
-    index = {t: k for k, t in enumerate(triples)}
     zero = order - 1
+    width = g.order * r
     table = []
-    for (i, a, j) in triples:
-        row = []
-        for (k, b, l) in triples:
-            row.append(index[(i, g.table[a][b], l)] if j == k else zero)
-        row.append(zero)
-        table.append(tuple(row))
+    for i in range(r):
+        for a in range(g.order):
+            block = tuple((i * g.order + c) * r + l
+                          for c in g.table[a] for l in range(r))
+            table += [(zero,) * (j * width) + block
+                      + (zero,) * ((r - 1 - j) * width + 1) for j in range(r)]
     table.append((zero,) * order)
-    table = tuple(table)
-    labels = tuple(
-        f"({i},{g.label(a)},{j})" for (i, a, j) in triples
-    ) + ("0",)
-    return Semigroup(table, labels, "brandt",
+    labels = tuple(f"({i},{g.label(a)},{j})" for i, a, j in triples) + ("0",)
+    return Semigroup(tuple(table), labels, "brandt",
                      elements=tuple(triples) + (None,))
 
 

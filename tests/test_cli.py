@@ -54,6 +54,7 @@ def test_build_invalid_params(capsys):
     # families stop at the IS_5 order, 1,546; a Brandt order is r^2 |G| + 1
     for argv in (["build", "--family", "cyclic", "--n", "100000"],
                  ["build", "--family", "leftzero", "--n", "1547"],
+                 ["build", "--family", "brandt", "--indices", "0"],
                  ["verify", "--suite", "brandt", "--group-order", "2",
                   "--indices", "28"]):
         code, out, err = run(capsys, *argv)

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 from pigraphs import families
 from pigraphs.errors import NotABijection, NotAGroup, SizeLimitExceeded
 from pigraphs.families import PartialBijection, all_partial_bijections
-from pigraphs.semigroups import check_involution, idempotents
+from pigraphs.semigroups import (adjoin_zero, check_involution,
+                                  from_cayley_table, idempotents)
 
 
 def partial_bijections(n):
@@ -34,9 +35,14 @@ def test_enumeration_count(n, count):
 
 
 def test_enumeration_has_no_duplicates():
-    elems = all_partial_bijections(3)
-    assert len(set(elems)) == len(elems)
-    assert elems == sorted(elems, key=lambda p: p.sort_key)
+    assert all_partial_bijections(0) == [PartialBijection(0, ())]
+    for n in range(6):
+        elems = all_partial_bijections(n)
+        assert len(set(elems)) == len(elems)
+        # canonical order: lexicographic on the mapping, undefined first
+        keys = [tuple(-1 if v is None else v for v in p.mapping)
+                for p in elems]
+        assert keys == sorted(keys), n
 
 
 @given(x=partial_bijections(3), y=partial_bijections(3),
@@ -115,11 +121,61 @@ def test_brandt_c1_1_is_the_two_chain():
                for a in range(2) for b in range(2))
 
 
+def klein_four():
+    return from_cayley_table([[x ^ y for y in range(4)] for x in range(4)])
+
+
+def symmetric_group_3():
+    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1),
+             (2, 1, 0)]
+    # p*q applies p first, then q
+    return from_cayley_table(
+        [[perms.index(tuple(q[v] for v in p)) for q in perms]
+         for p in perms])
+
+
+@pytest.mark.parametrize("group", [klein_four, symmetric_group_3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_brandt_over_non_cyclic_groups(group, r):
+    g = group()
+    s = families.brandt(g, r)
+    triples = [(i, a, j) for i in range(r) for a in range(g.order)
+               for j in range(r)]
+    assert s.elements == tuple(triples) + (None,)
+    assert s.labels == tuple(f"({i},{a},{j})" for i, a, j in triples) + ("0",)
+    assert s.zero == len(triples) and s.order == len(triples) + 1
+    for x, (i, a, j) in enumerate(triples):
+        for y, (k, b, l) in enumerate(triples):
+            expected = (i, g.table[a][b], l) if j == k else None
+            assert s.elements[s.table[x][y]] == expected
+        assert s.table[x][s.zero] == s.table[s.zero][x] == s.zero
+
+
+def pairwise_group_witness(g):
+    """The first element with no two-sided inverse, by pair search."""
+    e = g.identity
+    return next(x for x in range(g.order)
+                if not any(g.table[x][y] == e == g.table[y][x]
+                           for y in range(g.order)))
+
+
 def test_brandt_rejects_non_groups():
-    with pytest.raises(NotAGroup):
-        families.brandt(families.subset_meet_semilattice(2), 2)
-    with pytest.raises(NotAGroup):
+    for g in (from_cayley_table([[0, 0], [0, 1]]),
+              adjoin_zero(families.cyclic_group(3)),
+              families.subset_meet_semilattice(2)):
+        witness = pairwise_group_witness(g)
+        with pytest.raises(NotAGroup,
+                           match=f"^element {witness} has no group inverse$"):
+            families.brandt(g, 2)
+    with pytest.raises(NotAGroup, match="^group parameter has no identity$"):
         families.brandt(families.left_zero(2), 2)
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_brandt_rejects_non_positive_index_counts(r):
+    with pytest.raises(SizeLimitExceeded,
+                       match="^index count must be positive$"):
+        families.brandt(families.cyclic_group(2), r)
 
 
 def test_semilattice():
