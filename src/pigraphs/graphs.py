@@ -2,15 +2,16 @@
 
 Adjacency rows are Python ints used as bit-sets; row v has bit u set iff
 u and v are adjacent.  All graphs are simple: symmetric and irreflexive.
-A VertexMap's fibres partition its domain, so it also stands for partitions.
+A VertexMap's fibres partition its domain, so it also stands for partitions;
+its preimage pulls a codomain vertex set back onto the domain.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import IndexOutOfRange, MalformedDocument, NotABijection, \
-    NotSimpleGraph, NotSurjective, SizeLimitExceeded, SizeMismatch
+from .errors import IndexOutOfRange, MalformedDocument, NotSimpleGraph, \
+    NotSurjective, SizeLimitExceeded, SizeMismatch
 
 ISO_MAX_ORDER = 40
 
@@ -86,6 +87,20 @@ class VertexMap:
     def classes(self) -> tuple:
         """The fibre over each codomain vertex, as ascending members."""
         return tuple(tuple(bits(m)) for m in self.masks)
+
+    @cached_property
+    def _pull(self):
+        # character -1 - q of a mask's bit string is bit q; the gathered
+        # string is big-endian in the domain
+        return itemgetter(*(-1 - p for p in reversed(self.map)))
+
+    def preimage(self, mask: int) -> int:
+        """The domain vertices whose images lie in mask, as a bit-mask:
+        one gather of mask's bit string, so bit a is bit map[a] of mask."""
+        if not self.domain_order:
+            return 0
+        return int("".join(
+            self._pull(format(mask, f"0{self.codomain_order}b"))), 2)
 
 
 def partition_by_key(keys) -> VertexMap:
@@ -261,32 +276,6 @@ def degree_of_subset_vertex(n: int, k: int) -> int:
     if not 1 <= k <= n:
         raise IndexOutOfRange(f"subset rank {k} not in [1, {n}]")
     return (1 << n) - (1 << (n - k)) - 1
-
-
-def verify_isomorphism(g: Graph, h: Graph, mapping) -> bool:
-    """Check that mapping preserves both adjacency and non-adjacency.
-
-    Both graphs are simple, so it suffices that each row of g, carried
-    into h's vertex space, equals the row of its image.  Rows are carried
-    as big-endian bit strings, where character i stands for vertex n-1-i.
-    Carrying is bitwise and neither graph has loops, so the closed row
-    row | 1 << v is carried instead, once per distinct closed row.
-    """
-    if (g.order != h.order or len(mapping) != g.order
-            or sorted(mapping) != list(range(h.order))):
-        raise NotABijection("mapping is not a bijection between vertex sets")
-    n = g.order
-    if n == 0:
-        return True
-    source = [0] * n
-    for v, w in enumerate(mapping):
-        source[n - 1 - w] = n - 1 - v
-    gather, width = itemgetter(*source), f"0{n}b"
-    closed = [row | 1 << v for v, row in enumerate(g.adj)]
-    carried = {c: int("".join(gather(format(c, width))), 2)
-               for c in set(closed)}
-    return all(carried[c] == h.adj[w] | 1 << w
-               for c, w in zip(closed, mapping))
 
 
 def are_isomorphic(g: Graph, h: Graph, max_order: int = ISO_MAX_ORDER):

@@ -19,9 +19,9 @@ from .errors import (
 )
 from .families import ISN_MAX, all_partial_bijections
 from .graphs import Graph, VertexMap, _trusted_graph, \
-    mask_intersection_graph, partition_by_key, verify_isomorphism
+    mask_intersection_graph, partition_by_key
 from .semigroups import Semigroup, _gather, check_involution
-from .skeletal import _checked_quotient
+from .skeletal import _checked_quotient, verify_skeletal
 
 
 def pig_vertices(s: Semigroup) -> list:
@@ -127,8 +127,8 @@ def involution_pig_isomorphism(s: Semigroup) -> list:
         raise NotInverseSemigroup("the inverse map is not an involution")
     verts = pig_vertices(s)
     pos = {v: i for i, v in enumerate(verts)}
-    mapping = [pos[sigma[v]] for v in verts]
-    if not verify_isomorphism(left_pig(s), right_pig(s), mapping):
+    phi = VertexMap(len(pos), len(pos), tuple(pos[sigma[v]] for v in verts))
+    if not verify_skeletal(left_pig(s), right_pig(s), phi).is_skeletal:
         raise IsomorphismCheckFailed(
             "involution did not carry the left graph onto the right graph")
-    return mapping
+    return list(phi.map)

@@ -294,8 +294,8 @@ def from_json_dict(doc: dict) -> Semigroup:
     exhaustively up to order 256.  Larger tables are trusted unchecked,
     although the ideal masks, the inverse search and the involution check
     all assume associativity: a non-associative table above order 256
-    gets answers that need not match its products.  An `order` field is
-    optional but must match the table when present."""
+    gets answers that need not match its products.  Fields `order`, `zero`
+    and `identity` are optional but must match the table when present."""
     if not isinstance(doc, dict):
         raise MalformedDocument("a semigroup document must be a JSON object")
     if "table" not in doc:
@@ -314,9 +314,11 @@ def from_json_dict(doc: dict) -> Semigroup:
     family = doc.get("family")
     if not (family is None or isinstance(family, str)):
         raise MalformedDocument("family must be a string or null")
-    return from_cayley_table(
-        table,
-        doc.get("labels"),
-        unchecked=len(table) > 256,
-        family=family,
-    )
+    s = from_cayley_table(table, doc.get("labels"),
+                          unchecked=len(table) > 256, family=family)
+    for field in (f for f in ("zero", "identity") if f in doc):
+        given, actual = doc[field], getattr(s, field)
+        if type(given) not in (int, type(None)) or given != actual:
+            raise MalformedDocument(f"'{field}' is {given!r} but the "
+                                    f"table's {field} is {actual!r}")
+    return s

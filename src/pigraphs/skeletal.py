@@ -1,12 +1,13 @@
 """Skeletal homomorphisms: verification, twin quotients, skeleton tests.
 
 A surjective vertex map phi: G -> H is skeletal when two vertices of G
-are adjacent iff their images are equal or adjacent in H.  Merging is
-possible exactly between closed twins (adjacent vertices with the same
-closed neighborhood), which gives a polynomial-time skeleton test.  The
-independent oracle, brute_force_has_proper_skeletal, is exhaustive: it
-tries all Bell(n) - 1 partitions with a non-trivial block (guarded at
-order 8) and checks each partition quotient on bit-set closed rows.
+are adjacent iff their images are equal or adjacent in H; a bijective
+one is an isomorphism, which verify_skeletal thus checks too.  Merging
+is possible exactly between closed twins (adjacent vertices with the
+same closed neighborhood), which gives a polynomial-time skeleton test.
+The independent oracle, brute_force_has_proper_skeletal, is exhaustive:
+it tries all Bell(n) - 1 partitions with a non-trivial block (guarded
+at order 8) and checks each partition quotient on bit-set closed rows.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from .errors import (
     SizeMismatch,
 )
 from .graphs import Graph, VertexMap, _trusted_graph, bits, \
-    induced_subgraph, partition_by_key, verify_isomorphism
+    induced_subgraph, partition_by_key
 
 BRUTE_MAX_ORDER = 8
 
@@ -34,20 +35,19 @@ class SkeletalReport:
 def verify_skeletal(g: Graph, h: Graph, phi: VertexMap) -> SkeletalReport:
     """Check the adjacency-iff condition on every vertex pair of g.
 
-    Row by row: the closed neighbourhood of a must be the union of the
-    fibres over the closed neighbourhood of phi(a).  The witness, the
-    first failing pair (a, b) with a < b, is the lowest differing bit of
-    the first differing row: a failing (c, a) with c < a would make row c
-    differ earlier.
+    Row by row: the closed neighbourhood of a must be the preimage of the
+    closed neighbourhood of phi(a), pulled back once per distinct closed
+    row of h.  The witness, the first failing pair (a, b) with a < b, is
+    the lowest differing bit of the first differing row: a failing (c, a)
+    with c < a would make row c differ earlier.
     """
     if phi.domain_order != g.order or phi.codomain_order != h.order:
         raise SizeMismatch("map does not fit the given graphs")
-    fibres = phi.masks
-    sizes = tuple(f.bit_count() for f in fibres)
-    expected = [sum(fibres[q] for q in bits(row | 1 << p))
-                for p, row in enumerate(h.adj)]
+    sizes = tuple(f.bit_count() for f in phi.masks)
+    closed = [row | 1 << p for p, row in enumerate(h.adj)]
+    expected = {c: phi.preimage(c) for c in set(closed)}
     for a, p in enumerate(phi.map):
-        diff = (g.adj[a] | 1 << a) ^ expected[p]
+        diff = (g.adj[a] | 1 << a) ^ expected[closed[p]]
         if diff:
             return SkeletalReport(
                 False, (a, (diff & -diff).bit_length() - 1), sizes)
@@ -196,11 +196,11 @@ def embedded_copy(g: Graph, h: Graph, phi: VertexMap):
         raise NotSkeletal("map is not skeletal")
     reps = sorted(fibre[0] for fibre in phi.classes)
     sub = induced_subgraph(g, reps)
-    bijection = [phi.map[r] for r in reps]
-    if not verify_isomorphism(sub, h, bijection):
+    copy = VertexMap(len(reps), h.order, tuple(phi.map[r] for r in reps))
+    if not verify_skeletal(sub, h, copy).is_skeletal:
         raise IsomorphismCheckFailed(
             "representatives do not induce a copy of the codomain")
-    return sub, bijection
+    return sub, list(copy.map)
 
 
 def fibre_subgraph_is_complete(g: Graph, phi: VertexMap, v: int) -> bool:
@@ -220,7 +220,7 @@ def blow_up(g: Graph, sizes):
         raise SizeMismatch("blow_up needs one positive size per vertex")
     owner = [v for v in range(g.order) for _ in range(sizes[v])]
     collapse = VertexMap(len(owner), g.order, tuple(owner))
-    # a's closed row is the union of the fibres over v's closed row
-    adj = [sum(collapse.masks[q] for q in bits(g.adj[v] | 1 << v))
-           & ~(1 << a) for a, v in enumerate(owner)]
+    # a's closed row is the preimage of v's closed row
+    closed = [collapse.preimage(row | 1 << v) for v, row in enumerate(g.adj)]
+    adj = [closed[v] & ~(1 << a) for a, v in enumerate(owner)]
     return Graph(len(owner), tuple(adj)), collapse

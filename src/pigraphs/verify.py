@@ -92,12 +92,15 @@ def suite_isn(n: int = 3) -> SuiteResult:
            f"edges={expected_edges}")
 
     inter = graphs.intersection_graph(n)
-    canonical = [elems[class_elems[v][0]].image_mask() - 1
-                 for v in range(quotient.order)]
+    canonical = graphs.VertexMap(quotient.order, inter.order, tuple(
+        elems[cls[0]].image_mask() - 1 for cls in class_elems))
     _check(checks, "canonical class-to-image map is an isomorphism",
-           graphs.verify_isomorphism(quotient, inter, canonical))
+           skeletal.verify_skeletal(quotient, inter, canonical).is_skeletal)
+    found = graphs.are_isomorphic(quotient, inter)
     _check(checks, "generic search finds the same isomorphism",
-           graphs.are_isomorphic(quotient, inter) is not None)
+           found is not None and skeletal.verify_skeletal(
+               quotient, inter, graphs.VertexMap(
+                   quotient.order, inter.order, tuple(found))).is_skeletal)
 
     _check_runs(checks, "inversion maps the left graph onto the right graph",
                 lambda: pig.involution_pig_isomorphism(s))

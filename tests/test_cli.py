@@ -373,6 +373,15 @@ BAD_INPUT = {
     "graph has no order": ("graph", {"labels": None, "edges": []}),
     "graph has no edges": ("graph", {"order": 3, "labels": None}),
     "edge is a loop": ("graph", {"order": 2, "edges": [[0, 0], [0, 1]]}),
+    # element 0 of this table is its zero, element 1 its identity
+    "semigroup zero and identity are swapped": (
+        "semigroup", {"table": [[0, 0], [0, 1]], "zero": 1, "identity": 0}),
+    "semigroup identity is a bool": (
+        "semigroup", {"table": [[0, 0], [0, 1]], "zero": 0,
+                      "identity": True}),
+    "semigroup identity is a string": (
+        "semigroup", {"table": [[0, 0], [0, 1]], "zero": 0,
+                      "identity": "x"}),
 }
 # the exact error line of the cases that must name a field
 FIELD_ERRORS = {
@@ -386,6 +395,12 @@ FIELD_ERRORS = {
     "graph has no edges": "graph document has no 'edges' field",
     "graph labels repeat": "label 'a' repeats",
     "semigroup labels repeat": "label 'a' repeats",
+    "semigroup zero and identity are swapped":
+        "'zero' is 1 but the table's zero is 0",
+    "semigroup identity is a bool":
+        "'identity' is True but the table's identity is 1",
+    "semigroup identity is a string":
+        "'identity' is 'x' but the table's identity is 1",
 }
 
 
@@ -421,6 +436,19 @@ def test_semigroup_order_field_is_optional(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "classes", "--input", str(path))
         assert code == 0 and len(out.splitlines()) == 4
+
+
+def test_every_built_semigroup_reads_back(tmp_path, capsys):
+    path = tmp_path / "sg.json"
+    for family in ("isn", "brandt", "semilattice", "cyclic", "leftzero"):
+        for extra in ([], ["--adjoin-zero"]):
+            code, _, _ = run(capsys, "build", "--family", family,
+                             "--out", str(path), *extra)
+            doc = json.loads(path.read_text())
+            assert code == 0 and "zero" in doc and "identity" in doc
+            for argv in (["graph", "--input", str(path)],
+                         ["classes", "--input", str(path)]):
+                assert run(capsys, *argv)[0] == 0, (family, extra, argv)
 
 
 def test_wrong_length_map_names_both_lengths(tmp_path, capsys):

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from pigraphs.errors import (
     IndexOutOfRange,
     MalformedDocument,
-    NotABijection,
     NotSimpleGraph,
+    NotSurjective,
     SizeLimitExceeded,
     SizeMismatch,
 )
@@ -33,9 +33,14 @@ from pigraphs.graphs import (
     to_dot,
     to_edge_list,
     to_json_dict,
-    verify_isomorphism,
 )
-from pigraphs.skeletal import blow_up
+from pigraphs.skeletal import blow_up, verify_skeletal
+
+
+def is_isomorphism(g, h, mapping):
+    """Whether mapping is a bijective skeletal map, i.e. an isomorphism."""
+    phi = VertexMap(g.order, h.order, tuple(mapping))
+    return verify_skeletal(g, h, phi).is_skeletal
 
 
 def graph_strategy(max_order=8):
@@ -83,6 +88,21 @@ def test_vertex_map_fibres_match_the_definition():
             assert phi.classes[v] == fibre
             assert phi.masks[v] == sum(1 << u for u in fibre)
             assert phi.masks[v].bit_count() == ids.count(v)
+
+
+def test_preimage_matches_the_definition():
+    rng = random.Random(17)
+    # domain orders 0 and 1 and codomain order 1 first, then random maps
+    sizes = [(0, 0), (1, 1), (5, 1)] + [(n, rng.randrange(1, n + 1))
+                                        for n in rng.choices(range(1, 40),
+                                                             k=197)]
+    for n, m in sizes:
+        phi = VertexMap(n, m, random_surjection(n, m, rng))
+        # bits above the codomain have no preimage
+        for mask in (0, (1 << m) - 1, rng.randrange(1 << m),
+                     rng.randrange(1 << m) | 1 << (m + rng.randrange(3))):
+            assert phi.preimage(mask) == sum(
+                1 << a for a, p in enumerate(phi.map) if mask >> p & 1)
 
 
 def test_partition_by_key_numbers_classes_by_minimal_member():
@@ -154,7 +174,7 @@ def test_degree_of_subset_vertex_values():
 def test_isomorphism_basics():
     c5 = cycle_graph(5)
     found = are_isomorphic(c5, c5)
-    assert found is not None and verify_isomorphism(c5, c5, found)
+    assert found is not None and is_isomorphism(c5, c5, found)
     assert are_isomorphic(cycle_graph(4), complete_graph(4)) is None
     assert are_isomorphic(path_graph(4), from_edges(4, [(0, 1), (0, 2), (0, 3)])) is None
     # regular graphs that colour refinement cannot split
@@ -174,7 +194,7 @@ def test_isomorphism_basics():
         perm = rng.sample(range(g.order), g.order)
         h = from_edges(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
         found = are_isomorphic(g, h, max_order=limit)
-        assert found is not None and verify_isomorphism(g, h, found)
+        assert found is not None and is_isomorphism(g, h, found)
 
 
 def test_isomorphism_guard():
@@ -187,7 +207,7 @@ def test_isomorphism_guard():
 def brute_force_isomorphic(g, h):
     if g.order != h.order:
         return False
-    return any(verify_isomorphism(g, h, list(p))
+    return any(is_isomorphism(g, h, list(p))
                for p in itertools.permutations(range(g.order)))
 
 
@@ -212,18 +232,21 @@ def test_isomorphism_agrees_with_permutation_search():
     for g, h in pairs:
         found = are_isomorphic(g, h)
         if found is not None:
-            assert verify_isomorphism(g, h, found)
+            assert is_isomorphism(g, h, found)
         assert (found is not None) == brute_force_isomorphic(g, h)
 
 
 def test_verify_isomorphism():
     g = complete_graph(3)
-    assert verify_isomorphism(g, g, [0, 1, 2])
-    assert not verify_isomorphism(g, Graph(3, (0, 0, 0)), [0, 1, 2])
-    with pytest.raises(NotABijection):
-        verify_isomorphism(g, g, [0, 0, 1])
-    with pytest.raises(NotABijection):
-        verify_isomorphism(g, complete_graph(4), [0, 1, 2])
+    assert is_isomorphism(g, g, [0, 1, 2])
+    assert not is_isomorphism(g, Graph(3, (0, 0, 0)), [0, 1, 2])
+    # a map that is not a bijection is no VertexMap between equal orders
+    with pytest.raises(NotSurjective):
+        is_isomorphism(g, g, [0, 0, 1])
+    with pytest.raises(NotSurjective):
+        is_isomorphism(g, complete_graph(4), [0, 1, 2])
+    with pytest.raises(SizeMismatch):
+        is_isomorphism(g, g, [0, 1])
 
 
 def test_json_round_trip():
@@ -287,9 +310,9 @@ def test_verify_isomorphism_matches_pairwise_definition():
         mapping = rng.sample(range(order), order)
         image = from_edges(order, [(mapping[u], mapping[v])
                                    for u, v in g.edges()])
-        assert verify_isomorphism(g, image, mapping)
+        assert is_isomorphism(g, image, mapping)
         other = random_graph(order, 0.5, rng)
-        assert verify_isomorphism(g, other, mapping) == \
+        assert is_isomorphism(g, other, mapping) == \
             pairwise_isomorphism(g, other, mapping)
     # blow-ups repeat closed rows: twin classes of size 1-3
     for order in range(1, 9):
@@ -299,9 +322,9 @@ def test_verify_isomorphism_matches_pairwise_definition():
         mapping = rng.sample(range(g.order), g.order)
         image = from_edges(g.order, [(mapping[u], mapping[v])
                                      for u, v in g.edges()])
-        assert verify_isomorphism(g, image, mapping)
+        assert is_isomorphism(g, image, mapping)
         for h in (other, complement(image)):
-            assert verify_isomorphism(g, h, mapping) == \
+            assert is_isomorphism(g, h, mapping) == \
                 pairwise_isomorphism(g, h, mapping)
 
 
@@ -310,8 +333,8 @@ def test_verify_isomorphism_rejects_a_swap_across_twin_classes():
     g, collapse = blow_up(path_graph(4), [1, 2, 2, 1])
     assert collapse.map == (0, 1, 1, 2, 2, 3)
     assert g.degree(1) == g.degree(3) == 4
-    assert verify_isomorphism(g, g, [0, 2, 1, 4, 3, 5])
-    assert not verify_isomorphism(g, g, [0, 3, 2, 1, 4, 5])
+    assert is_isomorphism(g, g, [0, 2, 1, 4, 3, 5])
+    assert not is_isomorphism(g, g, [0, 3, 2, 1, 4, 5])
 
 
 def test_verify_isomorphism_rejects_one_flipped_edge():
@@ -320,11 +343,10 @@ def test_verify_isomorphism_rejects_one_flipped_edge():
     mapping = rng.sample(range(g.order), g.order)
     edges = {(min(mapping[u], mapping[v]), max(mapping[u], mapping[v]))
              for u, v in g.edges()}
-    assert verify_isomorphism(g, from_edges(g.order, edges), mapping)
+    assert is_isomorphism(g, from_edges(g.order, edges), mapping)
     for u, v in [(0, 1), (2, 9), (13, 14)]:
         flipped = edges ^ {(u, v)}
-        assert not verify_isomorphism(g, from_edges(g.order, flipped),
-                                      mapping)
+        assert not is_isomorphism(g, from_edges(g.order, flipped), mapping)
 
 
 def test_from_edges_rejects_out_of_range_endpoints():

@@ -4,7 +4,7 @@ from functools import cached_property
 
 import pytest
 
-from pigraphs import families, semigroups, verify
+from pigraphs import cli, families, semigroups, verify
 from pigraphs.errors import (
     EmptyVertexSet,
     InconsistentQuotient,
@@ -12,11 +12,11 @@ from pigraphs.errors import (
     NotInverseSemigroup,
 )
 from pigraphs.graphs import (
+    VertexMap,
     all_components_complete,
     complement,
     components,
     graph_stats,
-    verify_isomorphism,
 )
 from pigraphs.green import l_classes
 from pigraphs.pig import (
@@ -194,7 +194,8 @@ def test_quotient_complement_is_zero_product_graph(isn):
 def test_involution_isomorphism(isn):
     s = isn[3]
     mapping = involution_pig_isomorphism(s)
-    assert verify_isomorphism(left_pig(s), right_pig(s), mapping)
+    phi = VertexMap(len(mapping), len(mapping), tuple(mapping))
+    assert verify_skeletal(left_pig(s), right_pig(s), phi).is_skeletal
     b = families.brandt(families.cyclic_group(2), 2)
     inv = b.inverses
     for x, (i, g, j) in enumerate(b.elements[:-1]):
@@ -203,6 +204,39 @@ def test_involution_isomorphism(isn):
     involution_pig_isomorphism(b)
     sl = families.subset_meet_semilattice(2)
     assert involution_pig_isomorphism(sl) == list(range(3))
+
+
+def test_the_inversion_check_pulls_back_each_distinct_closed_row_once(
+        monkeypatch):
+    s = families.symmetric_inverse(5)
+    pulled = Counter()
+    preimage = VertexMap.preimage
+
+    def counted(phi, mask):
+        pulled[mask] += 1
+        return preimage(phi, mask)
+
+    monkeypatch.setattr(VertexMap, "preimage", counted)
+    involution_pig_isomorphism(s)
+    closed = {row | 1 << v for v, row in enumerate(right_pig(s).adj)}
+    assert sum(pulled.values()) == len(pulled) == len(closed) == 31
+    assert set(pulled) == closed
+
+
+def test_a_wrong_generic_isomorphism_is_a_fail_line(monkeypatch, capsys):
+    search = verify.graphs.are_isomorphic
+
+    def wrong(g, h):
+        mapping = search(g, h)
+        # swap the preimages of {0} (degree 3) and {0,1,2} (degree 6)
+        a, b = mapping.index(0), mapping.index(6)
+        mapping[a], mapping[b] = 6, 0
+        return mapping
+
+    monkeypatch.setattr(verify.graphs, "are_isomorphic", wrong)
+    assert cli.main(["verify", "--suite", "isn", "--n", "3"]) == 1
+    assert "[FAIL] isn: generic search finds the same isomorphism" in \
+        capsys.readouterr().out.splitlines()
 
 
 def test_involution_requires_inverse_semigroup():

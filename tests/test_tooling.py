@@ -1,6 +1,6 @@
 """Checks on the package source: no asserts, no runtime deps, a strict
-module layering, front ends that use only public names, and the same
-verdicts under ``python -O``.
+module layering, front ends that use only public names, no public
+definition that nothing uses, and the same verdicts under ``python -O``.
 
 Asserts vanish under ``python -O``, so invariants must raise instead; the
 package promises pure Python, so every absolute import must name a
@@ -13,6 +13,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -121,3 +122,27 @@ def test_verify_report_is_the_same_under_python_O():
         for flags in ([], ["-O"]))
     assert plain.returncode == optimized.returncode == 0, optimized.stderr
     assert optimized.stdout == plain.stdout != b""
+
+
+def _names(tree):
+    """Every identifier a tree reads, imports or reaches as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_public_definition_is_used_in_the_package():
+    """A top-level public function or class that no other code of the
+    package names, outside its own body, is dead API."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    used = Counter(name for tree in trees.values() for name in _names(tree))
+    unused = [f"{stem}.{node.name}" for stem, tree in trees.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and used[node.name] == list(_names(node)).count(node.name)]
+    assert unused == []
