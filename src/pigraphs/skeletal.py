@@ -10,6 +10,7 @@ it tries all Bell(n) - 1 partitions with a non-trivial block (guarded
 at order 8) and checks each partition quotient on bit-set closed rows.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -43,7 +44,7 @@ def verify_skeletal(g: Graph, h: Graph, phi: VertexMap) -> SkeletalReport:
     """
     if phi.domain_order != g.order or phi.codomain_order != h.order:
         raise SizeMismatch("map does not fit the given graphs")
-    sizes = tuple(f.bit_count() for f in phi.masks)
+    sizes = tuple(map(Counter(phi.map).__getitem__, range(h.order)))
     closed = [row | 1 << p for p, row in enumerate(h.adj)]
     expected = {c: phi.preimage(c) for c in set(closed)}
     for a, p in enumerate(phi.map):

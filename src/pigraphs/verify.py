@@ -58,8 +58,8 @@ def suite_isn(n: int = 3) -> SuiteResult:
            len(idempotents(s)) == 1 << n)
 
     # s caches its ideals and inverses, so each layer is computed once; the
-    # three left graphs stay independent recounts (ideals, table plus
-    # inverses, image masks)
+    # three left graphs stay independent recounts (ideals, products of the
+    # idempotents inv(x)*x, image masks)
     full = pig.left_pig(s)
     _check(checks, "inverse criterion graph equals ideal-intersection graph",
            full.adj == pig.left_pig_inverse_fast(s).adj)

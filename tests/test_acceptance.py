@@ -11,6 +11,7 @@ import random
 from pigraphs import families, graphs, pig, skeletal, spectral
 from pigraphs.green import l_classes
 from pigraphs.semigroups import adjoin_zero, idempotents
+from test_pig import inverse_product_adj
 
 EXPECTED_EDGE_COUNTS = {1: 0, 2: 2, 3: 15, 4: 80}
 
@@ -67,7 +68,8 @@ def test_criterion_3_adjacency_criteria_agree(isn):
                families.brandt(families.cyclic_group(3), 3),
                families.subset_meet_semilattice(3)]
     for s in samples:
-        assert pig.left_pig(s).adj == pig.left_pig_inverse_fast(s).adj
+        assert pig.left_pig(s).adj == pig.left_pig_inverse_fast(s).adj \
+            == inverse_product_adj(s)
     assert pig.left_pig(isn[3]).order == 33
     for n in range(1, 5):
         assert pig.isn_left_pig(n).adj == pig.left_pig(isn[n]).adj

@@ -1,4 +1,3 @@
-import random
 from collections import Counter
 from functools import cached_property
 
@@ -31,8 +30,10 @@ from pigraphs.pig import (
     _s_pig,
     s_right_pig,
 )
-from pigraphs.semigroups import adjoin_zero, from_cayley_table, idempotents
+from pigraphs.semigroups import Semigroup, adjoin_zero, from_cayley_table, \
+    idempotents
 from pigraphs.skeletal import max_skeletal, verify_skeletal
+from test_semigroups import small_semigroups
 
 
 def test_left_zero_with_zero_is_complete():
@@ -83,7 +84,7 @@ def test_fast_path_equivalence(isn):
 
 
 def test_inverse_criterion_on_one_nonzero_vertex():
-    # one vertex makes the partner gather a single-index itemgetter
+    # one vertex is one idempotent key and leaves no pair to intersect
     for s in (families.subset_meet_semilattice(1),
               families.symmetric_inverse(1)):
         g = left_pig_inverse_fast(s)
@@ -91,18 +92,71 @@ def test_inverse_criterion_on_one_nonzero_vertex():
         assert g.adj == left_pig(s).adj
 
 
-def test_inverse_criterion_matches_pairwise_definition():
-    rng = random.Random(12)
-    brandt = families.brandt(families.cyclic_group(rng.randint(1, 3)),
-                             rng.randint(2, 3))
-    for s in (brandt, families.symmetric_inverse(3)):
-        inv = s.inverses
-        verts = [x for x in range(s.order) if x != s.zero]
-        adj = tuple(
-            sum(1 << j for j, y in enumerate(verts)
-                if y != x and s.table[x][inv[y]] != s.zero)
-            for x in verts)
-        assert left_pig_inverse_fast(s).adj == adj
+def inverse_product_adj(s):
+    """The literal criterion: x ~ y (x != y) iff x * inv(y) != zero."""
+    inv = s.inverses
+    verts = [x for x in range(s.order) if x != s.zero]
+    return tuple(
+        sum(1 << j for j, y in enumerate(verts)
+            if y != x and s.table[x][inv[y]] != s.zero)
+        for x in verts)
+
+
+def test_inverse_criterion_matches_pairwise_definition(isn):
+    brandts = [families.brandt(families.cyclic_group(g), r)
+               for g in (1, 2, 3) for r in (1, 2, 3)]
+    semilattices = [families.subset_meet_semilattice(n) for n in (1, 2, 3)]
+    # every associative table of order <= 3, with and without a zero
+    # adjoined, that is inverse and has a nonzero element
+    small = [t for s in small_semigroups() for t in (s, adjoin_zero(s))
+             if t.inverses is not None
+             and any(x != t.zero for x in range(t.order))]
+    assert len(small) == 57
+    for s in [*isn.values(), *brandts, *semilattices, *small]:
+        assert left_pig_inverse_fast(s).adj == inverse_product_adj(s)
+    # groups have no zero, so x * inv(y) is never zero
+    for s in map(families.cyclic_group, (2, 3, 4)):
+        g = left_pig_inverse_fast(s)
+        assert graph_stats(g).is_complete and g.adj == inverse_product_adj(s)
+
+
+def test_inverse_criterion_reads_only_idempotent_products():
+    """A guard against the n^2 pass coming back: with the zero and the
+    inverse map cached, the recount reads table row inv(x) and its entry
+    x per element, then the rows and entries of the idempotents."""
+    s = families.symmetric_inverse(5)
+    reads = Counter()
+
+    class Counted(tuple):
+        def __getitem__(self, i):
+            reads["items"] += 1
+            return tuple.__getitem__(self, i)
+
+        def __iter__(self):
+            reads["items"] += len(self)
+            return tuple.__iter__(self)
+
+    counted = Semigroup(Counted(map(Counted, s.table)), s.labels)
+    counted.__dict__.update(zero=s.zero, inverses=s.inverses)
+    assert left_pig_inverse_fast(counted).adj == left_pig(s).adj
+    budget = 2 * s.order + len(idempotents(s)) ** 2
+    assert budget == 4116 and 0 < reads["items"] <= budget
+
+
+def test_inverse_criterion_catches_a_wrong_ideal_layer():
+    """The suite's inverse-criterion line reads no ideal mask, so it
+    still fails when the left ideals of two rank-1 elements are swapped."""
+    for n in (3, 4):
+        s = families.symmetric_inverse(n)
+        assert s.inverses is not None  # cached before the fault is planted
+        by_image = {s.elements[x].image_mask(): x for x in range(s.order)}
+        a, b = by_image[0b01], by_image[0b10]
+        ideals = list(s.left_ideals)
+        ideals[a], ideals[b] = ideals[b], ideals[a]
+        s.__dict__["left_ideals"] = tuple(ideals)
+        recount = left_pig_inverse_fast(s).adj
+        assert left_pig(s).adj != recount
+        assert recount == inverse_product_adj(s)
 
 
 def test_fast_path_requires_inverse_semigroup():
