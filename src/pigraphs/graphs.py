@@ -14,6 +14,9 @@ from .errors import IndexOutOfRange, MalformedDocument, NotSimpleGraph, \
     NotSurjective, SizeLimitExceeded, SizeMismatch
 
 ISO_MAX_ORDER = 40
+# above every family's graphs (at most 1,546 vertices), and small enough
+# for pig spectral's n x n matrix
+GRAPH_MAX_ORDER = 4096
 
 
 def bits(mask: int):
@@ -142,6 +145,8 @@ def _trusted_graph(order: int, adj: tuple, labels=None) -> Graph:
 def from_edges(order: int, edges, labels=None) -> Graph:
     if type(order) is not int or order < 0:
         raise MalformedDocument(f"order {order!r} is not a natural number")
+    if order > GRAPH_MAX_ORDER:
+        raise SizeLimitExceeded(f"graph order {order} above {GRAPH_MAX_ORDER}")
     _check_labels(labels, order)
     adj = [0] * order
     for edge in edges:
@@ -278,19 +283,19 @@ def degree_of_subset_vertex(n: int, k: int) -> int:
     return (1 << n) - (1 << (n - k)) - 1
 
 
-def are_isomorphic(g: Graph, h: Graph, max_order: int = ISO_MAX_ORDER):
+def are_isomorphic(g: Graph, h: Graph):
     """A vertex bijection preserving (non-)adjacency, or None.
 
     Degree colours are refined on the disjoint union of g and h (h's
     vertices shifted up by g's order), so both graphs share one set of
     colour ids; then a backtracking search over the colour classes;
-    intended for small orders.
+    guarded at order ``ISO_MAX_ORDER``.
     """
     if g.order != h.order:
         return None
-    if g.order > max_order:
+    if g.order > ISO_MAX_ORDER:
         raise SizeLimitExceeded(
-            f"isomorphism search guarded at order {max_order}")
+            f"isomorphism search guarded at order {ISO_MAX_ORDER}")
     n = g.order
     adj = g.adj + tuple(row << n for row in h.adj)
     colour, classes = partition_by_key(row.bit_count() for row in adj), 0

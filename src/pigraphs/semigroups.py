@@ -68,51 +68,35 @@ class Semigroup:
     def inverses(self) -> tuple | None:
         """The inverse map of an inverse semigroup, or ``None``.
 
-        ``inv[x]`` satisfies ``x*inv[x]*x = x`` and
-        ``inv[x]*x*inv[x] = inv[x]`` when every element has exactly one
-        such partner; otherwise the semigroup is not inverse.
-
-        A semigroup is inverse iff it is regular and its idempotents
-        commute (Howie 1995, Thm 5.1.1), so each idempotent is first
-        checked against the earlier ones, and a pair that does not
-        commute ends the search.  Then each L-class and each R-class
-        holds at most one idempotent, and an inverse y of x has e = y*x
-        in x's L-class, f = x*y in x's R-class, and lies in the H-class
-        of elements with f's left ideal and e's right ideal (section
-        2.3): only that H-class is searched, for x*y = f, and each hit is
-        checked against both laws.  Like the ideal masks, this assumes
-        associativity.
+        A semigroup is inverse iff every L-class and every R-class holds
+        exactly one idempotent (Howie 1995, Thm 5.1.1 (iii)), so ``None``
+        comes back when two idempotents share a left or a right ideal, or
+        some x has no idempotent e in its L-class or f in its R-class.
+        Otherwise inv[x] has f's left ideal and e's right ideal, and it
+        is the first y of that H-class with x*y = f: any such y R e has
+        y = e*y = inv[x]*(x*y) = inv[x]*f = inv[x].  Both laws are then
+        recounted on y.  Like the ideal masks, this assumes associativity.
         """
-        t, idem, idem_rows = self.table, [], []
-        for e, row in enumerate(t):
-            if row[e] != e:
-                continue
-            # e*f = f*e for every earlier idempotent f, read along row e
-            # and down column e
-            if tuple(map(row.__getitem__, idem)) != \
-                    tuple(map(itemgetter(e), idem_rows)):
-                return None
-            idem.append(e)
-            idem_rows.append(row)
+        t, idem = self.table, idempotents(self)
         left, right = self.left_ideals, self.right_ideals
         left_idem = {left[e]: e for e in idem}
         right_idem = {right[f]: f for f in idem}
+        if len(left_idem) < len(idem) or len(right_idem) < len(idem):
+            return None
         h_classes = {}
         for y, key in enumerate(zip(left, right)):
             h_classes.setdefault(key, []).append(y)
         inv = []
         for x, row in enumerate(t):
             e, f = left_idem.get(left[x]), right_idem.get(right[x])
-            h = None if e is None or f is None else \
-                h_classes.get((left[f], right[e]))
-            if h is None:
+            if e is None or f is None:
                 return None
-            hits = map(h.__getitem__, _indices(_gather(h)(row), f))
-            found = [y for y in hits
-                     if t[t[x][y]][x] == x and t[t[y][x]][y] == y]
-            if len(found) != 1:
+            y = next((y for y in h_classes.get((left[f], right[e]), ())
+                      if row[y] == f), None)
+            # x*y*x = x and y*x*y = y, with x*y = f
+            if y is None or t[f][x] != x or t[t[y][x]][y] != y:
                 return None
-            inv.append(found[0])
+            inv.append(y)
         return tuple(inv)
 
     @cached_property
@@ -224,14 +208,6 @@ def from_cayley_table(table, labels=None, *, unchecked=False,
 def _gather(keys):
     """itemgetter(*keys), but returning a tuple for a single key too."""
     return itemgetter(*keys) if len(keys) > 1 else lambda seq: (seq[keys[0]],)
-
-
-def _indices(seq, value):
-    """Every index of value in seq, ascending, found by C-level scans."""
-    i = -1
-    for _ in range(seq.count(value)):
-        i = seq.index(value, i + 1)
-        yield i
 
 
 def idempotents(s: Semigroup) -> list:

@@ -373,6 +373,9 @@ BAD_INPUT = {
     "graph has no order": ("graph", {"labels": None, "edges": []}),
     "graph has no edges": ("graph", {"order": 3, "labels": None}),
     "edge is a loop": ("graph", {"order": 2, "edges": [[0, 0], [0, 1]]}),
+    "graph order is huge": ("graph", {"order": 10**12, "edges": []}),
+    "graph order overflows an index": ("graph", {"order": 10**19,
+                                                 "edges": []}),
     # element 0 of this table is its zero, element 1 its identity
     "semigroup zero and identity are swapped": (
         "semigroup", {"table": [[0, 0], [0, 1]], "zero": 1, "identity": 0}),
@@ -393,6 +396,9 @@ FIELD_ERRORS = {
     "semigroup order is a float": "'order' must be an integer",
     "graph has no order": "graph document has no 'order' field",
     "graph has no edges": "graph document has no 'edges' field",
+    "graph order is huge": "graph order 1000000000000 above 4096",
+    "graph order overflows an index":
+        "graph order 10000000000000000000 above 4096",
     "graph labels repeat": "label 'a' repeats",
     "semigroup labels repeat": "label 'a' repeats",
     "semigroup zero and identity are swapped":
@@ -414,7 +420,8 @@ def test_malformed_input_exits_2_without_traceback(name, tmp_path, capsys):
     commands = {
         "graph": [["stats", "--graph", str(path)],
                   ["skeletal", "--graph", str(path), "--op", "max"],
-                  ["spectral", "--graph", str(path), "--twin-report"]],
+                  ["spectral", "--graph", str(path), "--twin-report"],
+                  ["spectral", "--graph", str(path), "--matrix", "A"]],
         "semigroup": [["graph", "--input", str(path)],
                       ["graph", "--input", str(path), "--variant", "spig"],
                       ["classes", "--input", str(path)]],

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from pigraphs import graphs
 from pigraphs.errors import (
     IndexOutOfRange,
     MalformedDocument,
@@ -171,7 +172,7 @@ def test_degree_of_subset_vertex_values():
         assert degree_of_subset_vertex(n, n) == (1 << n) - 2
 
 
-def test_isomorphism_basics():
+def test_isomorphism_basics(monkeypatch):
     c5 = cycle_graph(5)
     found = are_isomorphic(c5, c5)
     assert found is not None and is_isomorphism(c5, c5, found)
@@ -193,15 +194,17 @@ def test_isomorphism_basics():
     for g, limit in ((petersen, 10), (intersection_graph(6), 63)):
         perm = rng.sample(range(g.order), g.order)
         h = from_edges(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
-        found = are_isomorphic(g, h, max_order=limit)
+        monkeypatch.setattr(graphs, "ISO_MAX_ORDER", limit)
+        found = are_isomorphic(g, h)
         assert found is not None and is_isomorphism(g, h, found)
 
 
-def test_isomorphism_guard():
+def test_isomorphism_guard(monkeypatch):
     big = Graph(41, (0,) * 41)
     with pytest.raises(SizeLimitExceeded):
         are_isomorphic(big, big)
-    assert are_isomorphic(big, big, max_order=50) is not None
+    monkeypatch.setattr(graphs, "ISO_MAX_ORDER", 50)
+    assert are_isomorphic(big, big) is not None
 
 
 def brute_force_isomorphic(g, h):
@@ -377,6 +380,11 @@ def test_from_edges_rejects_malformed_input():
         from_edges(2, [(0, 1)], ["a"])
     with pytest.raises(MalformedDocument):
         from_json_dict({"order": 2, "edges": 5})
+    # the order bound is checked before any row is allocated
+    for order in (graphs.GRAPH_MAX_ORDER + 1, 10**12, 10**19):
+        with pytest.raises(SizeLimitExceeded):
+            from_json_dict({"order": order, "edges": []})
+    assert from_edges(graphs.GRAPH_MAX_ORDER, []).order == 4096
 
 
 def test_all_components_complete_matches_pairwise_definition():

@@ -30,10 +30,9 @@ from pigraphs.pig import (
     _s_pig,
     s_right_pig,
 )
-from pigraphs.semigroups import Semigroup, adjoin_zero, from_cayley_table, \
-    idempotents
+from pigraphs.semigroups import adjoin_zero, from_cayley_table, idempotents
 from pigraphs.skeletal import max_skeletal, verify_skeletal
-from test_semigroups import small_semigroups
+from test_semigroups import counted_copy, small_semigroups
 
 
 def test_left_zero_with_zero_is_complete():
@@ -125,18 +124,7 @@ def test_inverse_criterion_reads_only_idempotent_products():
     inverse map cached, the recount reads table row inv(x) and its entry
     x per element, then the rows and entries of the idempotents."""
     s = families.symmetric_inverse(5)
-    reads = Counter()
-
-    class Counted(tuple):
-        def __getitem__(self, i):
-            reads["items"] += 1
-            return tuple.__getitem__(self, i)
-
-        def __iter__(self):
-            reads["items"] += len(self)
-            return tuple.__iter__(self)
-
-    counted = Semigroup(Counted(map(Counted, s.table)), s.labels)
+    counted, reads = counted_copy(s)
     counted.__dict__.update(zero=s.zero, inverses=s.inverses)
     assert left_pig_inverse_fast(counted).adj == left_pig(s).adj
     budget = 2 * s.order + len(idempotents(s)) ** 2

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from functools import cache
 from itertools import permutations, product
 
@@ -264,6 +265,23 @@ def small_semigroups():
     return tuple(out)
 
 
+def counted_copy(s):
+    """s on a table that counts, in reads["items"], every entry and row
+    handed out by indexing and every item handed out by iteration."""
+    reads = Counter()
+
+    class Counted(tuple):
+        def __getitem__(self, i):
+            reads["items"] += 1
+            return tuple.__getitem__(self, i)
+
+        def __iter__(self):
+            reads["items"] += len(self)
+            return tuple.__iter__(self)
+
+    return Semigroup(Counted(map(Counted, s.table)), s.labels), reads
+
+
 def involutions(n):
     return [p for p in permutations(range(n))
             if all(p[p[a]] == a for a in range(n))]
@@ -356,7 +374,6 @@ def test_check_involution_matches_pairwise_definition():
 
 
 def test_inverses_match_pairwise_definition():
-    # the order-1 table makes every row gather a single-index itemgetter
     rng = random.Random(11)
     for s in (from_cayley_table([[0]]), random_brandt(rng),
               families.symmetric_inverse(3),
@@ -366,8 +383,33 @@ def test_inverses_match_pairwise_definition():
     assert from_cayley_table([[0]]).inverses == (0,)
     small = small_semigroups()
     assert len(small) == 122
+    small += tuple(map(adjoin_zero, small))
     assert all(s.inverses == brute_inverses(s) for s in small)
-    assert sum(s.inverses is not None for s in small) == 29
+    assert sum(s.inverses is not None for s in small) == 58
+    # regular controls that are not inverse: the 2x2 rectangular band
+    # (i, j)(k, l) = (i, l), (i, j) at 2i + j, is all idempotents, two in
+    # each L- and each R-class
+    band = from_cayley_table([[a & 2 | b & 1 for b in range(4)]
+                              for a in range(4)])
+    for s in (band, adjoin_zero(band)):
+        assert all(s.table[x][x] == x for x in range(s.order))
+        assert s.inverses is None and brute_inverses(s) is None
+
+
+def test_inverses_keep_both_laws_on_unchecked_tables():
+    """Tables above order 256 are trusted unchecked: on every table of
+    order 3, associative or not, the search raises nothing, and a map it
+    returns satisfies both laws, which it recounts on the H-class match."""
+    found = 0
+    for flat in product(range(3), repeat=9):
+        t = (flat[:3], flat[3:6], flat[6:])
+        inv = Semigroup(t).inverses
+        if inv is not None:
+            found += 1
+            assert all(t[t[x][y]][x] == x and t[t[y][x]][y] == y
+                       for x, y in enumerate(inv))
+    # maps on non-associative tables too, not only the 24 inverse ones
+    assert found > 24
 
 
 def test_generators_generate():
@@ -394,9 +436,20 @@ def test_generators_generate():
 
 
 def test_inverse_layer_reads_only_what_it_needs(monkeypatch):
-    """A guard against a full-table scan coming back: the keys handed to
-    _gather by the inverse search and the involution check on IS_5."""
+    """A guard against a full-table scan coming back, on IS_5: the table
+    entries the inverse search reads, with both ideal lists cached, and
+    the keys the involution check hands to _gather."""
     s = families.symmetric_inverse(5)
+    counted, reads = counted_copy(s)
+    counted.__dict__.update(left_ideals=s.left_ideals,
+                            right_ideals=s.right_ideals)
+    inv = counted.inverses
+    assert all(s.elements[y] == s.elements[x].inverse()
+               for x, y in enumerate(inv))
+    # the diagonal, the rows and both laws: at most 11 reads per element;
+    # the H-class scans: sum over x of |H_x| = sum_k C(5,k)^2 (k!)^2
+    budget = 11 * s.order + 32_826
+    assert budget == 49_832 and 0 < reads["items"] <= budget
     gens, keys = s.generators, []
     gather = semigroups._gather
 
@@ -405,9 +458,6 @@ def test_inverse_layer_reads_only_what_it_needs(monkeypatch):
         return gather(k)
 
     monkeypatch.setattr(semigroups, "_gather", counted_gather)
-    inv = s.inverses
-    # the candidates: sum over x of |H_x| = sum_k C(5,k)^2 (k!)^2
-    assert 0 < sum(keys) <= 32_826
     keys.clear()
     assert check_involution(s, inv)
     assert 0 < sum(keys) <= (len(gens) + 1) * 1546

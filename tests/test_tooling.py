@@ -1,6 +1,7 @@
 """Checks on the package source: no asserts, no runtime deps, a strict
 module layering, front ends that use only public names, no public
-definition that nothing uses, and the same verdicts under ``python -O``.
+definition or private helper that nothing uses, and the same verdicts
+under ``python -O``.
 
 Asserts vanish under ``python -O``, so invariants must raise instead; the
 package promises pure Python, so every absolute import must name a
@@ -135,14 +136,25 @@ def _names(tree):
             yield node.name
 
 
+def _unused_definitions(private):
+    """Top-level functions and classes, private or public as asked, that
+    no code of the package names outside their own bodies."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    used = Counter(name for tree in trees.values() for name in _names(tree))
+    return [f"{stem}.{node.name}" for stem, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") == private
+            and used[node.name] == list(_names(node)).count(node.name)]
+
+
 def test_every_public_definition_is_used_in_the_package():
     """A top-level public function or class that no other code of the
     package names, outside its own body, is dead API."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
-    used = Counter(name for tree in trees.values() for name in _names(tree))
-    unused = [f"{stem}.{node.name}" for stem, tree in trees.items()
-              for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")
-              and used[node.name] == list(_names(node)).count(node.name)]
-    assert unused == []
+    assert _unused_definitions(private=False) == []
+
+
+def test_every_private_helper_is_used_in_the_package():
+    """A top-level _helper that no other code of the package names is
+    left behind by the code that once called it."""
+    assert _unused_definitions(private=True) == []
