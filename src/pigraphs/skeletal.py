@@ -7,7 +7,7 @@ is possible exactly between closed twins (adjacent vertices with the
 same closed neighborhood), which gives a polynomial-time skeleton test.
 The independent oracle, brute_force_has_proper_skeletal, is exhaustive:
 it tries all Bell(n) - 1 partitions with a non-trivial block (guarded
-at order 8) and checks each partition quotient on bit-set closed rows.
+at order 8) in closed-row form: one closed row per block, a union of blocks.
 """
 
 from collections import Counter
@@ -130,20 +130,17 @@ def _block_partitions(n: int):
 
 
 def _blocks_are_skeletal(closed, blocks) -> bool:
-    """Whether the any-cross-edge quotient by these blocks is skeletal.
-
-    closed[a] is a's closed row.  A block's members must all have the
-    closed row `expected`: the union of the blocks met by the OR of their
-    closed rows.  That is what quotient_by_partition followed by
-    verify_skeletal decides, without building either.
+    """Whether the any-cross-edge quotient by blocks is skeletal: iff each
+    block's members share one closed row (closed[a] is a's), a union of
+    blocks.  (=>) A block's members are adjacent, and each closed row is
+    the preimage of the block's closed row.  (<=) A vertex of another block
+    is in that row iff its block is, iff a cross edge joins the two, iff
+    they are adjacent.  Shared rows imply the union, but without its test
+    the oracle would decide the twin theorem, not the skeletal definition.
     """
     for members in blocks:
-        rows = [closed[a] for a in bits(members)]
-        reach = 0
-        for row in rows:
-            reach |= row
-        expected = sum(b for b in blocks if b & reach)
-        if any(row != expected for row in rows):
+        row, *others = {closed[a] for a in bits(members)}
+        if others or row != sum(b for b in blocks if b & row):
             return False
     return True
 

@@ -12,7 +12,7 @@ verify.suite_spectral recounts it with n x n ranks.
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import NotSymmetric
+from .errors import NotSymmetric, SizeMismatch
 from .graphs import Graph
 from .skeletal import max_skeletal
 
@@ -32,9 +32,9 @@ def integer_rank(m: list) -> int:
     """Rank over the rationals via fraction-free Bareiss elimination."""
     a = [list(row) for row in m]
     n = len(a)
-    if n == 0:
-        return 0
-    width = len(a[0])
+    if len({len(row) for row in a}) > 1:
+        raise SizeMismatch("integer_rank needs rows of equal length")
+    width = len(a[0]) if a else 0
     rank = 0
     prev = 1
     row = 0
@@ -59,7 +59,8 @@ def integer_rank(m: list) -> int:
 
 def _is_symmetric(m: list) -> bool:
     n = len(m)
-    return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
+    return all(len(row) == n for row in m) and all(
+        m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
 
 
 def eigen_multiplicity(m: list, lam: int) -> int:

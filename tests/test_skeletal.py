@@ -284,9 +284,23 @@ def test_block_partitions_yield_each_partition_once():
         assert len(yielded) == len(set(yielded)) == bell, n
 
 
+def every_partition(max_order):
+    """(graph, partition) for every partition of every labelled graph."""
+    for n in range(max_order + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            g = from_edges(n, [e for i, e in enumerate(pairs)
+                               if chosen >> i & 1])
+            for blocks in all_partitions(list(range(n))):
+                yield g, block_map(n, blocks)
+
+
 def test_block_check_matches_quotient_and_verify_skeletal():
+    exhaustive = list(every_partition(4))
+    assert len(exhaustive) == 1006
+    seeded = [(g, phi) for g, phi, _ in seeded_partitions(9, max_order=6)]
     verdicts = []
-    for g, phi, _ in seeded_partitions(9, max_order=6):
+    for g, phi in exhaustive + seeded:
         h = quotient_by_partition(g, phi)
         closed = [row | 1 << v for v, row in enumerate(g.adj)]
         blocks = [sum(1 << v for v in block) for block in phi.classes]
@@ -330,6 +344,21 @@ def test_brute_force_matches_reference_on_seeded_graphs():
                               (planted, True)):
                 assert brute_force_has_proper_skeletal(g) is proper
                 assert reference_has_proper_skeletal(g) is proper
+
+
+def test_brute_force_checks_every_partition_of_a_twin_free_graph(
+        monkeypatch):
+    checks = []
+
+    def counted(closed, blocks):
+        checks.append(len(blocks))
+        return _blocks_are_skeletal(closed, blocks)
+
+    monkeypatch.setattr(skeletal, "_blocks_are_skeletal", counted)
+    g = twin_free_graph(8, random.Random(8))
+    assert not brute_force_has_proper_skeletal(g)
+    # Bell(8) partitions, less the discrete one, skipped before the check
+    assert len(checks) == BELL[8] - 1 and 8 not in checks
 
 
 def reference_has_two_block_skeletal(g):

@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from pigraphs import spectral, verify
-from pigraphs.errors import NotSymmetric
+from pigraphs.errors import NotSymmetric, SizeMismatch
 from pigraphs.graphs import (
     VertexMap,
     complete_graph,
@@ -66,6 +66,9 @@ def test_integer_rank():
     assert shifted == a_plus_i
     assert integer_rank(shifted) == 1
     assert integer_rank([]) == 0
+    assert integer_rank([[1, 2, 3], [2, 4, 6]]) == 1
+    with pytest.raises(SizeMismatch):
+        integer_rank([[1, 2], [3]])
 
 
 def test_integer_rank_against_sympy():
@@ -80,8 +83,9 @@ def test_eigen_multiplicity_examples():
     assert eigen_multiplicity(graph_matrix(K4, "A"), -1) == 3
     assert eigen_multiplicity(graph_matrix(K4, "L"), 4) == 3
     assert eigen_multiplicity(graph_matrix(complete_graph(2), "L"), 5) == 0
-    with pytest.raises(NotSymmetric):
-        eigen_multiplicity([[0, 1], [0, 0]], 0)
+    for m in ([[0, 1], [0, 0]], [[0, 1]], [[0, 1], [1]]):
+        with pytest.raises(NotSymmetric):
+            eigen_multiplicity(m, 0)
 
 
 def charpoly_multiplicity(m, lam):

@@ -1,7 +1,8 @@
 """Checks on the package source: no asserts, no runtime deps, a strict
 module layering, front ends that use only public names, no public
-definition or private helper that nothing uses, and the same verdicts
-under ``python -O``.
+definition or private helper that nothing uses, the same verdicts
+under ``python -O``, and a package the benchmark's span recorder
+(``perfbench/spans.py``) still installs over.
 
 Asserts vanish under ``python -O``, so invariants must raise instead; the
 package promises pure Python, so every absolute import must name a
@@ -11,6 +12,7 @@ the layers only through public names, so each layer has one way in.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -123,6 +125,40 @@ def test_verify_report_is_the_same_under_python_O():
         for flags in ([], ["-O"]))
     assert plain.returncode == optimized.returncode == 0, optimized.stderr
     assert optimized.stdout == plain.stdout != b""
+
+
+TRACED_RUN = """
+import json, sys
+from pigraphs import cli
+from spans import SpanRecorder
+recorder = SpanRecorder()
+recorder.install()
+out = sys.argv[1]
+codes = [cli.main(argv) for argv in (
+    ["verify", "--suite", "isn", "--n", "2"],
+    ["build", "--family", "cyclic", "--n", "3", "--adjoin-zero",
+     "--out", out],
+    ["graph", "--input", out])]
+print(json.dumps({"codes": codes, "metrics": recorder.layer_metrics()}))
+"""
+
+
+def test_benchmark_span_recorder_installs_over_the_package(tmp_path):
+    """The benchmark's --trace mode wraps the layer modules from outside;
+    a module, Graph.__post_init__ or Semigroup.checked that it relies on
+    must not go missing silently."""
+    bench = SRC.parent / "perfbench"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(bench)])}
+    run = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(tmp_path / "cyclic.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0]
+    metrics = result["metrics"]
+    for name in ("pig.graph_builds", "skeletal.verify_calls",
+                 "semigroups.assoc_triples"):
+        assert metrics[name] > 0, name
 
 
 def _names(tree):
