@@ -10,9 +10,10 @@ from dataclasses import dataclass
 from math import comb, factorial
 from operator import itemgetter
 
-from .errors import NotABijection, NotAGroup, SizeLimitExceeded
+from .errors import NotABijection, NotAGroup, NotGenerating, \
+    SizeLimitExceeded
 from .graphs import subset_label
-from .semigroups import Semigroup
+from .semigroups import Semigroup, _gather
 
 ISN_MAX = 5
 SEMILATTICE_MAX = 5
@@ -82,14 +83,29 @@ def partial_bijection_count(n: int) -> int:
 FAMILY_MAX_ORDER = partial_bijection_count(ISN_MAX)
 
 
+def _walk(order, gens, row):
+    """The table that gens generate: rows row(g) are composed, and a walk
+    over x -> x*g gathers each other row x*g as row x read at the entries
+    of row g, as (x*g)*z = x*(g*z).  Raises :class:`NotGenerating` if it
+    misses an element."""
+    rows, walk = {g: row(g) for g in gens}, list(gens)
+    for x in walk:
+        for g in gens:
+            y = rows[x][g]
+            if y not in rows:
+                rows[y] = _gather(rows[g])(rows[x])
+                walk.append(y)
+    if len(walk) < order:
+        raise NotGenerating(f"the generators reach {len(walk)} of {order}")
+    return tuple(map(rows.__getitem__, range(order)))
+
+
 def symmetric_inverse(n: int) -> Semigroup:
     """The symmetric inverse semigroup of all partial bijections on n points.
 
     IS_n is generated by the n-cycle, the transposition (0 1) and the
-    partial identity on {1..n-1} (Gomes and Howie 1987), so a
-    breadth-first walk over x -> x*g from the generators g reaches every
-    element.  Only the three generator rows are composed entry by entry;
-    row x*g is row x read at the entries of row g, as (x*g)*z = x*(g*z).
+    partial identity on {1..n-1} (Gomes and Howie 1987): :func:`_walk`
+    builds the table from their rows and they become its ``gens``.
     """
     if not 1 <= n <= ISN_MAX:
         raise SizeLimitExceeded(f"symmetric_inverse supports 1 <= n <= {ISN_MAX}")
@@ -99,24 +115,17 @@ def symmetric_inverse(n: int) -> Semigroup:
     # The padding also keeps itemgetter's result a tuple when n = 1.
     padded = [p.mapping + (None,) for p in elems]
     index = {m: i for i, m in enumerate(padded)}
-    # for n = 1 the transposition is the identity
-    gens = [index[m + (None,)] for m in (
+    # the cycle is the transposition for n = 2, both are the identity for
+    # n = 1, and each generator is kept once
+    gens = tuple(dict.fromkeys(index[m + (None,)] for m in (
         tuple((i + 1) % n for i in range(n)),
         (1, 0, *range(2, n)) if n > 1 else (0,),
-        (None, *range(1, n)))]
-    rows = [None] * len(padded)
-    for g in gens:
-        rows[g] = tuple(map(index.__getitem__, map(itemgetter(
-            *(n if v is None else v for v in padded[g])), padded)))
-    walk = list(gens)
-    for x in walk:
-        for g in gens:
-            y = rows[x][g]
-            if rows[y] is None:
-                rows[y] = itemgetter(*rows[g])(rows[x])
-                walk.append(y)
-    return Semigroup(tuple(rows), tuple(p.label() for p in elems), "isn",
-                     elements=tuple(elems))
+        (None, *range(1, n)))))
+    table = _walk(len(padded), gens, lambda g: tuple(map(
+        index.__getitem__, map(itemgetter(
+            *(n if v is None else v for v in padded[g])), padded))))
+    return Semigroup(table, tuple(p.label() for p in elems), "isn",
+                     elements=tuple(elems), gens=gens)
 
 
 def _check_group(g: Semigroup):

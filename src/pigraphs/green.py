@@ -3,7 +3,9 @@
 The principal ideals themselves are cached attributes of the semigroup
 (``s.left_ideals``, ``s.right_ideals``), bit-sets over element indices
 (Python ints), so equality and intersection tests are single integer
-operations.
+operations.  They come from the generators' Cayley graphs, whose strongly
+connected components are these classes, when the semigroup knows its
+generators, else from its rows and columns.
 """
 
 from .graphs import VertexMap, partition_by_key

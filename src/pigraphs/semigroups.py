@@ -24,11 +24,11 @@ class Semigroup:
     associativity was verified exhaustively (family constructors that are
     associative by construction skip it).  ``elements`` optionally carries
     structured element values (partial bijections, Brandt triples, subset
-    masks) for the suites' recounts; it does not take part in equality and
-    is not serialized.  Everything the table determines (order, zero,
-    identity, principal ideals, inverse map, a generating set) is a
-    cached attribute, so it is computed once per semigroup and cannot
-    disagree with the table.
+    masks) for the suites' recounts, and ``gens`` a generating set that
+    ``families._walk`` proved; neither takes part in equality or is
+    serialized.  Everything the table determines (order, zero, identity,
+    principal ideals, inverse map, a generating set) is a cached
+    attribute, computed once per semigroup (the ideals off gens if set).
     The constructor trusts its square tuple table; ``from_cayley_table``
     validates any other.
     """
@@ -38,6 +38,7 @@ class Semigroup:
     family: str | None = None
     checked: bool = field(default=False, compare=False)
     elements: tuple | None = field(default=None, compare=False)
+    gens: tuple | None = field(default=None, compare=False)
 
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels is not None else str(x)
@@ -56,13 +57,17 @@ class Semigroup:
 
     @cached_property
     def left_ideals(self) -> tuple:
-        """Every principal left ideal, each read off its column."""
-        return _ideals(zip(*self.table))
+        """Each principal left ideal: x's reach along x -> g*x, or column x."""
+        if self.gens is None:
+            return _ideals(zip(*self.table))
+        return _reach(tuple(zip(*map(self.table.__getitem__, self.gens))))
 
     @cached_property
     def right_ideals(self) -> tuple:
-        """Every principal right ideal, each read off its row."""
-        return _ideals(self.table)
+        """Each principal right ideal: x's reach along x -> x*g, or row x."""
+        if self.gens is None:
+            return _ideals(self.table)
+        return _reach(tuple(map(_gather(self.gens), self.table)))
 
     @cached_property
     def inverses(self) -> tuple | None:
@@ -101,13 +106,15 @@ class Semigroup:
 
     @cached_property
     def generators(self) -> tuple:
-        """A generating set read off the table, assuming associativity.
+        """``gens``, or else a set read off the table, assuming associativity.
 
         Elements are taken largest principal left ideal first; each one
         not yet reached becomes a generator, and the reached set is kept
         closed under right multiplication by the generators, so it is
         the subsemigroup they generate and ends as the whole semigroup.
         """
+        if self.gens is not None:
+            return self.gens
         t, left = self.table, self.left_ideals
         reached, gens = bytearray(self.order), []
         for g in sorted(range(self.order), key=lambda x: -left[x].bit_count()):
@@ -143,6 +150,48 @@ def _ideals(lines) -> tuple:
             mask = same[b] = sum(map((1).__lshift__, products))
         masks.append(mask)
     return tuple(masks)
+
+
+def _reach(succ) -> tuple:
+    """Bit-set of all that each x reaches along x -> succ[x], x included.
+
+    With succ[x] the products g*x (x*g) over generators g, that is S1x
+    (xS1) and the strongly connected components are the L- (R-) classes
+    (Froidure and Pin 1997).  An iterative Tarjan search, from a root n
+    with an edge to every x, closes them in reverse topological order, so
+    a component's mask is its members' bits and the masks their edges
+    reach: |gens|*n edges, not _ideals' n^2 products.  Bare tables keep
+    _ideals: ``generators`` sorts by the left ideals, and a set read off
+    the table costs more than it saves (0.14 + 0.008 s against 0.12 s on
+    a relabelled IS_5, 0.34 + 1.19 s against 0.31 s on a 1,546-chain).
+    """
+    n = len(succ)
+    succ = (*succ, range(n))
+    number, low, masks = [0] * n + [1], [0] * n + [1], [0] * (n + 1)
+    counter, stack, path = count(2), [n], [(n, iter(succ[n]))]
+    while path:
+        x, edges = path[-1]
+        for y in edges:
+            if not number[y]:
+                number[y] = low[y] = next(counter)
+                stack.append(y)
+                path.append((y, iter(succ[y])))
+                break
+            if not masks[y]:  # y is on the stack
+                low[x] = min(low[x], number[y])
+        else:
+            path.pop()
+            if path:
+                low[path[-1][0]] = min(low[path[-1][0]], low[x])
+            if low[x] == number[x]:
+                members = stack[stack.index(x):]
+                del stack[-len(members):]
+                mask = sum(map((1).__lshift__, members))
+                for y in chain.from_iterable(map(succ.__getitem__, members)):
+                    mask |= masks[y]
+                for m in members:
+                    masks[m] = mask
+    return tuple(masks[:n])
 
 
 def _check_entries(table):

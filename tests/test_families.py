@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pigraphs import families
-from pigraphs.errors import NotABijection, NotAGroup, SizeLimitExceeded
+from pigraphs.errors import NotABijection, NotAGroup, NotGenerating, \
+    SizeLimitExceeded
 from pigraphs.families import PartialBijection, all_partial_bijections
 from pigraphs.semigroups import (adjoin_zero, check_involution,
                                   from_cayley_table, idempotents)
@@ -239,6 +240,29 @@ def test_symmetric_inverse_5_rows_match_composition():
     for x in gens + last + gathered:
         assert s.table[x] == tuple(index[elems[x].compose(y).mapping]
                                    for y in elems)
+
+
+def test_walk_proves_its_generating_set():
+    # the walk rebuilds IS_3 from its three generators, composed here
+    # with compose, and raises without the partial identity: the cycle
+    # and the transposition generate only the 6 permutations
+    elems = all_partial_bijections(3)
+    index = {p: i for i, p in enumerate(elems)}
+    cycle, swap, partial = (index[PartialBijection(3, m)] for m in (
+        (1, 2, 0), (1, 0, 2), (None, 1, 2)))
+
+    def row(g):
+        return tuple(index[elems[g].compose(y)] for y in elems)
+
+    s = families.symmetric_inverse(3)
+    assert s.gens == (cycle, swap, partial)
+    assert families._walk(len(elems), s.gens, row) == s.table
+    with pytest.raises(NotGenerating, match="reach 6 of 34"):
+        families._walk(len(elems), (cycle, swap), row)
+    # for n <= 2 the cycle is the transposition, for n = 1 the identity:
+    # each generator is kept once
+    assert [len(families.symmetric_inverse(n).gens)
+            for n in range(1, 6)] == [2, 2, 3, 3, 3]
 
 
 def test_partial_bijection_rejects_non_injective_mapping():

@@ -7,7 +7,8 @@ from pigraphs.green import (
     r_classes,
 )
 from pigraphs.graphs import VertexMap
-from pigraphs.semigroups import adjoin_zero, from_cayley_table, idempotents
+from pigraphs.semigroups import Semigroup, adjoin_zero, from_cayley_table, \
+    idempotents
 
 
 def as_set(bitset):
@@ -42,9 +43,11 @@ def chain(n, op):
 
 
 def test_ideal_lists_match_one_element_recounts(isn):
-    # shapes where ideals repeat (IS_3, Brandt, left zero, cyclic) and
-    # where every ideal is distinct (null semigroup, max and min chains)
-    for s in (isn[3], families.brandt(families.cyclic_group(2), 2),
+    # shapes where ideals repeat (IS_n, Brandt, left zero, cyclic) and
+    # where every ideal is distinct (null semigroup, max and min chains);
+    # IS_n reads its ideals off its generators' Cayley graphs
+    for s in (*isn.values(), families.symmetric_inverse(5),
+              families.brandt(families.cyclic_group(2), 2),
               adjoin_zero(families.left_zero(5)), families.cyclic_group(7),
               chain(9, lambda x, y: 0), chain(9, max), chain(9, min)):
         assert list(s.left_ideals) == [principal_left_ideal(s, a)
@@ -52,6 +55,18 @@ def test_ideal_lists_match_one_element_recounts(isn):
         assert list(s.right_ideals) == [
             sum(1 << x for x in set(s.table[a])) | 1 << a
             for a in range(s.order)]
+
+
+def test_both_ideal_sources_agree(isn):
+    """IS_1 to IS_5 through the Cayley graphs of their generators and as
+    bare tables through _ideals: the same masks and L/R partitions."""
+    for s in (*isn.values(), families.symmetric_inverse(5)):
+        bare = Semigroup(s.table)
+        assert s.gens is not None and bare.gens is None
+        assert s.left_ideals == bare.left_ideals
+        assert s.right_ideals == bare.right_ideals
+        assert l_classes(s).map == l_classes(bare).map
+        assert r_classes(s).map == r_classes(bare).map
 
 
 def test_ideal_lists_hold_only_the_masks():

@@ -338,39 +338,56 @@ def test_s_pig_rejects_representative_dependent_partitions(isn):
 
 
 def test_each_layer_is_built_once(monkeypatch):
-    """The ideals, the inverse map and the generating set are read off the
-    table once per semigroup, however many graphs, partitions and
-    involution checks are built from them."""
-    s = families.symmetric_inverse(3)
-    passes = Counter()
-    ideals = semigroups._ideals
-
-    def counted_ideals(lines):
-        # the right pass hands over the table itself, the left its columns
-        passes["right" if lines is s.table else "left"] += 1
-        return ideals(lines)
+    """The ideals, the inverse map and the generating set are computed
+    once per semigroup, however many graphs, partitions and involution
+    checks are built from them: one left and one right ideal pass, by
+    _reach on a family that knows its generators and by _ideals on its
+    bare table."""
+    passes, within = Counter(), []
 
     def counted(attr, name):
         compute = getattr(semigroups.Semigroup, attr).func
 
         def counted_compute(t):
             passes[name] += 1
-            return compute(t)
+            within.append(name)
+            try:
+                return compute(t)
+            finally:
+                within.pop()
 
         prop = cached_property(counted_compute)
         prop.__set_name__(semigroups.Semigroup, attr)
         monkeypatch.setattr(semigroups.Semigroup, attr, prop)
 
-    monkeypatch.setattr(semigroups, "_ideals", counted_ideals)
-    counted("inverses", "inverse search")
-    counted("generators", "generating set")
-    left_pig(s)
-    s_left_pig(s)
-    l_classes(s)
-    left_pig_inverse_fast(s)
-    involution_pig_isomorphism(s)
-    involution_pig_isomorphism(s)
-    assert semigroups.check_involution(s, s.inverses)
-    assert s.order == 34
-    assert passes == Counter({"left": 1, "right": 1, "inverse search": 1,
-                              "generating set": 1})
+    def counted_pass(primitive):
+        run = getattr(semigroups, primitive)
+
+        def counted_run(lines):
+            passes[f"{within[-1] if within else 'stray'} by {primitive}"] += 1
+            return run(lines)
+
+        monkeypatch.setattr(semigroups, primitive, counted_run)
+
+    for attr, name in (("left_ideals", "left"), ("right_ideals", "right"),
+                       ("inverses", "inverse search"),
+                       ("generators", "generating set")):
+        counted(attr, name)
+    counted_pass("_ideals")
+    counted_pass("_reach")
+    family = families.symmetric_inverse(3)
+    for s, primitive in ((family, "_reach"),
+                         (semigroups.Semigroup(family.table), "_ideals")):
+        passes.clear()
+        left_pig(s)
+        s_left_pig(s)
+        l_classes(s)
+        left_pig_inverse_fast(s)
+        involution_pig_isomorphism(s)
+        involution_pig_isomorphism(s)
+        assert semigroups.check_involution(s, s.inverses)
+        assert s.order == 34
+        assert passes == Counter({
+            "left": 1, f"left by {primitive}": 1, "right": 1,
+            f"right by {primitive}": 1, "inverse search": 1,
+            "generating set": 1})

@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from functools import cache
 from itertools import permutations, product
 
@@ -241,6 +243,13 @@ def test_json_round_trip():
         again = from_json_dict(doc)
         assert again == s
         assert to_json_dict(again) == doc
+    # the generating set is neither compared nor serialized: IS_4 comes
+    # back as a bare table, whose ideals _ideals reads off the table
+    s = families.symmetric_inverse(4)
+    again = from_json_dict(to_json_dict(s))
+    assert again == s and s.gens is not None and again.gens is None
+    assert (again.left_ideals, again.right_ideals) == \
+        (s.left_ideals, s.right_ideals)
 
 
 def brute_inverses(s):
@@ -266,8 +275,9 @@ def small_semigroups():
 
 
 def counted_copy(s):
-    """s on a table that counts, in reads["items"], every entry and row
-    handed out by indexing and every item handed out by iteration."""
+    """s, with its generating set if it has one, on a table that counts,
+    in reads["items"], every entry and row handed out by indexing and
+    every item handed out by iteration."""
     reads = Counter()
 
     class Counted(tuple):
@@ -279,7 +289,7 @@ def counted_copy(s):
             reads["items"] += len(self)
             return tuple.__iter__(self)
 
-    return Semigroup(Counted(map(Counted, s.table)), s.labels), reads
+    return replace(s, table=Counted(map(Counted, s.table))), reads
 
 
 def involutions(n):
@@ -461,6 +471,62 @@ def test_inverse_layer_reads_only_what_it_needs(monkeypatch):
     keys.clear()
     assert check_involution(s, inv)
     assert 0 < sum(keys) <= (len(gens) + 1) * 1546
+
+
+def test_ideal_passes_read_the_generator_rows_only(monkeypatch):
+    """A guard against a full-table ideal pass coming back on IS_5: both
+    cold passes read each of the three generator rows and, on the right,
+    each row at the generators, at most 2*(|gens| + 1)*order items; the
+    n^2 passes read about 2*2.39M."""
+    s = families.symmetric_inverse(5)
+    expected = s.left_ideals, s.right_ideals
+    counted, reads = counted_copy(s)
+    assert counted.gens == s.gens and len(s.gens) == 3
+    passes = Counter()
+    reach = semigroups._reach
+
+    def counted_reach(succ):
+        passes["_reach"] += 1
+        return reach(succ)
+
+    monkeypatch.setattr(semigroups, "_reach", counted_reach)
+    assert (counted.left_ideals, counted.right_ideals) == expected
+    assert passes == Counter({"_reach": 2})
+    budget = 2 * (len(s.gens) + 1) * s.order
+    assert budget == 12_368 and 0 < reads["items"] <= budget
+
+
+def test_reach_holds_little_beyond_the_masks():
+    # IS_5 has 32 distinct left ideals; the search's lists, the 4,638
+    # edges and the masks peak at 0.12-0.21 MB (the first pass in a
+    # process holds more), where a mask per edge would take about 0.9 MB
+    s = families.symmetric_inverse(5)
+    fresh = Semigroup(s.table, gens=s.gens)
+    tracemalloc.start()
+    try:
+        fresh.left_ideals
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fresh.left_ideals == s.left_ideals and peak < 400_000
+
+
+def test_reach_matches_a_search_per_vertex():
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randrange(40)
+        succ = [tuple(rng.randrange(n) for _ in range(rng.randrange(4)))
+                for _ in range(n)]
+        expected = []
+        for x in range(n):
+            seen, todo = {x}, [x]
+            while todo:
+                for y in succ[todo.pop()]:
+                    if y not in seen:
+                        seen.add(y)
+                        todo.append(y)
+            expected.append(sum(1 << y for y in seen))
+        assert semigroups._reach(succ) == tuple(expected)
 
 
 def test_adjoin_zero_label_is_fresh_and_round_trips():
