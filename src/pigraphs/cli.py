@@ -92,11 +92,10 @@ def cmd_classes(args) -> int:
 
 
 def cmd_skeletal(args) -> int:
+    if args.op == "check" and args.map is None:
+        build_parser().error("--op check requires --map")
     g = graphs.from_json_dict(_read_json(args.graph))
     if args.op == "check":
-        if args.map is None:
-            print("--map is required for op=check", file=sys.stderr)
-            return 2
         doc = _read_json(args.map)
         raw = doc.get("map") if isinstance(doc, dict) else None
         if not (isinstance(raw, list) and all(type(v) is int for v in raw)):

@@ -155,6 +155,18 @@ def test_skeletal_ops(tmp_path, capsys):
     assert code == 0 and "proper skeletal found" in out
 
 
+def test_skeletal_check_without_a_map_is_a_usage_error(tmp_path, capsys):
+    # the graph path does not exist: the error comes before any file read
+    with pytest.raises(SystemExit) as exc:
+        main(["skeletal", "--graph", str(tmp_path / "missing.json"),
+              "--op", "check"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: pig ")
+    assert err.endswith("pig: error: --op check requires --map\n")
+    assert "Traceback" not in err
+
+
 def test_skeletal_check_rejects_bad_map(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps({"order": 3, "labels": None,

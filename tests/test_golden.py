@@ -1,5 +1,6 @@
 """Byte-for-byte pins of the CLI's IS_3/IS_4 graph documents, of the
-`pig verify --suite all --n 4` and `--suite isn --n 5` reports, of the
+`pig verify` reports at `--suite all --n 1..4`, `--suite isn --n 1..5`
+and of the green, Brandt and semilattice suites at a few sizes, of the
 `pig build` documents of the small families, of `pig spectral` on the
 IS_3 left graph, of `pig classes` on four semigroups, and of
 `pig spectral --twin-report`, `pig skeletal --op max` and `pig stats` on
@@ -53,6 +54,36 @@ VERIFY_SHA256 = {
         "2a10a53e599d0569ec3e0d271f3634bd8294e1213f6f5c50983ebe8cb2c868ef",
     ("isn", 5):
         "d278764503754f0e4ba2d9a95188c5bd8456ba5e548e62ecc3cae39f47914e6a",
+}
+# further `pig verify --suite <args>` reports, pinned at the last commit
+# before the class checks became partition equalities: args -> stdout
+VERIFY_ARGS_SHA256 = {
+    "isn --n 1":
+        "3a721c5447edbd84274956e0e18f8303073397870e27fccb49098f7b2a13a0f3",
+    "isn --n 2":
+        "92d6f9982d7fe03f5b32dbec39d20ed714ace76fbf8c15559f808270219217e5",
+    "isn --n 3":
+        "9e1242f2208c11969dd61aca7952f2447605f9c4c49250cc65f8eb0a4738f168",
+    "isn --n 4":
+        "443de6795ca3e597b17b53855ddd0be8b9b8c1d45fd82c8a6e36777307c14bc6",
+    "all --n 1":
+        "da104a40fcd70b7437b735a6d53b8ca61fbec4f408ffa22a2fa517750eef0335",
+    "all --n 2":
+        "7baaa6ef29d806a719ddfd279d63be8e357c22f596548ccc261b5edd830c6603",
+    "all --n 3":
+        "31fc0dd3f247ccb5e759996bc801ea71e8314cb560cdf8473f1e00b0169d924f",
+    "green":
+        "ba589249faffdf6a7aeafc75ca817a4d01201d4e7cc773488ac46e22974b18fe",
+    "brandt":
+        "1dfd8fb241db97667f5dc8cf80441f8a3553445dd4d6d6c5e8e8ced500bb4063",
+    "brandt --group-order 1 --indices 1":
+        "1dfd8fb241db97667f5dc8cf80441f8a3553445dd4d6d6c5e8e8ced500bb4063",
+    "brandt --group-order 3 --indices 4":
+        "1dfd8fb241db97667f5dc8cf80441f8a3553445dd4d6d6c5e8e8ced500bb4063",
+    "semilattice --n 1":
+        "548b84fff3c442d264f7830edf8921b9366dd63aac2a7b370ecdbc602ac7ee46",
+    "semilattice --n 5":
+        "548b84fff3c442d264f7830edf8921b9366dd63aac2a7b370ecdbc602ac7ee46",
 }
 
 FAMILY_BUILD_SHA256 = {
@@ -168,6 +199,13 @@ def test_verify_report_is_unchanged(suite, n, capsys):
     assert main(["verify", "--suite", suite, "--n", str(n)]) == 0
     out = capsys.readouterr().out
     assert sha256(out.encode()) == VERIFY_SHA256[suite, n]
+
+
+@pytest.mark.parametrize("args", sorted(VERIFY_ARGS_SHA256))
+def test_verify_reports_at_more_parameters_are_unchanged(args, capsys):
+    assert main(["verify", "--suite", *args.split()]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == \
+        VERIFY_ARGS_SHA256[args]
 
 
 @pytest.mark.parametrize("family,params", sorted(FAMILY_BUILD_SHA256))

@@ -1,5 +1,7 @@
 import tracemalloc
 
+import pytest
+
 from pigraphs import families, verify
 from pigraphs.green import (
     l_classes,
@@ -159,3 +161,49 @@ def test_suite_green_fails_classes_split_below_ideal_equality(monkeypatch):
     result = next(c for c in verify.suite_green().checks
                   if c.name == "classes are exactly ideal-equality classes")
     assert not result.passed
+
+
+def _result(suite, name):
+    return next(c for c in suite.checks if c.name == name)
+
+
+def _discrete(s):
+    return VertexMap(s.order, s.order, tuple(range(s.order)))
+
+
+def _one_class(s):
+    return VertexMap(s.order, 1, (0,) * s.order)
+
+
+@pytest.mark.parametrize("partition", [_discrete, _one_class])
+@pytest.mark.parametrize("classes,name", [
+    ("l_classes", "left classes grouped by image"),
+    ("r_classes", "right classes grouped by domain"),
+])
+def test_suite_isn_fails_classes_other_than_the_element_data(
+        monkeypatch, classes, name, partition):
+    monkeypatch.setattr(verify, classes, partition)
+    assert not _result(verify.suite_isn(3), name).passed
+
+
+def test_suite_green_fails_a_class_without_its_idempotent(monkeypatch):
+    monkeypatch.setattr(verify, "idempotents", lambda s: idempotents(s)[1:])
+    assert not _result(verify.suite_green(),
+                       "each class of an inverse semigroup has one "
+                       "idempotent").passed
+
+
+def test_suite_green_fails_an_idempotent_ideal_missing_one_element(
+        monkeypatch):
+    # the identity of IS_2 (the only sample of order 7) loses the zero
+    # from its ideal, so its meet with the ideal of any idempotent f below
+    # it lacks the zero that S*f holds
+    def short(s, a):
+        ideal = principal_left_ideal(s, a)
+        if s.order == 7 and a == s.identity:
+            return ideal & ~(1 << s.zero)
+        return ideal
+
+    monkeypatch.setattr(verify, "principal_left_ideal", short)
+    assert not _result(verify.suite_green(), "ideal intersection of "
+                       "idempotents is the product ideal").passed
