@@ -149,13 +149,12 @@ def cmd_verify(args) -> int:
     results = verify.run_suite(args.suite, n=args.n,
                                group_order=args.group_order,
                                indices=args.indices, seed=args.seed)
-    ok = True
     for suite in results:
         for check in suite.checks:
             mark = "PASS" if check.passed else "FAIL"
             detail = f"  ({check.detail})" if check.detail else ""
             print(f"[{mark}] {suite.suite}: {check.name}{detail}")
-            ok = ok and check.passed
+    ok = all(suite.passed for suite in results)
     print("all checks passed" if ok else "some checks FAILED")
     return 0 if ok else 1
 

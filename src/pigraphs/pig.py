@@ -3,20 +3,14 @@
 Vertices of the full graph are the nonzero elements in element order;
 two are adjacent when their principal (left or right) ideals share a
 nonzero element.  The quotient graph has one vertex per nonzero L-class
-(or R-class), ordered by minimal representative.  It is the partition
-quotient of the full graph, and verify_skeletal checks that the quotient
-map is skeletal, i.e. that adjacency does not depend on the chosen
-representatives.  Vertices carry their elements' labels (the index when
-the table has none); a quotient vertex is "[x]", x its least member's.
+(or R-class), ordered by minimal representative: the partition quotient
+of the full graph by equal ideals, which verify_skeletal certifies
+skeletal.  Vertices carry their elements' labels (the index when the
+table has none); a quotient vertex is "[x]", x its least member's.
 """
 
-from .errors import (
-    EmptyVertexSet,
-    InconsistentQuotient,
-    IsomorphismCheckFailed,
-    NotInverseSemigroup,
-    SizeLimitExceeded,
-)
+from .errors import EmptyVertexSet, IsomorphismCheckFailed, \
+    NotInverseSemigroup, SizeLimitExceeded
 from .families import ISN_MAX, all_partial_bijections
 from .graphs import Graph, VertexMap, _trusted_graph, \
     mask_intersection_graph, partition_by_key
@@ -59,16 +53,15 @@ def left_pig_inverse_fast(s: Semigroup) -> Graph:
     inv = s.inverses
     if inv is None:
         raise NotInverseSemigroup("the criterion needs an inverse semigroup")
-    verts, t = pig_vertices(s), s.table
-    domains = [t[inv[x]][x] for x in verts]
-    below = dict.fromkeys(domains, 0)
+    t = s.table
+    domains = {x: t[inv[x]][x] for x in pig_vertices(s)}
+    below = dict.fromkeys(domains.values(), 0)
     for g in below:
         row = t[g]
         for e in below:
             if row[e] == g:
                 below[e] |= 1 << g
-    return mask_intersection_graph([below[e] for e in domains],
-                                   tuple(map(s.label, verts)))
+    return _pig(s, {x: below[e] for x, e in domains.items()})
 
 
 def isn_left_pig(n: int) -> Graph:
@@ -80,29 +73,29 @@ def isn_left_pig(n: int) -> Graph:
                                    tuple(p.label() for p in elems))
 
 
-def _s_pig(s: Semigroup, full: Graph, keys):
-    """Quotient of full by equal keys[v] of its vertices, checked skeletal."""
+def _s_pig(s: Semigroup, keys):
+    """The ideal graph on keys over its partition by equal keys, checked.
+
+    No table fails it, associative or not: a nonzero vertex b's key
+    holds b, or a product r of b's whose key _ideals reuses, and r is
+    nonzero (the zero's key is the zero alone; so would b's be, and b
+    the zero).  So equal keys meet, their vertices are closed twins,
+    and merging closed twins is skeletal (skeletal._blocks_are_skeletal)."""
     verts = pig_vertices(s)
-    try:
-        quotient, phi = _checked_quotient(
-            full, partition_by_key([keys[v] for v in verts]))
-    except InconsistentQuotient as exc:
-        x, y = (verts[v] for v in exc.witness)
-        raise InconsistentQuotient(
-            f"class quotient depends on the representative: element {x} "
-            f"vs element {y}", (x, y)) from None
+    quotient, phi = _checked_quotient(
+        _pig(s, keys), partition_by_key([keys[v] for v in verts]))
     return _trusted_graph(quotient.order, quotient.adj,
                           tuple(f"[{x}]" for x in quotient.labels)), phi
 
 
 def s_left_pig(s: Semigroup):
     """L-class quotient of left_pig plus the quotient vertex map."""
-    return _s_pig(s, left_pig(s), s.left_ideals)
+    return _s_pig(s, s.left_ideals)
 
 
 def s_right_pig(s: Semigroup):
     """R-class quotient of right_pig plus the quotient vertex map."""
-    return _s_pig(s, right_pig(s), s.right_ideals)
+    return _s_pig(s, s.right_ideals)
 
 
 def s_pig_class_elements(s: Semigroup, phi: VertexMap) -> list:

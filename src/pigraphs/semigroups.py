@@ -1,9 +1,10 @@
 """Finite semigroups represented by Cayley tables.
 
 The table convention is row-times-column: ``table[x][y]`` is the product
-``x*y``.  All structural queries (zero, identity, ideals, idempotents,
-inverses) work off the table alone, so any associative table is accepted
-regardless of how it was produced.
+``x*y``.  Every structural query (zero, identity, ideals, idempotents,
+inverses) is determined by the table, so any associative table is
+accepted regardless of how it was produced; when a constructor supplies
+``gens``, the ideals are read off the generators' rows and columns alone.
 """
 
 from dataclasses import dataclass, field

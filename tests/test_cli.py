@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pigraphs import families
+from pigraphs import families, verify
 from pigraphs.cli import build_parser, main
 from pigraphs.semigroups import to_json_dict
+from pigraphs.verify import CheckResult, SuiteResult
 
 
 def run(capsys, *argv):
@@ -207,12 +208,20 @@ def test_spectral_ops(tmp_path, capsys):
     assert code == 0 and json.loads(out)["all_pass"]
 
 
-def test_verify_exit_codes(capsys):
+def test_verify_exit_codes(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "green")
     assert code == 0 and "all checks passed" in out
     code, out, _ = run(capsys, "verify", "--suite", "brandt",
                        "--group-order", "2", "--indices", "3")
     assert code == 0
+    # one failed check in the last of two suites fails the whole run
+    results = (SuiteResult("a", (CheckResult("x", True),)),
+               SuiteResult("b", (CheckResult("y", False, "why"),
+                                 CheckResult("z", True))))
+    monkeypatch.setattr(verify, "run_suite", lambda *a, **k: results)
+    code, out, _ = run(capsys, "verify", "--suite", "all")
+    assert code == 1 and out == ("[PASS] a: x\n[FAIL] b: y  (why)\n"
+                                 "[PASS] b: z\nsome checks FAILED\n")
 
 
 def test_parse_errors_exit_2(tmp_path, capsys):

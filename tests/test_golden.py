@@ -1,19 +1,22 @@
-"""Byte-for-byte pins of the CLI's IS_3/IS_4 graph documents, of the
-`pig verify` reports at `--suite all --n 1..4`, `--suite isn --n 1..5`
-and of the green, Brandt and semilattice suites at a few sizes, of the
-`pig build` documents of the small families, of `pig spectral` on the
-IS_3 left graph, of `pig classes` on four semigroups, and of
-`pig spectral --twin-report`, `pig skeletal --op max` and `pig stats` on
-seeded blow-ups.
+"""Byte-for-byte pins of the CLI's graph documents on IS_3, IS_4, a
+Brandt semigroup, a semilattice, a left-zero semigroup and a cyclic group
+with a zero adjoined, of the `pig verify` reports at `--suite all
+--n 1..4`, `--suite isn --n 1..5` and of the green, Brandt and
+semilattice suites at a few sizes, of the `pig build` documents of the
+small families, of `pig spectral` on the IS_3 left graph, of
+`pig classes` on four semigroups, and of `pig spectral --twin-report`,
+`pig skeletal --op max` and `pig stats` on seeded blow-ups.
 
-The graph and verify hashes were taken from the outputs of the pair-loop
-implementation that preceded the grouped mask-intersection builders; the
-family and spectral hashes from the outputs of the per-family `Semigroup`
-constructors and the three separate matrix builders; the twin report
-hashes from the report that took full n x n ranks, re-taken once with its
-always-true `eigenvector_verified` key dropped and nothing else changed;
-the class, max-skeletal and stats hashes from the partitions built by
-grouping equal ideals or rows and sorting the groups by minimal member.
+The IS_n graph and verify hashes were taken from the outputs of the
+pair-loop implementation that preceded the grouped mask-intersection
+builders; the family and spectral hashes from the outputs of the
+per-family `Semigroup` constructors and the three separate matrix
+builders; the twin report hashes from the report that took full n x n
+ranks, re-taken once with its always-true `eigenvector_verified` key
+dropped and nothing else changed; the class, max-skeletal and stats
+hashes from the partitions built by grouping equal ideals or rows and
+sorting the groups by minimal member; the other families' graph hashes
+from the class quotient that took the full graph as an argument.
 Any change to vertex order, labels, edges, zero or identity detection,
 matrix entries or check wording shows up here.
 """
@@ -44,6 +47,42 @@ GRAPH_SHA256 = {
         "e5ee91266f7eb8b303a94254bba8e788e0285b902fb9478c2d7789404833eda7",
     (4, "right", "spig"):
         "5e10eb750ca983e2adcbea69b62507d844b4946bea99921facd7a7a63369f74d",
+}
+# `pig graph` on the `pig build` documents of other families: (family and
+# parameters, side, variant) -> document
+FAMILY_GRAPH_SHA256 = {
+    ("brandt --group-order 2 --indices 2", "left", "pig"):
+        "cfef36ee45af8ed47b699ae857e507a096fc073d96e5a09a5ebcda173c9aa417",
+    ("brandt --group-order 2 --indices 2", "left", "spig"):
+        "035b5b50e5a10c7e52145fa20a6519e95625f6d0b9bd9fc65b8c07a5d1564b5d",
+    ("brandt --group-order 2 --indices 2", "right", "pig"):
+        "6ec4da20b482bbf0c8b6d3dc61c8a3f6f2f263b419d4a93532327be81a0d50e6",
+    ("brandt --group-order 2 --indices 2", "right", "spig"):
+        "d566f98a328b44cad33e413b28587d7d47f782b9f696a9fd2aec68d7f731934b",
+    ("semilattice --n 3", "left", "pig"):
+        "b43a888b6b398fef59a345fef1c537766de57fc0b5edb87d54977ecda14c1f29",
+    ("semilattice --n 3", "left", "spig"):
+        "51e12aa2b44af2740024b04fa5fd3a29a349007b1e85e5de65693a663c5b1c09",
+    ("semilattice --n 3", "right", "pig"):
+        "b43a888b6b398fef59a345fef1c537766de57fc0b5edb87d54977ecda14c1f29",
+    ("semilattice --n 3", "right", "spig"):
+        "51e12aa2b44af2740024b04fa5fd3a29a349007b1e85e5de65693a663c5b1c09",
+    ("leftzero --n 3 --adjoin-zero", "left", "pig"):
+        "b38b81acaaa646c115e437096226bbb706d821994c1a8f7087f246b4b3d59bd2",
+    ("leftzero --n 3 --adjoin-zero", "left", "spig"):
+        "1686d8cfabfcba0bbbfb6d99a1baa3a5ae33819e769d8d6138777c90beae1acd",
+    ("leftzero --n 3 --adjoin-zero", "right", "pig"):
+        "827cf2e6a81f0bb12f8bc00bac45242089e5ebcb0d4f1521b27fb176117c221a",
+    ("leftzero --n 3 --adjoin-zero", "right", "spig"):
+        "8ca17a04dd7a6baec2df54e229e9d9500df27379fa6522f59718f566798e0be6",
+    ("cyclic --n 4 --adjoin-zero", "left", "pig"):
+        "d76e946934b758cd30f8ff27296bf0aaa4623727ead8ce6bffd3d4377d94057c",
+    ("cyclic --n 4 --adjoin-zero", "left", "spig"):
+        "6fe19e129e6ee8252ce495605eb2026758165b8f1baf33dbfb14138e8eb84ff1",
+    ("cyclic --n 4 --adjoin-zero", "right", "pig"):
+        "d76e946934b758cd30f8ff27296bf0aaa4623727ead8ce6bffd3d4377d94057c",
+    ("cyclic --n 4 --adjoin-zero", "right", "spig"):
+        "6fe19e129e6ee8252ce495605eb2026758165b8f1baf33dbfb14138e8eb84ff1",
 }
 BUILD_SHA256 = {
     3: "2e51d0d0ef0b32d2313a82acace40a71763326320ca9f84b94981970df01256b",
@@ -192,6 +231,20 @@ def test_isn_graph_documents_are_unchanged(n, tmp_path, capsys):
                          "--variant", variant, "--out", str(out)]) == 0
             assert sha256(out.read_bytes()) == \
                 GRAPH_SHA256[n, side, variant], (n, side, variant)
+
+
+@pytest.mark.parametrize("family",
+                         sorted({key[0] for key in FAMILY_GRAPH_SHA256}))
+def test_family_graph_documents_are_unchanged(family, tmp_path, capsys):
+    sg = tmp_path / "sg.json"
+    assert main(["build", "--family", *family.split(), "--out", str(sg)]) == 0
+    for side in ("left", "right"):
+        for variant in ("pig", "spig"):
+            out = tmp_path / f"{side}-{variant}.json"
+            assert main(["graph", "--input", str(sg), "--side", side,
+                         "--variant", variant, "--out", str(out)]) == 0
+            assert sha256(out.read_bytes()) == \
+                FAMILY_GRAPH_SHA256[family, side, variant], (side, variant)
 
 
 @pytest.mark.parametrize("suite,n", sorted(VERIFY_SHA256))

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from functools import cached_property
 
@@ -31,7 +32,7 @@ from pigraphs.pig import (
     s_right_pig,
 )
 from pigraphs.semigroups import adjoin_zero, from_cayley_table, idempotents
-from pigraphs.skeletal import max_skeletal, verify_skeletal
+from pigraphs.skeletal import max_skeletal, twin_partition, verify_skeletal
 from test_semigroups import counted_copy, small_semigroups
 
 
@@ -318,23 +319,60 @@ def test_twin_classes_are_the_nonzero_classes(isn):
             assert h.adj == q.adj and phi.map == psi.map
 
 
-def test_s_pig_rejects_representative_dependent_partitions(isn):
+def test_s_pig_rejects_merged_isolated_vertices(isn):
     s = isn[3]
-    full = left_pig(s)
+    verts = pig_vertices(s)
+    # vertices 2 and 5 keyed 0: isolated in the graph, merged by the keys
+    keys = [0 if x in (verts[2], verts[5]) else m
+            for x, m in enumerate(s.left_ideals)]
+    with pytest.raises(InconsistentQuotient,
+                       match=r"^quotient is not skeletal at the vertex "
+                             r"pair \(2, 5\)$") as err:
+        _s_pig(s, keys)
+    assert err.value.witness == (2, 5)
+
+
+def test_s_pig_passes_on_ideals_recounted_from_images(isn):
+    # in IS_n, y lies in the left ideal of x iff y's image lies in x's
+    s = isn[3]
     images = [p.image_mask() for p in s.elements]
-    # images {0} and {1}: merged elements are not adjacent;
-    # images {0} and {0,1}: adjacent, but with different neighbourhoods
-    for a, b in [(0b001, 0b010), (0b001, 0b011)]:
-        keys = [a if m == b else m for m in images]
-        with pytest.raises(InconsistentQuotient) as err:
-            _s_pig(s, full, keys)
-        # the witness names two nonzero elements, one of them merged
-        x, y = err.value.witness
-        assert s.zero not in (x, y) and x < y
-        assert {s.elements[x].image_mask(), s.elements[y].image_mask()} \
-            & {a, b}
-    # the L-classes themselves pass
-    _s_pig(s, full, images)
+    keys = [sum(1 << y for y, b in enumerate(images) if b & ~a == 0)
+            for a in images]
+    q, phi = _s_pig(s, keys)
+    want, want_phi = s_left_pig(s)
+    assert q == want and phi == want_phi
+
+
+def test_no_table_makes_a_class_quotient_inconsistent():
+    """On any table, associative or not, every nonzero vertex's ideal
+    holds a nonzero element, so equal ideals are closed twins in the full
+    graph and the class quotient merges twins only."""
+    rng = random.Random(23)
+    quotients = 0
+    for i in range(1000):
+        n = rng.randint(1, 6)
+        table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        if i % 2:
+            z = rng.randrange(n)
+            table[z] = [z] * n
+            for row in table:
+                row[z] = z
+        s = from_cayley_table(table, unchecked=True)
+        for build, quotient, ideals in (
+                (left_pig, s_left_pig, s.left_ideals),
+                (right_pig, s_right_pig, s.right_ideals)):
+            try:
+                _, phi = quotient(s)
+            except EmptyVertexSet:
+                continue
+            verts = pig_vertices(s)
+            nonzero = sum(1 << v for v in verts)
+            assert all(ideals[v] & nonzero for v in verts)
+            twins = twin_partition(build(s)).map
+            assert all(len({twins[v] for v in cls}) == 1
+                       for cls in phi.classes)
+            quotients += 1
+    assert quotients > 1000
 
 
 def test_each_layer_is_built_once(monkeypatch):
