@@ -76,9 +76,7 @@ def cmd_graph(args) -> int:
 def cmd_stats(args) -> int:
     g = graphs.from_json_dict(_read_json(args.graph))
     st = graphs.graph_stats(g)
-    print(json.dumps({"order": g.order, **asdict(st),
-                      "components": graphs.components(g).codomain_order},
-                     indent=2))
+    print(json.dumps({"order": g.order, **asdict(st)}, indent=2))
     return 0
 
 

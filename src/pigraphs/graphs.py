@@ -189,6 +189,7 @@ class GraphStats:
     is_connected: bool
     is_complete: bool
     is_null: bool
+    components: int
 
 
 def components(g: Graph) -> VertexMap:
@@ -219,12 +220,14 @@ def all_components_complete(g: Graph) -> bool:
 def graph_stats(g: Graph) -> GraphStats:
     degrees = tuple(g.degree(v) for v in range(g.order))
     edge_count = sum(degrees) // 2
+    count = components(g).codomain_order
     return GraphStats(
         degrees=degrees,
         edge_count=edge_count,
-        is_connected=components(g).codomain_order <= 1,
+        is_connected=count <= 1,
         is_complete=all(d == g.order - 1 for d in degrees),
         is_null=edge_count == 0,
+        components=count,
     )
 
 

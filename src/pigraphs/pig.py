@@ -10,8 +10,7 @@ table has none); a quotient vertex is "[x]", x its least member's.
 """
 
 from .errors import EmptyVertexSet, IsomorphismCheckFailed, \
-    NotInverseSemigroup, SizeLimitExceeded
-from .families import ISN_MAX, all_partial_bijections
+    NotInverseSemigroup
 from .graphs import Graph, VertexMap, _trusted_graph, \
     mask_intersection_graph, partition_by_key
 from .semigroups import Semigroup, check_involution
@@ -62,15 +61,6 @@ def left_pig_inverse_fast(s: Semigroup) -> Graph:
             if row[e] == g:
                 below[e] |= 1 << g
     return _pig(s, {x: below[e] for x, e in domains.items()})
-
-
-def isn_left_pig(n: int) -> Graph:
-    """Table-free graph on nonzero partial bijections: images must meet."""
-    if not 1 <= n <= ISN_MAX:
-        raise SizeLimitExceeded(f"isn_left_pig supports 1 <= n <= {ISN_MAX}")
-    elems = [p for p in all_partial_bijections(n) if p.rank() > 0]
-    return mask_intersection_graph([p.image_mask() for p in elems],
-                                   tuple(p.label() for p in elems))
 
 
 def _s_pig(s: Semigroup, keys):

@@ -71,8 +71,11 @@ def test_criterion_3_adjacency_criteria_agree(isn):
         assert pig.left_pig(s).adj == pig.left_pig_inverse_fast(s).adj \
             == inverse_product_adj(s)
     assert pig.left_pig(isn[3]).order == 33
-    for n in range(1, 5):
-        assert pig.isn_left_pig(n).adj == pig.left_pig(isn[n]).adj
+    for n in range(1, 6):
+        s = isn[n] if n in isn else families.symmetric_inverse(n)
+        images = graphs.mask_intersection_graph(
+            [p.image_mask() for p in s.elements if p.rank()])
+        assert images.adj == pig.left_pig(s).adj
     _report("criterion 3: ideal, inverse-product and image-intersection "
             "adjacency coincide")
 

@@ -17,11 +17,11 @@ from pigraphs.graphs import (
     complement,
     components,
     graph_stats,
+    mask_intersection_graph,
 )
 from pigraphs.green import l_classes
 from pigraphs.pig import (
     involution_pig_isomorphism,
-    isn_left_pig,
     left_pig,
     left_pig_inverse_fast,
     pig_vertices,
@@ -153,18 +153,25 @@ def test_fast_path_requires_inverse_semigroup():
         left_pig_inverse_fast(adjoin_zero(families.left_zero(3)))
 
 
-def test_isn_left_pig_small():
-    g1 = isn_left_pig(1)
+def image_graph(s):
+    """IS_n's left graph recounted from element data: images must meet."""
+    return mask_intersection_graph(
+        [p.image_mask() for p in s.elements if p.rank()])
+
+
+def test_isn_image_graph_small(isn):
+    g1 = image_graph(isn[1])
     assert g1.order == 1 and graph_stats(g1).edge_count == 0
-    g2 = isn_left_pig(2)
+    g2 = image_graph(isn[2])
     stats = graph_stats(g2)
     assert g2.order == 6 and stats.edge_count == 11
     assert sorted(stats.degrees) == [3, 3, 3, 3, 5, 5]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_isn_left_pig_matches_table_construction(n, isn):
-    assert isn_left_pig(n).adj == left_pig(isn[n]).adj
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_isn_image_graph_matches_table_construction(n, isn):
+    s = isn[n] if n in isn else families.symmetric_inverse(n)
+    assert image_graph(s).adj == left_pig(s).adj
 
 
 def test_s_left_pig_examples(isn):
@@ -280,6 +287,27 @@ def test_a_wrong_generic_isomorphism_is_a_fail_line(monkeypatch, capsys):
     assert cli.main(["verify", "--suite", "isn", "--n", "3"]) == 1
     assert "[FAIL] isn: generic search finds the same isomorphism" in \
         capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("owner, attr, value, failed", [
+    # domains in place of images: the canonical map is not onto
+    (families.PartialBijection, "image_mask",
+     families.PartialBijection.domain_mask, [
+         "image-intersection graph equals ideal-intersection graph",
+         "left classes grouped by image",
+         "canonical class-to-image map is an isomorphism"]),
+    (semigroups.Semigroup, "inverses", None, [
+        "inverse criterion graph equals ideal-intersection graph",
+        "inversion maps the left graph onto the right graph"
+        "  (the semigroup is not inverse)"]),
+], ids=["images", "inverses"])
+def test_a_wrong_isn_layer_is_a_fail_line(owner, attr, value, failed,
+                                          monkeypatch, capsys):
+    monkeypatch.setattr(owner, attr, value)
+    assert cli.main(["verify", "--suite", "isn", "--n", "3"]) == 1
+    assert [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("[FAIL]")] == [
+        f"[FAIL] isn: {line}" for line in failed]
 
 
 def test_involution_requires_inverse_semigroup():

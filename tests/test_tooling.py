@@ -92,6 +92,15 @@ def test_graph_side_modules_import_no_semigroup_module():
 FRONT_ENDS = ("verify", "cli")
 
 
+def test_only_the_front_ends_import_the_families():
+    """The families are inputs: a layer takes a semigroup it is given and
+    never builds one of its own."""
+    importers = sorted({path.stem for path in SOURCES
+                        for node in ast.walk(ast.parse(path.read_text()))
+                        if "families" in _relative_imports(node)})
+    assert importers == sorted(FRONT_ENDS)
+
+
 def _private_reaches(tree):
     """`from .x import _y` names, and `m._y` on a module m got by
     `from . import m`."""
