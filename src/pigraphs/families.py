@@ -8,7 +8,6 @@ associative by construction and skip the cubic check (``checked=False``).
 
 from dataclasses import dataclass
 from math import comb, factorial
-from operator import itemgetter
 
 from .errors import NotABijection, NotAGroup, NotGenerating, \
     SizeLimitExceeded
@@ -83,47 +82,44 @@ def partial_bijection_count(n: int) -> int:
 FAMILY_MAX_ORDER = partial_bijection_count(ISN_MAX)
 
 
-def _walk(order, gens, row):
-    """The table that gens generate: rows row(g) are composed, and a walk
-    over x -> x*g gathers each other row x*g as row x read at the entries
-    of row g, as (x*g)*z = x*(g*z).  Raises :class:`NotGenerating` if it
-    misses an element."""
-    rows, walk = {g: row(g) for g in gens}, list(gens)
+def _walk(elements, product, gens):
+    """The table of ``elements`` under ``product``, and the indices of the
+    generating elements ``gens``, each kept once.  Generator rows are
+    composed; a walk over x -> x*g gathers each other row x*g as row x
+    read at the entries of row g, as (x*g)*z = x*(g*z) (Froidure and Pin
+    1997).  Raises :class:`NotGenerating` if it misses an element."""
+    index = {x: i for i, x in enumerate(elements)}
+    gens = tuple(dict.fromkeys(map(index.__getitem__, gens)))
+    rows = {g: tuple(index[product(elements[g], y)] for y in elements)
+            for g in gens}
+    walk = list(gens)
     for x in walk:
         for g in gens:
             y = rows[x][g]
             if y not in rows:
                 rows[y] = _gather(rows[g])(rows[x])
                 walk.append(y)
-    if len(walk) < order:
-        raise NotGenerating(f"the generators reach {len(walk)} of {order}")
-    return tuple(map(rows.__getitem__, range(order)))
+    if len(walk) < len(elements):
+        raise NotGenerating(
+            f"the generators reach {len(walk)} of {len(elements)}")
+    return tuple(map(rows.__getitem__, range(len(elements)))), gens
 
 
 def symmetric_inverse(n: int) -> Semigroup:
     """The symmetric inverse semigroup of all partial bijections on n points.
 
-    IS_n is generated by the n-cycle, the transposition (0 1) and the
-    partial identity on {1..n-1} (Gomes and Howie 1987): :func:`_walk`
-    builds the table from their rows and they become its ``gens``.
+    :func:`_walk` composes the mappings x first from the n-cycle, the
+    transposition (0 1) and the partial identity on {1..n-1}, which
+    generate IS_n (Gomes and Howie 1987) and become its ``gens``.
     """
     if not 1 <= n <= ISN_MAX:
         raise SizeLimitExceeded(f"symmetric_inverse supports 1 <= n <= {ISN_MAX}")
     elems = all_partial_bijections(n)
-    # Mappings padded with one undefined slot n: x*y (x first) reads y's
-    # padded mapping at x's images, with undefined images sent to slot n.
-    # The padding also keeps itemgetter's result a tuple when n = 1.
-    padded = [p.mapping + (None,) for p in elems]
-    index = {m: i for i, m in enumerate(padded)}
-    # the cycle is the transposition for n = 2, both are the identity for
-    # n = 1, and each generator is kept once
-    gens = tuple(dict.fromkeys(index[m + (None,)] for m in (
-        tuple((i + 1) % n for i in range(n)),
-        (1, 0, *range(2, n)) if n > 1 else (0,),
-        (None, *range(1, n)))))
-    table = _walk(len(padded), gens, lambda g: tuple(map(
-        index.__getitem__, map(itemgetter(
-            *(n if v is None else v for v in padded[g])), padded))))
+    table, gens = _walk(
+        [p.mapping for p in elems],
+        lambda x, y: tuple(None if v is None else y[v] for v in x),
+        [tuple((i + 1) % n for i in range(n)),
+         (1, 0, *range(2, n)) if n > 1 else (0,), (None, *range(1, n))])
     return Semigroup(table, tuple(p.label() for p in elems), "isn",
                      elements=tuple(elems), gens=gens)
 
@@ -140,9 +136,11 @@ def _check_group(g: Semigroup):
 def brandt(g: Semigroup, r: int) -> Semigroup:
     """Brandt semigroup over group ``g`` with ``r`` indices.
 
-    Elements are triples (i, a, j) in lexicographic order, so at index
-    (i*|G| + a)*r + j, then a zero.  (i,a,j)(k,b,l) is (i, a*b, l) when
-    j = k and zero otherwise: row (i, a, j) is zero but in columns k = j.
+    Elements are the triples (i, a, j) in lexicographic order, then the
+    zero; (i,a,j)(k,b,l) is (i, a*b, l) when j = k and zero otherwise.
+    :func:`_walk` builds the table from the (0,a,0), the shifts (i,e,i+1)
+    and (i+1,e,i) with e the identity, as (i,e,0)(0,a,0)(0,e,j) = (i,a,j),
+    and the zero for r = 1; for r > 1 it is (0,e,1)(0,e,1).
     """
     if r < 1:
         raise SizeLimitExceeded("index count must be positive")
@@ -153,19 +151,17 @@ def brandt(g: Semigroup, r: int) -> Semigroup:
     _check_group(g)
     triples = [(i, a, j) for i in range(r) for a in range(g.order)
                for j in range(r)]
-    zero = order - 1
-    width = g.order * r
-    table = []
-    for i in range(r):
-        for a in range(g.order):
-            block = tuple((i * g.order + c) * r + l
-                          for c in g.table[a] for l in range(r))
-            table += [(zero,) * (j * width) + block
-                      + (zero,) * ((r - 1 - j) * width + 1) for j in range(r)]
-    table.append((zero,) * order)
+    e = g.identity
+    table, gens = _walk(
+        triples + [None],
+        lambda x, y: None if x is None or y is None or x[2] != y[0]
+        else (x[0], g.table[x[1]][y[1]], y[2]),
+        [(0, a, 0) for a in range(g.order)]
+        + [t for i in range(r - 1) for t in ((i, e, i + 1), (i + 1, e, i))]
+        + [None] * (r == 1))
     labels = tuple(f"({i},{g.label(a)},{j})" for i, a, j in triples) + ("0",)
-    return Semigroup(tuple(table), labels, "brandt",
-                     elements=tuple(triples) + (None,))
+    return Semigroup(table, labels, "brandt",
+                     elements=tuple(triples) + (None,), gens=gens)
 
 
 def subset_meet_semilattice(n: int) -> Semigroup:

@@ -25,13 +25,12 @@ class Semigroup:
     associativity was verified exhaustively (family constructors that are
     associative by construction skip it).  ``elements`` optionally carries
     structured element values (partial bijections, Brandt triples, subset
-    masks) for the suites' recounts, and ``gens`` a generating set that
-    ``families._walk`` proved; neither takes part in equality or is
-    serialized.  Everything the table determines (order, zero, identity,
-    principal ideals, inverse map, a generating set) is a cached
-    attribute, computed once per semigroup (the ideals off gens if set).
-    The constructor trusts its square tuple table; ``from_cayley_table``
-    validates any other.
+    masks) for the suites' recounts, and ``gens`` the generating set that
+    ``families._walk`` proved for IS_n and Brandt; neither takes part in
+    equality or is serialized.  Everything the table determines (order,
+    zero, identity, ideals, inverse map, a generating set) is cached on
+    first use (the ideals off ``gens`` if set).  The constructor trusts
+    its square tuple table; ``from_cayley_table`` validates any other.
     """
 
     table: tuple
@@ -161,10 +160,11 @@ def _reach(succ) -> tuple:
     (Froidure and Pin 1997).  An iterative Tarjan search, from a root n
     with an edge to every x, closes them in reverse topological order, so
     a component's mask is its members' bits and the masks their edges
-    reach: |gens|*n edges, not _ideals' n^2 products.  Bare tables keep
-    _ideals: ``generators`` sorts by the left ideals, and a set read off
-    the table costs more than it saves (0.14 + 0.008 s against 0.12 s on
-    a relabelled IS_5, 0.34 + 1.19 s against 0.31 s on a 1,546-chain).
+    reach: |gens|*n edges, not _ideals' n^2 products.  IS_n and Brandt
+    carry ``gens`` from the walk.  Documents, adjoin_zero results and the
+    semilattice, cyclic and left zero tables keep _ideals: ``generators``
+    sorts by the left ideals, and a set read off the table costs more than
+    it saves (0.34 + 1.19 s against 0.31 s on a 1,546-chain).
     """
     n = len(succ)
     succ = (*succ, range(n))

@@ -243,26 +243,71 @@ def test_symmetric_inverse_5_rows_match_composition():
 
 
 def test_walk_proves_its_generating_set():
-    # the walk rebuilds IS_3 from its three generators, composed here
-    # with compose, and raises without the partial identity: the cycle
-    # and the transposition generate only the 6 permutations
+    # the walk rebuilds IS_3 from its three generators under compose, keeps
+    # a repeated one once, and raises without the partial identity: the
+    # cycle and the transposition generate only the 6 permutations
     elems = all_partial_bijections(3)
-    index = {p: i for i, p in enumerate(elems)}
-    cycle, swap, partial = (index[PartialBijection(3, m)] for m in (
+    cycle, swap, partial = (PartialBijection(3, m) for m in (
         (1, 2, 0), (1, 0, 2), (None, 1, 2)))
-
-    def row(g):
-        return tuple(index[elems[g].compose(y)] for y in elems)
-
+    compose = PartialBijection.compose
     s = families.symmetric_inverse(3)
-    assert s.gens == (cycle, swap, partial)
-    assert families._walk(len(elems), s.gens, row) == s.table
+    assert s.gens == tuple(map(elems.index, (cycle, swap, partial)))
+    assert families._walk(elems, compose, (cycle, swap, cycle, partial)) \
+        == (s.table, s.gens)
     with pytest.raises(NotGenerating, match="reach 6 of 34"):
-        families._walk(len(elems), (cycle, swap), row)
+        families._walk(elems, compose, (cycle, swap))
     # for n <= 2 the cycle is the transposition, for n = 1 the identity:
     # each generator is kept once
     assert [len(families.symmetric_inverse(n).gens)
             for n in range(1, 6)] == [2, 2, 3, 3, 3]
+
+
+def rees_brandt_product(g):
+    """The Brandt product as a Rees matrix product: (i,a,j)(k,b,l) is
+    (i, a*p_jk*b, l), where the sandwich entry p_jk is the group identity
+    at j = k and zero elsewhere, which makes the product zero; None is
+    the zero."""
+    def product(x, y):
+        if x is None or y is None or x[2] != y[0]:
+            return None
+        return x[0], g.table[g.table[x[1]][g.identity]][y[1]], y[2]
+    return product
+
+
+def shifted_cyclic_group(m):
+    # x*y = x + y + 1 mod m, isomorphic to Z_m, with identity m - 1
+    return from_cayley_table(
+        [[(x + y + 1) % m for y in range(m)] for x in range(m)])
+
+
+def test_each_brandt_generator_is_needed():
+    # the (0,a,0) alone generate only the group at index 0
+    s = families.brandt(families.cyclic_group(2), 3)
+    product = rees_brandt_product(families.cyclic_group(2))
+    with pytest.raises(NotGenerating, match="reach 2 of 19"):
+        families._walk(s.elements, product, [(0, 0, 0), (0, 1, 0)])
+    # B(Z_3, 1) is Z_3 with a zero, which no group product reaches
+    s = families.brandt(families.cyclic_group(3), 1)
+    product = rees_brandt_product(families.cyclic_group(3))
+    with pytest.raises(NotGenerating, match="reach 3 of 4"):
+        families._walk(s.elements, product, s.elements[:-1])
+    assert s.zero in s.gens
+    # for r > 1 the zero is no generator, but the walk reaches it; the Rees
+    # product recounts every entry and rebuilds the table from the
+    # family's own generators
+    for g in (*map(families.cyclic_group, (1, 2, 3)),
+              shifted_cyclic_group(3), klein_four()):
+        product = rees_brandt_product(g)
+        for r in (2, 3):
+            s = families.brandt(g, r)
+            assert s.zero not in s.gens
+            assert len(s.gens) == g.order + 2 * (r - 1)
+            assert all(s.elements[s.table[x][y]] == product(u, v)
+                       for x, u in enumerate(s.elements)
+                       for y, v in enumerate(s.elements))
+            assert families._walk(
+                s.elements, product,
+                map(s.elements.__getitem__, s.gens)) == (s.table, s.gens)
 
 
 def test_partial_bijection_rejects_non_injective_mapping():

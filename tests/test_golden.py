@@ -4,8 +4,10 @@ with a zero adjoined, of the `pig verify` reports at `--suite all
 --n 1..4`, `--suite isn --n 1..5` and of the green, Brandt and
 semilattice suites at a few sizes, of the `pig build` documents of the
 small families, of `pig spectral` on the IS_3 left graph, of
-`pig classes` on four semigroups, and of `pig spectral --twin-report`,
-`pig skeletal --op max` and `pig stats` on seeded blow-ups.
+`pig classes` on four semigroups, of `pig spectral --twin-report`,
+`pig skeletal --op max` and `pig stats` on seeded blow-ups, and of the
+IS_1 to IS_5 and Brandt tables, labels and element data with the
+`pig verify --suite brandt` report of the largest Brandt semigroup.
 
 The IS_n graph and verify hashes were taken from the outputs of the
 pair-loop implementation that preceded the grouped mask-intersection
@@ -16,7 +18,9 @@ ranks, re-taken once with its always-true `eigenvector_verified` key
 dropped and nothing else changed; the class, max-skeletal and stats
 hashes from the partitions built by grouping equal ideals or rows and
 sorting the groups by minimal member; the other families' graph hashes
-from the class quotient that took the full graph as an argument.
+from the class quotient that took the full graph as an argument; the
+family table digests from the padded-mapping IS_n walk and the Brandt
+block-index arithmetic.
 Any change to vertex order, labels, edges, zero or identity detection,
 matrix entries or check wording shows up here.
 """
@@ -24,11 +28,14 @@ matrix entries or check wording shows up here.
 import hashlib
 import json
 import random
+from array import array
+from itertools import chain
 
 import pytest
 
-from pigraphs import graphs, skeletal
+from pigraphs import families, graphs, skeletal
 from pigraphs.cli import main
+from pigraphs.semigroups import from_cayley_table
 
 GRAPH_SHA256 = {
     (3, "left", "pig"):
@@ -324,3 +331,122 @@ def test_class_listings_are_unchanged(family, side, tmp_path, capsys):
     assert main(["classes", "--input", str(sg), "--side", side]) == 0
     assert sha256(capsys.readouterr().out.encode()) == \
         CLASSES_SHA256[family, side]
+
+
+# digests of the family tables, taken before IS_n and Brandt were built by
+# one generator walk: the table as 2-byte entries, then the repr of the
+# labels, the element data (IS_n: the mappings) and, for IS_n, ``gens``
+ISN_TABLE_SHA256 = {
+    1: "8756c8f94024162741163be1f4cf802beffeb4873f6a1be7b6c23190cff91040",
+    2: "a780638a2791930f36fe9288eccd2bac796b736ac6ff580be5f5c40b9a9f414a",
+    3: "baeb3c3bbd751ddeddfeee8153ffeb148dc32351d6bb4c60851785e96da70a1c",
+    4: "913b03adfee471b15daa6ffc6fe98aa4ecaa3a37ab2dc431c84ddf4907d0a9d3",
+    5: "a2ba7bbd4a693982f1f8d702651ed1f7c4677813a751882e7b52bbc728c44131",
+}
+# Brandt over Z_m (``cyclic_group(m)``) or the Klein four-group V4 with
+# r indices: (group, r) -> digest of table, labels and elements
+BRANDT_TABLE_SHA256 = {
+    ("Z1", 1):
+        "4da8e1e85ce995d2ebcb46a75f1bd4943c5b1166e97322d770e3a72e37d62079",
+    ("Z1", 2):
+        "f665e626d5fa8e9e2af65b86d0a92a10c79e112f7066f62fefdf75ce39eec393",
+    ("Z1", 3):
+        "34be6c944c8f7487ab740157db8be2887b7474e0bdff4ba92d07987f3234cd8b",
+    ("Z1", 4):
+        "6776d0efbf8b720c83d30c6b3c56bc221bc82342edebd6054735bd7d80248e3f",
+    ("Z1", 5):
+        "ca8d50f77128cfa2775782b54b1b35077029a364dc9e7d26f650bd95b30fbf6e",
+    ("Z1", 6):
+        "5564140fc320f834ed032b2bd466958b15fda59f8e8f969a91e99165653ef602",
+    ("Z2", 1):
+        "e1566a29bb7a5d98942424a944ec90ab3d7761d4c4f3eb9af909953453c67fa1",
+    ("Z2", 2):
+        "390f8dc5cc34581b3837543fd0cd3669badface996e1712b29cefffd1d8435e0",
+    ("Z2", 3):
+        "675d2ce3d10aad156657086ab02575af7f8e816956213dc13dbbe7bf9b785ea9",
+    ("Z2", 4):
+        "e5f17cd0756e63f66e4846f7faa3569c778dace87e09a2a302835d49a6c53ec8",
+    ("Z2", 5):
+        "365ecc4b9c53f06931a12d93e1f720b22d22091d671449f331e0264ae17769ad",
+    ("Z2", 6):
+        "47b37488d9c1cd435b672810eeb53c66bf1b96056a1aa8aaa8a0096abdebc92e",
+    ("Z3", 1):
+        "4e2cc82a240bb98e2d20d4987e4baebd73701383e9fa31882e7e2631e2473aeb",
+    ("Z3", 2):
+        "054f24f81b07e2c972878c91921cb37eb2e2af5ab0da4ac9a5fae7723d01aa24",
+    ("Z3", 3):
+        "94539079b64d3382b73ed5672b71ee65fe57b69e6cf6b4f3a2261dd3cc846949",
+    ("Z3", 4):
+        "3382539ffc4eded0463e0771c19b255d803122ae5f1feca7a48bb6d160408a62",
+    ("Z3", 5):
+        "3d00f307930beac3976e02583a84699c1b452cc38ed40d0a399d09d671dd635a",
+    ("Z3", 6):
+        "5fc02bfb46a89f73aa8a3887847f99b0b1e6cce8a38efe5152defcec685bc371",
+    ("Z4", 1):
+        "9f98677df386fddb69bc51540aa8bc1d8551309d77b2741155effa1ea8b1be92",
+    ("Z4", 2):
+        "c36a8fea0ab4139797d3ef3500725b0d0c0cca90aa9a5631bd1ee8fbb124ef9a",
+    ("Z4", 3):
+        "1c61d87dffc9a807a02a13dcc7088bf881ba805f55e4e1c6fa63093b3fb69d58",
+    ("Z4", 4):
+        "4999edf043ec0fbe17b2f091138fa161eaacd5d9b309709743d2d9bc12ee4492",
+    ("Z4", 5):
+        "c37a3c6a5209924fb625e398b30ce3e0dbfcd607b36d758b318a833e5aabdd46",
+    ("Z4", 6):
+        "d10b4570f8e78c0f42a36ba10cc956e092817259ac89afd318f4203093a44ce8",
+    ("Z5", 1):
+        "8b1e7df32274746b10cee22723387dfed68ddb2c180e8e309bdbf93c3dd44ce2",
+    ("Z5", 2):
+        "890a3a6c81f8f5653bf06b26543770ec1c0fb0ea889244d5b0f96f2c9fcf49e8",
+    ("Z5", 3):
+        "991ed37cf9c036de3907aac3ac702c5a9523485e35ebbc7c8307fd18e15e5d60",
+    ("Z5", 4):
+        "307797ed47d9ef6c9693b2a95022c36f4bbdd6c6a967d801d3f0e212e9710dee",
+    ("Z5", 5):
+        "b1292033900d9afa2104c500760b60fec43ed62ac70089925371394d51107f6e",
+    ("Z5", 6):
+        "9a48f7fb18055a2c60b00476af27f7019a5a881cbb136e94f682016d2d4f57e3",
+    ("V4", 1):
+        "5c7f9261609977a8efa0c08f2186d2a41491c5382479db4035f07b240cdc016b",
+    ("V4", 2):
+        "68e0b6248390ad73dd3523cc13bcfd5d4e7ea3a68ee5a8847e62336f9b30051f",
+    ("V4", 3):
+        "e2f7d4f49c481a0af0e55ac2cf6b3b7ca60b0f93c64d86d666fa5df9462b8419",
+    ("V4", 4):
+        "635d13441430ebb2604d13039de32388784cb96efd43e709ad09a55f3072f613",
+    ("Z5", 17):
+        "fd1cc431c5346f47d0e650593b65fb58fe5eb8fd6931a9ff00049d41129e45f9",
+}
+# the largest Brandt semigroup, B(Z_5, 17) of order 1,446, through its suite
+BRANDT_LARGEST_REPORT_SHA256 = \
+    "1dfd8fb241db97667f5dc8cf80441f8a3553445dd4d6d6c5e8e8ced500bb4063"
+
+
+def family_digest(s, *parts):
+    h = hashlib.sha256(array("H", chain.from_iterable(s.table)).tobytes())
+    for part in parts:
+        h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(ISN_TABLE_SHA256))
+def test_isn_tables_are_unchanged(n):
+    s = families.symmetric_inverse(n)
+    assert family_digest(s, s.labels, [p.mapping for p in s.elements],
+                         s.gens) == ISN_TABLE_SHA256[n]
+
+
+def test_brandt_tables_are_unchanged():
+    groups = {f"Z{m}": families.cyclic_group(m) for m in range(1, 6)}
+    groups["V4"] = from_cayley_table(
+        [[x ^ y for y in range(4)] for x in range(4)])
+    for (group, r), want in BRANDT_TABLE_SHA256.items():
+        s = families.brandt(groups[group], r)
+        assert family_digest(s, s.labels, s.elements) == want, (group, r)
+
+
+def test_largest_brandt_report_is_unchanged(capsys):
+    assert main(["verify", "--suite", "brandt", "--group-order", "5",
+                 "--indices", "17"]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == \
+        BRANDT_LARGEST_REPORT_SHA256

@@ -60,9 +60,12 @@ def test_ideal_lists_match_one_element_recounts(isn):
 
 
 def test_both_ideal_sources_agree(isn):
-    """IS_1 to IS_5 through the Cayley graphs of their generators and as
-    bare tables through _ideals: the same masks and L/R partitions."""
-    for s in (*isn.values(), families.symmetric_inverse(5)):
+    """IS_1 to IS_5 and four Brandt semigroups through the Cayley graphs
+    of their generators and as bare tables through _ideals: the same
+    masks and L/R partitions."""
+    brandts = (families.brandt(families.cyclic_group(m), r)
+               for m, r in ((2, 2), (3, 4), (1, 11), (5, 5)))
+    for s in (*isn.values(), families.symmetric_inverse(5), *brandts):
         bare = Semigroup(s.table)
         assert s.gens is not None and bare.gens is None
         assert s.left_ideals == bare.left_ideals
