@@ -2,19 +2,20 @@
 
 All constructors emit validated :class:`Semigroup` values with structured
 element data attached, which the verification suites read to recount
-claims without the Cayley table.  Tables built here are
-associative by construction and skip the cubic check (``checked=False``).
+claims without the Cayley table.  IS_n and Brandt store no table: theirs
+is the view :func:`_walk` returns, a product computed when read.  Every
+table is associative by construction and skips the cubic check
+(``checked=False``).
 """
 
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .errors import NotABijection, NotAGroup, NotGenerating, \
-    SizeLimitExceeded
+from .errors import NotABijection, NotAGroup, SizeLimitExceeded
 from .graphs import subset_label
-from .semigroups import Semigroup, _gather
+from .semigroups import Semigroup, _walk
 
-ISN_MAX = 5
+ISN_MAX = 6
 SEMILATTICE_MAX = 5
 
 
@@ -78,39 +79,17 @@ def partial_bijection_count(n: int) -> int:
     return sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
 
 
-# no family table is larger than the largest IS_n table
-FAMILY_MAX_ORDER = partial_bijection_count(ISN_MAX)
-
-
-def _walk(elements, product, gens):
-    """The table of ``elements`` under ``product``, and the indices of the
-    generating elements ``gens``, each kept once.  Generator rows are
-    composed; a walk over x -> x*g gathers each other row x*g as row x
-    read at the entries of row g, as (x*g)*z = x*(g*z) (Froidure and Pin
-    1997).  Raises :class:`NotGenerating` if it misses an element."""
-    index = {x: i for i, x in enumerate(elements)}
-    gens = tuple(dict.fromkeys(map(index.__getitem__, gens)))
-    rows = {g: tuple(index[product(elements[g], y)] for y in elements)
-            for g in gens}
-    walk = list(gens)
-    for x in walk:
-        for g in gens:
-            y = rows[x][g]
-            if y not in rows:
-                rows[y] = _gather(rows[g])(rows[x])
-                walk.append(y)
-    if len(walk) < len(elements):
-        raise NotGenerating(
-            f"the generators reach {len(walk)} of {len(elements)}")
-    return tuple(map(rows.__getitem__, range(len(elements)))), gens
+# the order of IS_5, which bounds the Brandt, cyclic and left zero orders
+FAMILY_MAX_ORDER = partial_bijection_count(5)
 
 
 def symmetric_inverse(n: int) -> Semigroup:
     """The symmetric inverse semigroup of all partial bijections on n points.
 
-    :func:`_walk` composes the mappings x first from the n-cycle, the
-    transposition (0 1) and the partial identity on {1..n-1}, which
-    generate IS_n (Gomes and Howie 1987) and become its ``gens``.
+    Its table composes the mappings x first; :func:`_walk` proves that
+    the n-cycle, the transposition (0 1) and the partial identity on
+    {1..n-1} generate IS_n (Gomes and Howie 1987), and they become its
+    ``gens``.
     """
     if not 1 <= n <= ISN_MAX:
         raise SizeLimitExceeded(f"symmetric_inverse supports 1 <= n <= {ISN_MAX}")
@@ -138,7 +117,7 @@ def brandt(g: Semigroup, r: int) -> Semigroup:
 
     Elements are the triples (i, a, j) in lexicographic order, then the
     zero; (i,a,j)(k,b,l) is (i, a*b, l) when j = k and zero otherwise.
-    :func:`_walk` builds the table from the (0,a,0), the shifts (i,e,i+1)
+    :func:`_walk` proves it generated by the (0,a,0), the shifts (i,e,i+1)
     and (i+1,e,i) with e the identity, as (i,e,0)(0,a,0)(0,e,j) = (i,a,j),
     and the zero for r = 1; for r > 1 it is (0,e,1)(0,e,1).
     """

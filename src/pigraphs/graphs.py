@@ -13,9 +13,10 @@ from operator import itemgetter
 from .errors import IndexOutOfRange, MalformedDocument, NotSimpleGraph, \
     NotSurjective, SizeLimitExceeded, SizeMismatch
 
-ISO_MAX_ORDER = 40
-# above every family's graphs (at most 1,546 vertices), and small enough
-# for pig spectral's n x n matrix
+ISO_MAX_ORDER = 63
+# graphs read or built from edges, and tables read whole: above every
+# family but IS_6 (1,546 elements), small enough for an n x n matrix;
+# IS_6's 13,326-vertex graphs are built from masks, in memory only
 GRAPH_MAX_ORDER = 4096
 
 

@@ -5,6 +5,7 @@ The table convention is row-times-column: ``table[x][y]`` is the product
 inverses) is determined by the table, so any associative table is
 accepted regardless of how it was produced; when a constructor supplies
 ``gens``, the ideals are read off the generators' rows and columns alone.
+A table is a tuple of rows, or a view that computes entries when read.
 """
 
 from dataclasses import dataclass, field
@@ -13,24 +14,27 @@ from itertools import chain, compress, count
 from operator import itemgetter, ne
 
 from .errors import AssociativityViolation, IndexOutOfRange, \
-    MalformedDocument, NotABijection, SizeMismatch
-from .graphs import _check_labels
+    MalformedDocument, NotABijection, NotGenerating, SizeLimitExceeded, \
+    SizeMismatch
+from .graphs import GRAPH_MAX_ORDER, _check_labels
 
 
 @dataclass(frozen=True)
 class Semigroup:
-    """An immutable finite semigroup given by its Cayley table.
+    """An immutable finite semigroup given by its Cayley table: rows, or
+    the :class:`_Products` view of IS_n and Brandt, equal to its rows.
 
     The fields are the inputs only.  ``checked`` records whether
     associativity was verified exhaustively (family constructors that are
     associative by construction skip it).  ``elements`` optionally carries
     structured element values (partial bijections, Brandt triples, subset
     masks) for the suites' recounts, and ``gens`` the generating set that
-    ``families._walk`` proved for IS_n and Brandt; neither takes part in
+    ``_walk`` proved for IS_n and Brandt; neither takes part in
     equality or is serialized.  Everything the table determines (order,
     zero, identity, ideals, inverse map, a generating set) is cached on
-    first use (the ideals off ``gens`` if set).  The constructor trusts
-    its square tuple table; ``from_cayley_table`` validates any other.
+    first use (the ideals off ``gens`` if set), read entry by entry.
+    The constructor trusts its square table; ``from_cayley_table``
+    validates any other.
     """
 
     table: tuple
@@ -49,11 +53,11 @@ class Semigroup:
 
     @cached_property
     def zero(self) -> int | None:
-        return _two_sided(self.table, lambda x, y: x)
+        return _two_sided(self.table, lambda x, y: x, self.gens)
 
     @cached_property
     def identity(self) -> int | None:
-        return _two_sided(self.table, lambda x, y: y)
+        return _two_sided(self.table, lambda x, y: y, self.gens)
 
     @cached_property
     def left_ideals(self) -> tuple:
@@ -67,7 +71,8 @@ class Semigroup:
         """Each principal right ideal: x's reach along x -> x*g, or row x."""
         if self.gens is None:
             return _ideals(self.table)
-        return _reach(tuple(map(_gather(self.gens), self.table)))
+        return _reach(tuple(map(_gather(self.gens), map(
+            self.table.__getitem__, range(self.order)))))
 
     @cached_property
     def inverses(self) -> tuple | None:
@@ -79,8 +84,10 @@ class Semigroup:
         some x has no idempotent e in its L-class or f in its R-class.
         Otherwise inv[x] has f's left ideal and e's right ideal, and it
         is the first y of that H-class with x*y = f: any such y R e has
-        y = e*y = inv[x]*(x*y) = inv[x]*f = inv[x].  Both laws are then
-        recounted on y.  Like the ideal masks, this assumes associativity.
+        y = e*y = inv[x]*(x*y) = inv[x]*f = inv[x].  With ``gens`` only
+        generators are searched, and inv[x*g] = inv[g]*inv[x] along the
+        walk.  Both laws are then recounted on every x, proving each x
+        regular.  Like the ideal masks, this assumes associativity.
         """
         t, idem = self.table, idempotents(self)
         left, right = self.left_ideals, self.right_ideals
@@ -91,17 +98,23 @@ class Semigroup:
         h_classes = {}
         for y, key in enumerate(zip(left, right)):
             h_classes.setdefault(key, []).append(y)
-        inv = []
-        for x, row in enumerate(t):
+        inv = [None] * self.order
+        for x, step in (dict.fromkeys(range(self.order)) if self.gens is None
+                        else _span(t, self.gens)).items():
+            if step is not None:
+                inv[x] = t[inv[step[1]]][inv[step[0]]]
+                continue
             e, f = left_idem.get(left[x]), right_idem.get(right[x])
-            if e is None or f is None:
+            row = t[x]
+            inv[x] = None if e is None or f is None else next(
+                (y for y in h_classes.get((left[f], right[e]), ())
+                 if row[y] == f), None)
+            if inv[x] is None:
                 return None
-            y = next((y for y in h_classes.get((left[f], right[e]), ())
-                      if row[y] == f), None)
-            # x*y*x = x and y*x*y = y, with x*y = f
-            if y is None or t[f][x] != x or t[t[y][x]][y] != y:
-                return None
-            inv.append(y)
+        # x*y*x = x and y*x*y = y
+        if any(t[t[x][y]][x] != x or t[t[y][x]][y] != y
+               for x, y in enumerate(inv)):
+            return None
         return tuple(inv)
 
     @cached_property
@@ -229,11 +242,14 @@ def _check_associativity(table):
             raise AssociativityViolation(x, *divmod(i, n))
 
 
-def _two_sided(table, value):
-    """The first x with x*y = y*x = value(x, y) for every y, or None."""
+def _two_sided(table, value, gens):
+    """The first x with x*y = y*x = value(x, y) for every y, or None; every
+    y in ``gens`` is enough: by associativity their products satisfy it."""
     n = len(table)
     for x in range(n):
-        if all(table[x][y] == value(x, y) == table[y][x] for y in range(n)):
+        row = table[x]
+        if all(row[y] == value(x, y) == table[y][x]
+               for y in (range(n) if gens is None else gens)):
             return x
     return None
 
@@ -258,6 +274,85 @@ def from_cayley_table(table, labels=None, *, unchecked=False,
 def _gather(keys):
     """itemgetter(*keys), but returning a tuple for a single key too."""
     return itemgetter(*keys) if len(keys) > 1 else lambda seq: (seq[keys[0]],)
+
+
+class _Products:
+    """The table of ``elements`` under ``product``: t[x][y] is the index
+    of product(elements[x], elements[y]), computed when read.  Iteration,
+    equality and hashing read ``rows``, gathered once along the walk from
+    ``gens`` (the indices of the generating elements given): row x*g is
+    row x read at the entries of row g, as (x*g)*z = x*(g*z)."""
+
+    def __init__(self, elements, product, gens):
+        self.elements, self.product = elements, product
+        self.index = {x: i for i, x in enumerate(elements)}
+        self.gens = tuple(dict.fromkeys(map(self.index.__getitem__, gens)))
+
+    def __len__(self):
+        return len(self.elements)
+
+    def __getitem__(self, x):
+        return _Row(self, self.elements[x])
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __eq__(self, other):
+        return self.rows == other
+
+    def __hash__(self):
+        return hash(self.rows)
+
+    @cached_property
+    def rows(self) -> tuple:
+        if len(self) > GRAPH_MAX_ORDER:
+            raise SizeLimitExceeded(f"the table of order {len(self)} is too "
+                                    f"large to read whole")
+        rows = {g: tuple(self[g]) for g in self.gens}
+        for y, step in _span(self, self.gens).items():
+            if step is not None:
+                rows[y] = _gather(rows[step[1]])(rows[step[0]])
+        return tuple(map(rows.__getitem__, range(len(self))))
+
+
+class _Row:
+    """Row x of a :class:`_Products` table, x given by its element."""
+
+    def __init__(self, table, x):
+        self.table, self.x = table, x
+
+    def __len__(self):
+        return len(self.table)
+
+    def __getitem__(self, y):
+        t = self.table
+        return t.index[t.product(self.x, t.elements[y])]
+
+
+def _span(table, gens) -> dict:
+    """Each element the walk x -> x*g from ``gens`` reaches, in walk order,
+    with the (x, g) it was first reached from (None for a generator).
+    Raises :class:`NotGenerating` if it misses one (Froidure and Pin
+    1997)."""
+    steps, walk = dict.fromkeys(gens), list(gens)
+    for x in walk:
+        row = table[x]
+        for g in gens:
+            y = row[g]
+            if y not in steps:
+                steps[y] = x, g
+                walk.append(y)
+    if len(walk) < len(table):
+        raise NotGenerating(
+            f"the generators reach {len(walk)} of {len(table)}")
+    return steps
+
+
+def _walk(elements, product, gens):
+    """The :class:`_Products` table and its ``gens``, proved by _span."""
+    table = _Products(tuple(elements), product, gens)
+    _span(table, table.gens)
+    return table, table.gens
 
 
 def idempotents(s: Semigroup) -> list:

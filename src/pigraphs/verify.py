@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass
 
 from . import families, graphs, pig, skeletal, spectral
-from .errors import PigError
+from .errors import PigError, SizeLimitExceeded
 from .green import l_classes, principal_left_ideal, r_classes
 from .semigroups import idempotents
 
@@ -369,6 +369,9 @@ def run_suite(name: str, *, n: int = 3, group_order: int = 2,
     """Run one suite (or all of them); returns a list of SuiteResult."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    if name == "all" and n > families.SEMILATTICE_MAX:  # before IS_6 runs
+        raise SizeLimitExceeded(
+            f"suite all supports n <= {families.SEMILATTICE_MAX}")
     return [_RUNNERS[k](n=n, group_order=group_order, indices=indices,
                         seed=seed)
             for k in (_RUNNERS if name == "all" else [name])]

@@ -52,8 +52,17 @@ def test_build_left_zero_with_zero(tmp_path, capsys):
 def test_build_invalid_params(capsys):
     code, _, err = run(capsys, "build", "--family", "isn", "--n", "9")
     assert code == 2 and "error" in err
-    # families stop at the IS_5 order, 1,546; a Brandt order is r^2 |G| + 1
+    # IS_6 runs in pig verify, but its 177,608,929-entry table is not
+    # gathered, let alone written
+    code, out, err = run(capsys, "build", "--family", "isn", "--n", "6")
+    assert (code, out, err) == (
+        2, "", "error: the table of order 13327 is too large to read whole\n")
+    # other families stop at the IS_5 order, 1,546, and a Brandt order is
+    # r^2 |G| + 1; IS_n stops at n = 6, and suite all, whose semilattice
+    # stops at n = 5, refuses n = 6 before running IS_6
     for argv in (["build", "--family", "cyclic", "--n", "100000"],
+                 ["verify", "--suite", "isn", "--n", "7"],
+                 ["verify", "--suite", "all", "--n", "6"],
                  ["build", "--family", "leftzero", "--n", "1547"],
                  ["build", "--family", "brandt", "--indices", "0"],
                  ["verify", "--suite", "brandt", "--group-order", "2",

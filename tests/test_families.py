@@ -81,7 +81,7 @@ def test_isn_structure(isn):
 
 def test_isn_size_guard():
     with pytest.raises(SizeLimitExceeded):
-        families.symmetric_inverse(6)
+        families.symmetric_inverse(7)
     with pytest.raises(SizeLimitExceeded):
         families.symmetric_inverse(0)
 
@@ -212,11 +212,12 @@ def test_symmetric_inverse_table_matches_composition(n, isn):
 
 
 def test_symmetric_inverse_5_rows_match_composition():
-    # only the rows of the n-cycle, the transposition (0 1) and the partial
-    # identity on {1..4} are composed; every other row is gathered along a
-    # breadth-first walk x -> x*g, redone here with compose
+    # the whole table, as iteration reads it, composes only the rows of
+    # the n-cycle, the transposition (0 1) and the partial identity on
+    # {1..4}; every other row is gathered along a breadth-first walk
+    # x -> x*g, redone here with compose
     s = families.symmetric_inverse(5)
-    elems = s.elements
+    elems, rows = s.elements, tuple(s.table)
     index = {p.mapping: i for i, p in enumerate(elems)}
     gens = [index[m] for m in ((1, 2, 3, 4, 0), (1, 0, 2, 3, 4),
                                (None, 1, 2, 3, 4))]
@@ -238,8 +239,8 @@ def test_symmetric_inverse_5_rows_match_composition():
                 if p.rank() == k and x not in gens]
         gathered += rng.sample(pool, min(2, len(pool)))
     for x in gens + last + gathered:
-        assert s.table[x] == tuple(index[elems[x].compose(y).mapping]
-                                   for y in elems)
+        assert rows[x] == tuple(index[elems[x].compose(y).mapping]
+                                for y in elems)
 
 
 def test_walk_proves_its_generating_set():

@@ -1,9 +1,9 @@
 """Byte-for-byte pins of the CLI's graph documents on IS_3, IS_4, a
 Brandt semigroup, a semilattice, a left-zero semigroup and a cyclic group
 with a zero adjoined, of the `pig verify` reports at `--suite all
---n 1..4`, `--suite isn --n 1..5` and of the green, Brandt and
+--n 1..4`, `--suite isn --n 1..6` and of the green, Brandt and
 semilattice suites at a few sizes, of the `pig build` documents of the
-small families, of `pig spectral` on the IS_3 left graph, of
+small families and of IS_5, of `pig spectral` on the IS_3 left graph, of
 `pig classes` on four semigroups, of `pig spectral --twin-report`,
 `pig skeletal --op max` and `pig stats` on seeded blow-ups, and of the
 IS_1 to IS_5 and Brandt tables, labels and element data with the
@@ -20,7 +20,8 @@ hashes from the partitions built by grouping equal ideals or rows and
 sorting the groups by minimal member; the other families' graph hashes
 from the class quotient that took the full graph as an argument; the
 family table digests from the padded-mapping IS_n walk and the Brandt
-block-index arithmetic.
+block-index arithmetic; the IS_5 build document from the last stored
+IS_n table.
 Any change to vertex order, labels, edges, zero or identity detection,
 matrix entries or check wording shows up here.
 """
@@ -94,12 +95,16 @@ FAMILY_GRAPH_SHA256 = {
 BUILD_SHA256 = {
     3: "2e51d0d0ef0b32d2313a82acace40a71763326320ca9f84b94981970df01256b",
     4: "c06a3b54185fcc0f63fbd5603f75f3c37fa993f933763320781b863b40d0d28b",
+    5: "d4538f3fe339be29a87e7d175d1ba15c62c6dc5d668ce9ab7f11538b2f03ee99",
 }
 VERIFY_SHA256 = {
     ("all", 4):
         "2a10a53e599d0569ec3e0d271f3634bd8294e1213f6f5c50983ebe8cb2c868ef",
     ("isn", 5):
         "d278764503754f0e4ba2d9a95188c5bd8456ba5e548e62ecc3cae39f47914e6a",
+    # taken when IS_6 first ran, on products computed when read
+    ("isn", 6):
+        "6d65aff0b87bdb534579dd98985c1c2e636de023cad1057ae9162d56919e2a6e",
 }
 # further `pig verify --suite <args>` reports, pinned at the last commit
 # before the class checks became partition equalities: args -> stdout
@@ -223,6 +228,16 @@ BLOW_UP_MAX_AND_STATS_SHA256 = {
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def test_largest_build_document_is_unchanged(tmp_path, capsys):
+    # IS_5, the largest table pig build writes: all 2,390,116 entries
+    sg = tmp_path / "is5.json"
+    assert main(["build", "--family", "isn", "--n", "5",
+                 "--out", str(sg)]) == 0
+    assert sha256(sg.read_bytes()) == BUILD_SHA256[5]
+    assert capsys.readouterr().err == \
+        "order=1546 zero=0 identity=591 idempotents=32\n"
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -434,6 +449,17 @@ def test_isn_tables_are_unchanged(n):
     s = families.symmetric_inverse(n)
     assert family_digest(s, s.labels, [p.mapping for p in s.elements],
                          s.gens) == ISN_TABLE_SHA256[n]
+
+
+def test_table_digests_read_the_walk_table(products):
+    # family_digest reads every entry, which the view hands over from the
+    # table gathered along the walk: the generator rows and one product
+    # per walk step, not one per entry
+    for s in (families.symmetric_inverse(4),
+              families.brandt(families.cyclic_group(3), 4)):
+        count = products(s)
+        family_digest(s)
+        assert count["products"] == 2 * len(s.gens) * s.order
 
 
 def test_brandt_tables_are_unchanged():

@@ -200,10 +200,12 @@ def test_isomorphism_basics(monkeypatch):
 
 
 def test_isomorphism_guard(monkeypatch):
-    big = Graph(41, (0,) * 41)
+    # 63 admits the class quotient of IS_6 and the intersection graph
+    assert graphs.ISO_MAX_ORDER == intersection_graph(6).order
+    big = Graph(64, (0,) * 64)
     with pytest.raises(SizeLimitExceeded):
         are_isomorphic(big, big)
-    monkeypatch.setattr(graphs, "ISO_MAX_ORDER", 50)
+    monkeypatch.setattr(graphs, "ISO_MAX_ORDER", 64)
     assert are_isomorphic(big, big) is not None
 
 

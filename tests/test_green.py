@@ -47,7 +47,8 @@ def chain(n, op):
 def test_ideal_lists_match_one_element_recounts(isn):
     # shapes where ideals repeat (IS_n, Brandt, left zero, cyclic) and
     # where every ideal is distinct (null semigroup, max and min chains);
-    # IS_n reads its ideals off its generators' Cayley graphs
+    # IS_n reads its ideals off its generators' Cayley graphs, and the
+    # recounts read the whole table, which iteration hands out
     for s in (*isn.values(), families.symmetric_inverse(5),
               families.brandt(families.cyclic_group(2), 2),
               adjoin_zero(families.left_zero(5)), families.cyclic_group(7),
@@ -55,8 +56,8 @@ def test_ideal_lists_match_one_element_recounts(isn):
         assert list(s.left_ideals) == [principal_left_ideal(s, a)
                                        for a in range(s.order)]
         assert list(s.right_ideals) == [
-            sum(1 << x for x in set(s.table[a])) | 1 << a
-            for a in range(s.order)]
+            sum(1 << x for x in set(row)) | 1 << a
+            for a, row in enumerate(s.table)]
 
 
 def test_both_ideal_sources_agree(isn):

@@ -7,7 +7,7 @@ from itertools import permutations, product
 
 import pytest
 
-from pigraphs import families, semigroups
+from pigraphs import families, semigroups, verify
 from pigraphs.errors import (
     AssociativityViolation,
     IndexOutOfRange,
@@ -406,6 +406,19 @@ def test_inverses_match_pairwise_definition():
         assert s.inverses is None and brute_inverses(s) is None
 
 
+def test_inverses_along_the_walk_recount_both_laws():
+    """Idempotents x, y with y*x = 0 generate x, y, xy and 0: one
+    idempotent per L- and R-class, but xy is not regular.  Along the walk
+    inv(xy) = inv(y)*inv(x) = 0 and inv(0) = xy, which only the laws
+    refute; with and without ``gens`` the answer is None."""
+    s = from_cayley_table([[0, 2, 2, 3], [3, 1, 3, 3], [3, 2, 3, 3],
+                           [3, 3, 3, 3]])
+    walked = Semigroup(s.table, gens=(0, 1))
+    assert walked.generators == (0, 1) and walked.zero == 3
+    assert walked.inverses is None and s.inverses is None
+    assert brute_inverses(s) is None
+
+
 def test_inverses_keep_both_laws_on_unchecked_tables():
     """Tables above order 256 are trusted unchecked: on every table of
     order 3, associative or not, the search raises nothing, and a map it
@@ -456,10 +469,13 @@ def test_inverse_layer_reads_only_what_it_needs(monkeypatch):
     inv = counted.inverses
     assert all(s.elements[y] == s.elements[x].inverse()
                for x, y in enumerate(inv))
-    # the diagonal, the rows and both laws: at most 11 reads per element;
-    # the H-class scans: sum over x of |H_x| = sum_k C(5,k)^2 (k!)^2
-    budget = 11 * s.order + 32_826
-    assert budget == 49_832 and 0 < reads["items"] <= budget
+    # the diagonal, a walk step per generator, inv[g]*inv[x] and both
+    # laws: 16 reads per element; only the generators' H-classes are
+    # scanned, the units (120 elements) for the 5-cycle and (0 1) and 24
+    # for the partial identity, each after reading its row, where a scan
+    # per element read sum_k C(5,k)^2 (k!)^2 = 32,826 entries
+    budget = 16 * s.order + 2 * 121 + 25
+    assert budget == 25_003 and 0 < reads["items"] <= budget
     gens, keys = s.generators, []
     gather = semigroups._gather
 
@@ -582,3 +598,55 @@ def test_derived_attributes_come_from_the_table_alone():
         assert (bare.order, bare.zero, bare.identity) == \
             (built.order, built.zero, built.identity)
         assert bare == built and not bare.checked and built.checked
+
+
+def view_samples():
+    return [*map(families.symmetric_inverse, range(1, 5)),
+            *(families.brandt(families.cyclic_group(m), r)
+              for m in range(1, 4) for r in range(1, 4))]
+
+
+def test_view_entries_match_the_walk_table():
+    # each entry computed when read, a row's entries read by index up to
+    # the IndexError past its last, against the tuple table gathered along
+    # the walk, which iteration hands out
+    for s in view_samples():
+        n = s.order
+        assert isinstance(s.table, semigroups._Products) and len(s.table) == n
+        rows = tuple(s.table)
+        assert all(type(row) is tuple for row in rows)
+        assert [tuple(s.table[x]) for x in range(n)] == list(rows)
+        assert all(len(s.table[x]) == n for x in range(n))
+
+
+def test_view_and_tuple_tables_are_equal_and_hash_alike():
+    for s in view_samples():
+        stored = Semigroup(tuple(s.table), s.labels, s.family)
+        assert s == stored and stored == s and hash(s) == hash(stored)
+        assert s.table == stored.table and stored.table == s.table
+        assert hash(s.table) == hash(stored.table)
+    assert families.symmetric_inverse(3) != families.symmetric_inverse(2)
+    assert families.symmetric_inverse(2).table != ((0,),)
+
+
+def test_isn_suite_computes_few_products_in_little_memory(products,
+                                                          monkeypatch):
+    """IS_5's table would hold 2,390,116 entries in about 20 MB; the suite
+    computes fewer than 50,000 of them, after the 4,638 products that
+    prove the generating set, and peaks under 6 MB."""
+    build, counts = families.symmetric_inverse, []
+
+    def counted_build(n):
+        s = build(n)
+        counts.append(products(s))
+        return s
+
+    monkeypatch.setattr(families, "symmetric_inverse", counted_build)
+    tracemalloc.start()
+    try:
+        assert verify.suite_isn(5).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
+    assert len(counts) == 1 and 0 < counts[0]["products"] <= 50_000
