@@ -48,7 +48,7 @@ def cmd_build(args) -> int:
         s = semigroups.adjoin_zero(s)
     _write(json.dumps(semigroups.to_json_dict(s), indent=2) + "\n", args.out)
     print(f"order={s.order} zero={s.zero} identity={s.identity} "
-          f"idempotents={len(semigroups.idempotents(s))}", file=sys.stderr)
+          f"idempotents={len(s.idempotents)}", file=sys.stderr)
     return 0
 
 

@@ -3,7 +3,7 @@
 All constructors emit validated :class:`Semigroup` values with structured
 element data attached, which the verification suites read to recount
 claims without the Cayley table.  IS_n and Brandt store no table: theirs
-is the view :func:`_walk` returns, a product computed when read.  Every
+is a :class:`_Products` view, a product computed when read.  Every
 table is associative by construction and skips the cubic check
 (``checked=False``).
 """
@@ -13,7 +13,7 @@ from math import comb, factorial
 
 from .errors import NotABijection, NotAGroup, SizeLimitExceeded
 from .graphs import subset_label
-from .semigroups import Semigroup, _walk
+from .semigroups import Semigroup, _Products
 
 ISN_MAX = 6
 SEMILATTICE_MAX = 5
@@ -86,7 +86,7 @@ FAMILY_MAX_ORDER = partial_bijection_count(5)
 def symmetric_inverse(n: int) -> Semigroup:
     """The symmetric inverse semigroup of all partial bijections on n points.
 
-    Its table composes the mappings x first; :func:`_walk` proves that
+    Its table composes the mappings x first; the view's walk proves that
     the n-cycle, the transposition (0 1) and the partial identity on
     {1..n-1} generate IS_n (Gomes and Howie 1987), and they become its
     ``gens``.
@@ -94,13 +94,13 @@ def symmetric_inverse(n: int) -> Semigroup:
     if not 1 <= n <= ISN_MAX:
         raise SizeLimitExceeded(f"symmetric_inverse supports 1 <= n <= {ISN_MAX}")
     elems = all_partial_bijections(n)
-    table, gens = _walk(
+    table = _Products(
         [p.mapping for p in elems],
         lambda x, y: tuple(None if v is None else y[v] for v in x),
         [tuple((i + 1) % n for i in range(n)),
          (1, 0, *range(2, n)) if n > 1 else (0,), (None, *range(1, n))])
     return Semigroup(table, tuple(p.label() for p in elems), "isn",
-                     elements=tuple(elems), gens=gens)
+                     elements=tuple(elems))
 
 
 def _check_group(g: Semigroup):
@@ -117,9 +117,9 @@ def brandt(g: Semigroup, r: int) -> Semigroup:
 
     Elements are the triples (i, a, j) in lexicographic order, then the
     zero; (i,a,j)(k,b,l) is (i, a*b, l) when j = k and zero otherwise.
-    :func:`_walk` proves it generated by the (0,a,0), the shifts (i,e,i+1)
-    and (i+1,e,i) with e the identity, as (i,e,0)(0,a,0)(0,e,j) = (i,a,j),
-    and the zero for r = 1; for r > 1 it is (0,e,1)(0,e,1).
+    The view's walk proves it generated by the (0,a,0), the shifts
+    (i,e,i+1) and (i+1,e,i) with e the identity, as (i,e,0)(0,a,0)(0,e,j)
+    = (i,a,j), and the zero for r = 1; for r > 1 it is (0,e,1)(0,e,1).
     """
     if r < 1:
         raise SizeLimitExceeded("index count must be positive")
@@ -131,7 +131,7 @@ def brandt(g: Semigroup, r: int) -> Semigroup:
     triples = [(i, a, j) for i in range(r) for a in range(g.order)
                for j in range(r)]
     e = g.identity
-    table, gens = _walk(
+    table = _Products(
         triples + [None],
         lambda x, y: None if x is None or y is None or x[2] != y[0]
         else (x[0], g.table[x[1]][y[1]], y[2]),
@@ -140,7 +140,7 @@ def brandt(g: Semigroup, r: int) -> Semigroup:
         + [None] * (r == 1))
     labels = tuple(f"({i},{g.label(a)},{j})" for i, a, j in triples) + ("0",)
     return Semigroup(table, labels, "brandt",
-                     elements=tuple(triples) + (None,), gens=gens)
+                     elements=tuple(triples) + (None,))
 
 
 def subset_meet_semilattice(n: int) -> Semigroup:

@@ -14,9 +14,9 @@ from .errors import IndexOutOfRange, MalformedDocument, NotSimpleGraph, \
     NotSurjective, SizeLimitExceeded, SizeMismatch
 
 ISO_MAX_ORDER = 63
-# graphs read or built from edges, and tables read whole: above every
-# family but IS_6 (1,546 elements), small enough for an n x n matrix;
-# IS_6's 13,326-vertex graphs are built from masks, in memory only
+# graphs read or built from edges, and tables read whole: small enough for
+# an n x n matrix, above every family but IS_6 (13,327 elements; the others
+# have at most 1,546), whose 13,326-vertex graphs stay in memory only
 GRAPH_MAX_ORDER = 4096
 
 

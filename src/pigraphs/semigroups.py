@@ -3,9 +3,9 @@
 The table convention is row-times-column: ``table[x][y]`` is the product
 ``x*y``.  Every structural query (zero, identity, ideals, idempotents,
 inverses) is determined by the table, so any associative table is
-accepted regardless of how it was produced; when a constructor supplies
-``gens``, the ideals are read off the generators' rows and columns alone.
-A table is a tuple of rows, or a view that computes entries when read.
+accepted regardless of how it was produced.  A table is a tuple of rows,
+or a :class:`_Products` view that computes entries when read; the ideals
+of a view are read off its generators' rows and columns alone.
 """
 
 from dataclasses import dataclass, field
@@ -28,11 +28,11 @@ class Semigroup:
     associativity was verified exhaustively (family constructors that are
     associative by construction skip it).  ``elements`` optionally carries
     structured element values (partial bijections, Brandt triples, subset
-    masks) for the suites' recounts, and ``gens`` the generating set that
-    ``_walk`` proved for IS_n and Brandt; neither takes part in
-    equality or is serialized.  Everything the table determines (order,
-    zero, identity, ideals, inverse map, a generating set) is cached on
-    first use (the ideals off ``gens`` if set), read entry by entry.
+    masks) for the suites' recounts; it takes no part in equality and is
+    not serialized.  Everything the table determines (order, zero,
+    identity, idempotents, ideals, inverse map, a generating set) is
+    cached on first use, read entry by entry; ``gens`` is the view's
+    proved generating set, or ``None`` for a tuple table.
     The constructor trusts its square table; ``from_cayley_table``
     validates any other.
     """
@@ -42,7 +42,6 @@ class Semigroup:
     family: str | None = None
     checked: bool = field(default=False, compare=False)
     elements: tuple | None = field(default=None, compare=False)
-    gens: tuple | None = field(default=None, compare=False)
 
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels is not None else str(x)
@@ -50,6 +49,15 @@ class Semigroup:
     @cached_property
     def order(self) -> int:
         return len(self.table)
+
+    @cached_property
+    def gens(self) -> tuple | None:
+        return getattr(self.table, "gens", None)
+
+    @cached_property
+    def idempotents(self) -> tuple:
+        """Indices of all elements with e*e = e, ascending."""
+        return tuple(e for e in range(self.order) if self.table[e][e] == e)
 
     @cached_property
     def zero(self) -> int | None:
@@ -71,8 +79,7 @@ class Semigroup:
         """Each principal right ideal: x's reach along x -> x*g, or row x."""
         if self.gens is None:
             return _ideals(self.table)
-        return _reach(tuple(map(_gather(self.gens), map(
-            self.table.__getitem__, range(self.order)))))
+        return _reach(self.table.right)
 
     @cached_property
     def inverses(self) -> tuple | None:
@@ -86,10 +93,10 @@ class Semigroup:
         is the first y of that H-class with x*y = f: any such y R e has
         y = e*y = inv[x]*(x*y) = inv[x]*f = inv[x].  With ``gens`` only
         generators are searched, and inv[x*g] = inv[g]*inv[x] along the
-        walk.  Both laws are then recounted on every x, proving each x
+        view's walk.  Both laws are then recounted on every x, proving each x
         regular.  Like the ideal masks, this assumes associativity.
         """
-        t, idem = self.table, idempotents(self)
+        t, idem = self.table, self.idempotents
         left, right = self.left_ideals, self.right_ideals
         left_idem = {left[e]: e for e in idem}
         right_idem = {right[f]: f for f in idem}
@@ -100,7 +107,7 @@ class Semigroup:
             h_classes.setdefault(key, []).append(y)
         inv = [None] * self.order
         for x, step in (dict.fromkeys(range(self.order)) if self.gens is None
-                        else _span(t, self.gens)).items():
+                        else t.steps).items():
             if step is not None:
                 inv[x] = t[inv[step[1]]][inv[step[0]]]
                 continue
@@ -174,7 +181,7 @@ def _reach(succ) -> tuple:
     with an edge to every x, closes them in reverse topological order, so
     a component's mask is its members' bits and the masks their edges
     reach: |gens|*n edges, not _ideals' n^2 products.  IS_n and Brandt
-    carry ``gens`` from the walk.  Documents, adjoin_zero results and the
+    views keep the walk's x*g.  Documents, adjoin_zero results and the
     semilattice, cyclic and left zero tables keep _ideals: ``generators``
     sorts by the left ideals, and a set read off the table costs more than
     it saves (0.34 + 1.19 s against 0.31 s on a 1,546-chain).
@@ -278,15 +285,31 @@ def _gather(keys):
 
 class _Products:
     """The table of ``elements`` under ``product``: t[x][y] is the index
-    of product(elements[x], elements[y]), computed when read.  Iteration,
-    equality and hashing read ``rows``, gathered once along the walk from
-    ``gens`` (the indices of the generating elements given): row x*g is
-    row x read at the entries of row g, as (x*g)*z = x*(g*z)."""
+    of product(elements[x], elements[y]), computed when read.  The walk
+    x -> x*g from ``gens`` (their indices, each kept once) proves them
+    generating, one product per step, or raises :class:`NotGenerating`
+    (Froidure and Pin 1997); it keeps right[x], the x*g over ``gens``, and
+    ``steps``, each element in walk order with the (x, g) that first
+    reached it (None for a generator).  Iteration, equality and hashing
+    read ``rows``, gathered once along ``steps``: row x*g is row x read at
+    the entries of row g, as (x*g)*z = x*(g*z)."""
 
     def __init__(self, elements, product, gens):
-        self.elements, self.product = elements, product
-        self.index = {x: i for i, x in enumerate(elements)}
+        self.elements, self.product = tuple(elements), product
+        self.index = {x: i for i, x in enumerate(self.elements)}
         self.gens = tuple(dict.fromkeys(map(self.index.__getitem__, gens)))
+        steps, right = dict.fromkeys(self.gens), [None] * len(self)
+        times_gens, walk = _gather(self.gens), list(self.gens)
+        for x in walk:
+            right[x] = times_gens(self[x])
+            for g, y in zip(self.gens, right[x]):
+                if y not in steps:
+                    steps[y] = x, g
+                    walk.append(y)
+        if len(walk) < len(self):
+            raise NotGenerating(
+                f"the generators reach {len(walk)} of {len(self)}")
+        self.right, self.steps = tuple(right), steps
 
     def __len__(self):
         return len(self.elements)
@@ -309,7 +332,7 @@ class _Products:
             raise SizeLimitExceeded(f"the table of order {len(self)} is too "
                                     f"large to read whole")
         rows = {g: tuple(self[g]) for g in self.gens}
-        for y, step in _span(self, self.gens).items():
+        for y, step in self.steps.items():
             if step is not None:
                 rows[y] = _gather(rows[step[1]])(rows[step[0]])
         return tuple(map(rows.__getitem__, range(len(self))))
@@ -327,37 +350,6 @@ class _Row:
     def __getitem__(self, y):
         t = self.table
         return t.index[t.product(self.x, t.elements[y])]
-
-
-def _span(table, gens) -> dict:
-    """Each element the walk x -> x*g from ``gens`` reaches, in walk order,
-    with the (x, g) it was first reached from (None for a generator).
-    Raises :class:`NotGenerating` if it misses one (Froidure and Pin
-    1997)."""
-    steps, walk = dict.fromkeys(gens), list(gens)
-    for x in walk:
-        row = table[x]
-        for g in gens:
-            y = row[g]
-            if y not in steps:
-                steps[y] = x, g
-                walk.append(y)
-    if len(walk) < len(table):
-        raise NotGenerating(
-            f"the generators reach {len(walk)} of {len(table)}")
-    return steps
-
-
-def _walk(elements, product, gens):
-    """The :class:`_Products` table and its ``gens``, proved by _span."""
-    table = _Products(tuple(elements), product, gens)
-    _span(table, table.gens)
-    return table, table.gens
-
-
-def idempotents(s: Semigroup) -> list:
-    """Indices of all elements with e*e = e, ascending."""
-    return [e for e in range(s.order) if s.table[e][e] == e]
 
 
 def check_involution(s: Semigroup, sigma) -> bool:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from . import families, graphs, pig, skeletal, spectral
 from .errors import PigError, SizeLimitExceeded
 from .green import l_classes, principal_left_ideal, r_classes
-from .semigroups import idempotents
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,7 @@ def suite_isn(n: int = 3) -> SuiteResult:
            n < 2 or s.order != (n + 1) ** n,
            f"{s.order} vs {(n + 1) ** n}")
     _check(checks, "idempotent count is 2^n",
-           len(idempotents(s)) == 1 << n)
+           len(s.idempotents) == 1 << n)
 
     # s caches its ideals and inverses, so each layer is computed once; the
     # three left graphs stay independent recounts (ideals, products of the
@@ -126,7 +125,7 @@ def suite_brandt(group_order: int = 2, indices: int = 2) -> SuiteResult:
     _check(checks, "class quotient is a null graph on |I| vertices",
            quotient.order == indices
            and graphs.graph_stats(quotient).is_null)
-    idem = [e for e in idempotents(s) if e != s.zero]
+    idem = [e for e in s.idempotents if e != s.zero]
     _check(checks, "distinct nonzero idempotents multiply to zero",
            all(s.table[e][f] == s.zero
                for e in idem for f in idem if e != f))
@@ -331,7 +330,7 @@ def suite_green() -> SuiteResult:
     # its idempotents
     samples = [(s, l_classes(s),
                 [principal_left_ideal(s, a) for a in range(s.order)],
-                idempotents(s)) for s in (
+                s.idempotents) for s in (
         families.symmetric_inverse(2),
         families.symmetric_inverse(3),
         families.brandt(families.cyclic_group(2), 2),

@@ -10,7 +10,7 @@ import random
 
 from pigraphs import families, graphs, pig, skeletal, spectral
 from pigraphs.green import l_classes
-from pigraphs.semigroups import adjoin_zero, idempotents
+from pigraphs.semigroups import adjoin_zero
 from test_pig import inverse_product_adj
 
 EXPECTED_EDGE_COUNTS = {1: 0, 2: 2, 3: 15, 4: 80}
@@ -222,7 +222,7 @@ def test_criterion_8_semigroup_graph_properties(isn):
               families.subset_meet_semilattice(3)):
         q, phi = pig.s_left_pig(s)
         comp = graphs.complement(q)
-        idem = set(idempotents(s))
+        idem = set(s.idempotents)
         reps = [next(x for x in cls if x in idem)
                 for cls in pig.s_pig_class_elements(s, phi)]
         for u, v in itertools.combinations(range(q.order), 2):

@@ -7,8 +7,8 @@ from pigraphs import families
 from pigraphs.errors import NotABijection, NotAGroup, NotGenerating, \
     SizeLimitExceeded
 from pigraphs.families import PartialBijection, all_partial_bijections
-from pigraphs.semigroups import (adjoin_zero, check_involution,
-                                  from_cayley_table, idempotents)
+from pigraphs.semigroups import (_Products, adjoin_zero, check_involution,
+                                  from_cayley_table)
 
 
 def partial_bijections(n):
@@ -73,7 +73,7 @@ def test_composition_convention_left_to_right():
 def test_isn_structure(isn):
     s = isn[3]
     assert s.order == 34
-    assert len(idempotents(s)) == 8
+    assert len(s.idempotents) == 8
     inv = s.inverses
     assert inv is not None
     assert check_involution(s, inv)
@@ -100,7 +100,7 @@ def test_brandt_c1_2():
 def test_brandt_c2_2_idempotents():
     s = families.brandt(families.cyclic_group(2), 2)
     assert s.order == 9
-    idem = idempotents(s)
+    idem = s.idempotents
     expected = {s.zero} | {
         i for i, t in enumerate(s.elements[:-1]) if t == (t[0], 0, t[0])
     }
@@ -109,7 +109,7 @@ def test_brandt_c2_2_idempotents():
 
 def test_brandt_distinct_idempotent_products_are_zero():
     s = families.brandt(families.cyclic_group(3), 2)
-    idem = [e for e in idempotents(s) if e != s.zero]
+    idem = [e for e in s.idempotents if e != s.zero]
     assert all(s.table[e][f] == s.zero for e in idem for f in idem if e != f)
 
 
@@ -182,7 +182,7 @@ def test_brandt_rejects_non_positive_index_counts(r):
 def test_semilattice():
     s = families.subset_meet_semilattice(3)
     assert s.order == 8 and s.zero == 0 and s.identity == 7
-    assert idempotents(s) == list(range(8))
+    assert s.idempotents == tuple(range(8))
     assert all(s.table[x][y] == s.table[y][x]
                for x in range(8) for y in range(8))
 
@@ -253,10 +253,10 @@ def test_walk_proves_its_generating_set():
     compose = PartialBijection.compose
     s = families.symmetric_inverse(3)
     assert s.gens == tuple(map(elems.index, (cycle, swap, partial)))
-    assert families._walk(elems, compose, (cycle, swap, cycle, partial)) \
-        == (s.table, s.gens)
+    walked = _Products(elems, compose, (cycle, swap, cycle, partial))
+    assert (walked, walked.gens) == (s.table, s.gens)
     with pytest.raises(NotGenerating, match="reach 6 of 34"):
-        families._walk(elems, compose, (cycle, swap))
+        _Products(elems, compose, (cycle, swap))
     # for n <= 2 the cycle is the transposition, for n = 1 the identity:
     # each generator is kept once
     assert [len(families.symmetric_inverse(n).gens)
@@ -286,12 +286,12 @@ def test_each_brandt_generator_is_needed():
     s = families.brandt(families.cyclic_group(2), 3)
     product = rees_brandt_product(families.cyclic_group(2))
     with pytest.raises(NotGenerating, match="reach 2 of 19"):
-        families._walk(s.elements, product, [(0, 0, 0), (0, 1, 0)])
+        _Products(s.elements, product, [(0, 0, 0), (0, 1, 0)])
     # B(Z_3, 1) is Z_3 with a zero, which no group product reaches
     s = families.brandt(families.cyclic_group(3), 1)
     product = rees_brandt_product(families.cyclic_group(3))
     with pytest.raises(NotGenerating, match="reach 3 of 4"):
-        families._walk(s.elements, product, s.elements[:-1])
+        _Products(s.elements, product, s.elements[:-1])
     assert s.zero in s.gens
     # for r > 1 the zero is no generator, but the walk reaches it; the Rees
     # product recounts every entry and rebuilds the table from the
@@ -306,9 +306,9 @@ def test_each_brandt_generator_is_needed():
             assert all(s.elements[s.table[x][y]] == product(u, v)
                        for x, u in enumerate(s.elements)
                        for y, v in enumerate(s.elements))
-            assert families._walk(
-                s.elements, product,
-                map(s.elements.__getitem__, s.gens)) == (s.table, s.gens)
+            walked = _Products(s.elements, product,
+                               map(s.elements.__getitem__, s.gens))
+            assert (walked, walked.gens) == (s.table, s.gens)
 
 
 def test_partial_bijection_rejects_non_injective_mapping():

@@ -9,8 +9,7 @@ from pigraphs.green import (
     r_classes,
 )
 from pigraphs.graphs import VertexMap
-from pigraphs.semigroups import Semigroup, adjoin_zero, from_cayley_table, \
-    idempotents
+from pigraphs.semigroups import Semigroup, adjoin_zero, from_cayley_table
 
 
 def as_set(bitset):
@@ -63,12 +62,18 @@ def test_ideal_lists_match_one_element_recounts(isn):
 def test_both_ideal_sources_agree(isn):
     """IS_1 to IS_5 and four Brandt semigroups through the Cayley graphs
     of their generators and as bare tables through _ideals: the same
-    masks and L/R partitions."""
+    masks and L/R partitions.  A semigroup on the view keeps the view's
+    generators, one on its tuple copy has none, and the two give the same
+    zero, identity and inverse map."""
     brandts = (families.brandt(families.cyclic_group(m), r)
                for m, r in ((2, 2), (3, 4), (1, 11), (5, 5)))
     for s in (*isn.values(), families.symmetric_inverse(5), *brandts):
-        bare = Semigroup(s.table)
-        assert s.gens is not None and bare.gens is None
+        walked, bare = Semigroup(s.table), Semigroup(tuple(s.table))
+        assert s.gens is not None and walked.gens == s.gens
+        assert bare.gens is None
+        for attr in ("zero", "identity", "inverses"):
+            assert getattr(walked, attr) == getattr(bare, attr) \
+                == getattr(s, attr)
         assert s.left_ideals == bare.left_ideals
         assert s.right_ideals == bare.right_ideals
         assert l_classes(s).map == l_classes(bare).map
@@ -141,7 +146,7 @@ def test_partition_consistency():
 def test_unique_idempotent_per_class_in_inverse_semigroups(isn):
     for s in (isn[2], isn[3],
               families.brandt(families.cyclic_group(2), 2)):
-        idem = set(idempotents(s))
+        idem = set(s.idempotents)
         for part in (l_classes(s), r_classes(s)):
             for cls in part.classes:
                 assert len(idem.intersection(cls)) == 1
@@ -151,8 +156,8 @@ def test_idempotent_ideal_intersection_is_product_ideal(isn):
     for s in (isn[2], isn[3],
               families.brandt(families.cyclic_group(2), 2),
               families.subset_meet_semilattice(3)):
-        for e in idempotents(s):
-            for f in idempotents(s):
+        for e in s.idempotents:
+            for f in s.idempotents:
                 lhs = principal_left_ideal(s, e) & principal_left_ideal(s, f)
                 assert lhs == principal_left_ideal(s, s.table[e][f])
 
@@ -191,7 +196,9 @@ def test_suite_isn_fails_classes_other_than_the_element_data(
 
 
 def test_suite_green_fails_a_class_without_its_idempotent(monkeypatch):
-    monkeypatch.setattr(verify, "idempotents", lambda s: idempotents(s)[1:])
+    idempotents = Semigroup.idempotents.func
+    monkeypatch.setattr(Semigroup, "idempotents",
+                        property(lambda s: idempotents(s)[1:]))
     assert not _result(verify.suite_green(),
                        "each class of an inverse semigroup has one "
                        "idempotent").passed

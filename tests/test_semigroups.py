@@ -21,7 +21,6 @@ from pigraphs.semigroups import (
     check_involution,
     from_cayley_table,
     from_json_dict,
-    idempotents,
     to_json_dict,
 )
 
@@ -164,16 +163,16 @@ def test_find_zero():
 
 
 def test_idempotents():
-    assert idempotents(from_cayley_table(C2)) == [0]
+    assert from_cayley_table(C2).idempotents == (0,)
     s = families.symmetric_inverse(2)
-    assert len(idempotents(s)) == 4
+    assert len(s.idempotents) == 4
     assert all(s.elements[e].mapping[i] in (None, i)
-               for e in idempotents(s)
+               for e in s.idempotents
                for i in range(2))
     b = families.brandt(families.cyclic_group(2), 2)
-    idem = idempotents(b)
+    idem = b.idempotents
     # direct product check on the 9-element table
-    assert idem == [e for e in range(b.order) if b.table[e][e] == e]
+    assert idem == tuple(e for e in range(b.order) if b.table[e][e] == e)
     assert len(idem) == 3 and b.zero in idem
 
 
@@ -202,7 +201,7 @@ def test_inverse_laws_and_commuting_idempotents():
         for x in range(s.order):
             assert s.table[s.table[x][inv[x]]][x] == x
             assert inv[inv[x]] == x
-        idem = idempotents(s)
+        idem = s.idempotents
         assert all(s.table[e][f] == s.table[f][e] for e in idem for f in idem)
         assert check_involution(s, inv)
 
@@ -275,9 +274,9 @@ def small_semigroups():
 
 
 def counted_copy(s):
-    """s, with its generating set if it has one, on a table that counts,
-    in reads["items"], every entry and row handed out by indexing and
-    every item handed out by iteration."""
+    """s on a table that counts, in reads["items"], every entry and row
+    handed out by indexing and every item handed out by iteration; the
+    copy of a view keeps the view's walk, and so its generators."""
     reads = Counter()
 
     class Counted(tuple):
@@ -289,7 +288,11 @@ def counted_copy(s):
             reads["items"] += len(self)
             return tuple.__iter__(self)
 
-    return replace(s, table=Counted(map(Counted, s.table))), reads
+    table = Counted(map(Counted, s.table))
+    if s.gens is not None:
+        vars(table).update(gens=s.gens, right=s.table.right,
+                           steps=s.table.steps)
+    return replace(s, table=table), reads
 
 
 def involutions(n):
@@ -330,7 +333,7 @@ def pairwise_anti_involution(s, sigma):
 def test_check_involution_rejects_planted_swap():
     s = families.symmetric_inverse(3)
     inv = s.inverses
-    idem = idempotents(s)
+    idem = s.idempotents
     assert all(inv[e] == e for e in idem)
     for e, f in [(idem[1], idem[-1]), (idem[2], idem[3])]:
         # swapping two fixed points keeps an involution but breaks the law
@@ -344,7 +347,7 @@ def test_check_involution_rejects_planted_swap():
     for s in (families.symmetric_inverse(4),
               families.brandt(families.cyclic_group(2), 3)):
         inv = s.inverses
-        idem = [e for e in idempotents(s) if e not in s.generators]
+        idem = [e for e in s.idempotents if e not in s.generators]
         for e, f in [(idem[0], idem[-1]), (idem[0], idem[1]),
                      (idem[1], idem[2])]:
             sigma = list(inv)
@@ -410,10 +413,13 @@ def test_inverses_along_the_walk_recount_both_laws():
     """Idempotents x, y with y*x = 0 generate x, y, xy and 0: one
     idempotent per L- and R-class, but xy is not regular.  Along the walk
     inv(xy) = inv(y)*inv(x) = 0 and inv(0) = xy, which only the laws
-    refute; with and without ``gens`` the answer is None."""
+    refute; on the view walked from x and y and on the tuple table the
+    answer is None."""
     s = from_cayley_table([[0, 2, 2, 3], [3, 1, 3, 3], [3, 2, 3, 3],
                            [3, 3, 3, 3]])
-    walked = Semigroup(s.table, gens=(0, 1))
+    walked = Semigroup(semigroups._Products(
+        range(4), lambda x, y: s.table[x][y], (0, 1)))
+    assert walked == s and walked.gens == (0, 1)
     assert walked.generators == (0, 1) and walked.zero == 3
     assert walked.inverses is None and s.inverses is None
     assert brute_inverses(s) is None
@@ -469,13 +475,13 @@ def test_inverse_layer_reads_only_what_it_needs(monkeypatch):
     inv = counted.inverses
     assert all(s.elements[y] == s.elements[x].inverse()
                for x, y in enumerate(inv))
-    # the diagonal, a walk step per generator, inv[g]*inv[x] and both
-    # laws: 16 reads per element; only the generators' H-classes are
-    # scanned, the units (120 elements) for the 5-cycle and (0 1) and 24
-    # for the partial identity, each after reading its row, where a scan
-    # per element read sum_k C(5,k)^2 (k!)^2 = 32,826 entries
-    budget = 16 * s.order + 2 * 121 + 25
-    assert budget == 25_003 and 0 < reads["items"] <= budget
+    # the diagonal, inv[g]*inv[x] along the view's walk and both laws: 12
+    # reads per element; only the generators' H-classes are scanned, the
+    # units (120 elements) for the 5-cycle and (0 1) and 24 for the
+    # partial identity, each after reading its row, where a scan per
+    # element read sum_k C(5,k)^2 (k!)^2 = 32,826 entries
+    budget = 12 * s.order + 2 * 121 + 25
+    assert budget == 18_819 and 0 < reads["items"] <= budget
     gens, keys = s.generators, []
     gather = semigroups._gather
 
@@ -489,12 +495,15 @@ def test_inverse_layer_reads_only_what_it_needs(monkeypatch):
     assert 0 < sum(keys) <= (len(gens) + 1) * 1546
 
 
-def test_ideal_passes_read_the_generator_rows_only(monkeypatch):
-    """A guard against a full-table ideal pass coming back on IS_5: both
-    cold passes read each of the three generator rows and, on the right,
-    each row at the generators, at most 2*(|gens| + 1)*order items; the
+def test_ideal_passes_read_the_generator_rows_only(monkeypatch, products):
+    """A guard against a full-table ideal pass coming back on IS_5: the
+    cold left pass reads each of the three generator rows, and the right
+    pass reads the x*g the view's walk kept, computing no product; the
     n^2 passes read about 2*2.39M."""
     s = families.symmetric_inverse(5)
+    count = products(s)
+    s.right_ideals
+    assert count["products"] == 0
     expected = s.left_ideals, s.right_ideals
     counted, reads = counted_copy(s)
     assert counted.gens == s.gens and len(s.gens) == 3
@@ -508,8 +517,8 @@ def test_ideal_passes_read_the_generator_rows_only(monkeypatch):
     monkeypatch.setattr(semigroups, "_reach", counted_reach)
     assert (counted.left_ideals, counted.right_ideals) == expected
     assert passes == Counter({"_reach": 2})
-    budget = 2 * (len(s.gens) + 1) * s.order
-    assert budget == 12_368 and 0 < reads["items"] <= budget
+    budget = len(s.gens) * (s.order + 1)
+    assert budget == 4_641 and 0 < reads["items"] <= budget
 
 
 def test_reach_holds_little_beyond_the_masks():
@@ -517,7 +526,7 @@ def test_reach_holds_little_beyond_the_masks():
     # edges and the masks peak at 0.12-0.21 MB (the first pass in a
     # process holds more), where a mask per edge would take about 0.9 MB
     s = families.symmetric_inverse(5)
-    fresh = Semigroup(s.table, gens=s.gens)
+    fresh = Semigroup(s.table)
     tracemalloc.start()
     try:
         fresh.left_ideals
@@ -632,8 +641,8 @@ def test_view_and_tuple_tables_are_equal_and_hash_alike():
 def test_isn_suite_computes_few_products_in_little_memory(products,
                                                           monkeypatch):
     """IS_5's table would hold 2,390,116 entries in about 20 MB; the suite
-    computes fewer than 50,000 of them, after the 4,638 products that
-    prove the generating set, and peaks under 6 MB."""
+    computes at most 27,000 of them, after the 4,638 products of the
+    walk that proves the generating set, and peaks under 6 MB."""
     build, counts = families.symmetric_inverse, []
 
     def counted_build(n):
@@ -649,4 +658,4 @@ def test_isn_suite_computes_few_products_in_little_memory(products,
     finally:
         tracemalloc.stop()
     assert peak < 6_000_000
-    assert len(counts) == 1 and 0 < counts[0]["products"] <= 50_000
+    assert len(counts) == 1 and 0 < counts[0]["products"] <= 27_000
