@@ -60,9 +60,9 @@ FORMATS = {
 
 
 def _build_graph(s, side, variant):
-    if variant == "pig":
-        return pig.left_pig(s) if side == "left" else pig.right_pig(s)
-    g, _ = pig.s_left_pig(s) if side == "left" else pig.s_right_pig(s)
+    g = pig.left_pig(s) if side == "left" else pig.right_pig(s)
+    if variant == "spig":
+        g, _ = (pig.s_left_pig if side == "left" else pig.s_right_pig)(s, g)
     return g
 
 

@@ -63,8 +63,8 @@ def left_pig_inverse_fast(s: Semigroup) -> Graph:
     return _pig(s, {x: below[e] for x, e in domains.items()})
 
 
-def _s_pig(s: Semigroup, keys):
-    """The ideal graph on keys over its partition by equal keys, checked.
+def _s_pig(s: Semigroup, keys, graph):
+    """graph, the ideal graph on keys, over their partition, checked.
 
     No table fails it, associative or not: a nonzero vertex b's key
     holds b, or a product r of b's whose key _ideals reuses, and r is
@@ -73,19 +73,19 @@ def _s_pig(s: Semigroup, keys):
     and merging closed twins is skeletal (skeletal._blocks_are_skeletal)."""
     verts = pig_vertices(s)
     quotient, phi = _checked_quotient(
-        _pig(s, keys), partition_by_key([keys[v] for v in verts]))
+        graph, partition_by_key([keys[v] for v in verts]))
     return _trusted_graph(quotient.order, quotient.adj,
                           tuple(f"[{x}]" for x in quotient.labels)), phi
 
 
-def s_left_pig(s: Semigroup):
-    """L-class quotient of left_pig plus the quotient vertex map."""
-    return _s_pig(s, s.left_ideals)
+def s_left_pig(s: Semigroup, left):
+    """L-class quotient of left = left_pig(s), with the quotient map."""
+    return _s_pig(s, s.left_ideals, left)
 
 
-def s_right_pig(s: Semigroup):
-    """R-class quotient of right_pig plus the quotient vertex map."""
-    return _s_pig(s, s.right_ideals)
+def s_right_pig(s: Semigroup, right):
+    """R-class quotient of right = right_pig(s), with the quotient map."""
+    return _s_pig(s, s.right_ideals, right)
 
 
 def s_pig_class_elements(s: Semigroup, phi: VertexMap) -> list:
@@ -95,12 +95,10 @@ def s_pig_class_elements(s: Semigroup, phi: VertexMap) -> list:
     return [[verts[v] for v in cls] for cls in phi.classes]
 
 
-def involution_pig_isomorphism(s: Semigroup) -> list:
-    """The verified isomorphism x -> inv(x) between left and right graphs.
-
-    Returned in vertex-position space: entry i is the right_pig vertex
-    matching left_pig vertex i.
-    """
+def involution_pig_isomorphism(s: Semigroup, left, right) -> list:
+    """The verified isomorphism x -> inv(x) from left = left_pig(s) onto
+    right = right_pig(s), in vertex positions: entry i is the right
+    vertex matching left vertex i."""
     sigma = s.inverses
     if sigma is None:
         raise NotInverseSemigroup("the semigroup is not inverse")
@@ -109,7 +107,7 @@ def involution_pig_isomorphism(s: Semigroup) -> list:
     verts = pig_vertices(s)
     pos = {v: i for i, v in enumerate(verts)}
     phi = VertexMap(len(pos), len(pos), tuple(pos[sigma[v]] for v in verts))
-    if not verify_skeletal(left_pig(s), right_pig(s), phi).is_skeletal:
+    if not verify_skeletal(left, right, phi).is_skeletal:
         raise IsomorphismCheckFailed(
             "involution did not carry the left graph onto the right graph")
     return list(phi.map)

@@ -72,7 +72,7 @@ class Semigroup:
         """Each principal left ideal: x's reach along x -> g*x, or column x."""
         if self.gens is None:
             return _ideals(zip(*self.table))
-        return _reach(tuple(zip(*map(self.table.__getitem__, self.gens))))
+        return _reach(self.table.left)
 
     @cached_property
     def right_ideals(self) -> tuple:
@@ -181,7 +181,7 @@ def _reach(succ) -> tuple:
     with an edge to every x, closes them in reverse topological order, so
     a component's mask is its members' bits and the masks their edges
     reach: |gens|*n edges, not _ideals' n^2 products.  IS_n and Brandt
-    views keep the walk's x*g.  Documents, adjoin_zero results and the
+    views keep x*g and g*x.  Documents, adjoin_zero results and the
     semilattice, cyclic and left zero tables keep _ideals: ``generators``
     sorts by the left ideals, and a set read off the table costs more than
     it saves (0.34 + 1.19 s against 0.31 s on a 1,546-chain).
@@ -253,12 +253,9 @@ def _two_sided(table, value, gens):
     """The first x with x*y = y*x = value(x, y) for every y, or None; every
     y in ``gens`` is enough: by associativity their products satisfy it."""
     n = len(table)
-    for x in range(n):
-        row = table[x]
-        if all(row[y] == value(x, y) == table[y][x]
-               for y in (range(n) if gens is None else gens)):
-            return x
-    return None
+    return next((x for x in range(n) if all(
+        table[x][y] == value(x, y) == table[y][x]
+        for y in (range(n) if gens is None else gens))), None)
 
 
 def from_cayley_table(table, labels=None, *, unchecked=False,
@@ -290,9 +287,10 @@ class _Products:
     generating, one product per step, or raises :class:`NotGenerating`
     (Froidure and Pin 1997); it keeps right[x], the x*g over ``gens``, and
     ``steps``, each element in walk order with the (x, g) that first
-    reached it (None for a generator).  Iteration, equality and hashing
-    read ``rows``, gathered once along ``steps``: row x*g is row x read at
-    the entries of row g, as (x*g)*z = x*(g*z)."""
+    reached it (None for a generator).  left[x], the g*x, is read off
+    them as g*(x*h) = (g*x)*h, and ``gen_rows``, the generator rows that
+    indexing hands out, off left.  Iteration, equality and hashing read
+    ``rows``, gathered from those along ``steps`` as (x*g)*z = x*(g*z)."""
 
     def __init__(self, elements, product, gens):
         self.elements, self.product = tuple(elements), product
@@ -301,7 +299,7 @@ class _Products:
         steps, right = dict.fromkeys(self.gens), [None] * len(self)
         times_gens, walk = _gather(self.gens), list(self.gens)
         for x in walk:
-            right[x] = times_gens(self[x])
+            right[x] = times_gens(_Row(self, self.elements[x]))
             for g, y in zip(self.gens, right[x]):
                 if y not in steps:
                     steps[y] = x, g
@@ -309,13 +307,18 @@ class _Products:
         if len(walk) < len(self):
             raise NotGenerating(
                 f"the generators reach {len(walk)} of {len(self)}")
-        self.right, self.steps = tuple(right), steps
+        times, left = dict(zip(self.gens, zip(*right))), [None] * len(right)
+        for y, step in steps.items():
+            x, h = step or (None, y)
+            left[y] = _gather(self.gens if x is None else left[x])(times[h])
+        self.right, self.left, self.steps = tuple(right), tuple(left), steps
+        self.gen_rows = dict(zip(self.gens, zip(*left)))
 
     def __len__(self):
         return len(self.elements)
 
     def __getitem__(self, x):
-        return _Row(self, self.elements[x])
+        return self.gen_rows.get(x) or _Row(self, self.elements[x])
 
     def __iter__(self):
         return iter(self.rows)
@@ -331,7 +334,7 @@ class _Products:
         if len(self) > GRAPH_MAX_ORDER:
             raise SizeLimitExceeded(f"the table of order {len(self)} is too "
                                     f"large to read whole")
-        rows = {g: tuple(self[g]) for g in self.gens}
+        rows = dict(self.gen_rows)
         for y, step in self.steps.items():
             if step is not None:
                 rows[y] = _gather(rows[step[1]])(rows[step[0]])

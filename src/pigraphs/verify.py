@@ -73,7 +73,7 @@ def suite_isn(n: int = 3) -> SuiteResult:
     _check(checks, "right classes grouped by domain", r_classes(s).map
            == graphs.partition_by_key([p.domain_mask() for p in elems]).map)
 
-    quotient, phi = pig.s_left_pig(s)
+    quotient, phi = pig.s_left_pig(s, full)
     _check(checks, "quotient vertex count is 2^n - 1",
            quotient.order == (1 << n) - 1)
     reps = [elems[cls[0]] for cls in pig.s_pig_class_elements(s, phi)]
@@ -98,7 +98,8 @@ def suite_isn(n: int = 3) -> SuiteResult:
                    quotient.order, inter.order, tuple(found))).is_skeletal)
 
     _check_runs(checks, "inversion maps the left graph onto the right graph",
-                lambda: pig.involution_pig_isomorphism(s))
+                lambda: pig.involution_pig_isomorphism(s, full,
+                                                       pig.right_pig(s)))
     _check(checks, "left graph of a monoid is connected",
            graphs.graph_stats(full).is_connected)
     return SuiteResult("isn", tuple(checks))
@@ -110,6 +111,9 @@ def suite_brandt(group_order: int = 2, indices: int = 2) -> SuiteResult:
     s = families.brandt(g, indices)
     _check(checks, "order is r^2 * |G| + 1",
            s.order == indices * indices * group_order + 1)
+    idem = [e for e in s.idempotents if e != s.zero]
+    _check(checks, "the nonzero idempotents number r", len(idem) == indices,
+           f"r={indices} |G|={group_order} order={s.order}")
     full = pig.left_pig(s)
     comps = graphs.components(full)
     _check(checks, "left graph splits into one component per index",
@@ -121,27 +125,28 @@ def suite_brandt(group_order: int = 2, indices: int = 2) -> SuiteResult:
         [s.elements[x][2] for x in pig.pig_vertices(s)])
     _check(checks, "components are exactly the right-index classes",
            comps.map == by_right.map)
-    quotient, _ = pig.s_left_pig(s)
+    quotient, _ = pig.s_left_pig(s, full)
     _check(checks, "class quotient is a null graph on |I| vertices",
            quotient.order == indices
            and graphs.graph_stats(quotient).is_null)
-    idem = [e for e in s.idempotents if e != s.zero]
     _check(checks, "distinct nonzero idempotents multiply to zero",
            all(s.table[e][f] == s.zero
                for e in idem for f in idem if e != f))
     _check_runs(checks, "triple inversion is a left/right graph isomorphism",
-                lambda: pig.involution_pig_isomorphism(s))
+                lambda: pig.involution_pig_isomorphism(s, full,
+                                                       pig.right_pig(s)))
     return SuiteResult("brandt", tuple(checks))
 
 
 def suite_semilattice(n: int = 3) -> SuiteResult:
     checks = []
     s = families.subset_meet_semilattice(n)
-    left = pig.left_pig(s)
-    right = pig.right_pig(s)
+    _check(checks, "every element is idempotent, 2^n of them",
+           len(s.idempotents) == s.order == 1 << n, f"n={n} order={s.order}")
+    left, right = pig.left_pig(s), pig.right_pig(s)
     _check(checks, "left and right graphs coincide (commutative)",
            left.adj == right.adj)
-    quotient, _ = pig.s_left_pig(s)
+    quotient, _ = pig.s_left_pig(s, left)
     _check(checks, "classes are singletons, so the quotient equals the graph",
            quotient.order == left.order and quotient.adj == left.adj)
     verts = pig.pig_vertices(s)

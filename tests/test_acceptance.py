@@ -33,7 +33,7 @@ def _random_tree(order, rng):
 
 def test_criterion_1_isn_quotient_structure(isn):
     for n in range(1, 5):
-        q, phi = pig.s_left_pig(isn[n])
+        q, phi = pig.s_left_pig(isn[n], pig.left_pig(isn[n]))
         assert q.order == (1 << n) - 1
         class_elems = pig.s_pig_class_elements(isn[n], phi)
         for v in range(q.order):
@@ -50,7 +50,7 @@ def test_criterion_1_isn_quotient_structure(isn):
 
 def test_criterion_2_intersection_graph_isomorphism(isn):
     for n in range(1, 5):
-        q, phi = pig.s_left_pig(isn[n])
+        q, phi = pig.s_left_pig(isn[n], pig.left_pig(isn[n]))
         inter = graphs.intersection_graph(n)
         class_elems = pig.s_pig_class_elements(isn[n], phi)
         canonical = [isn[n].elements[cls[0]].image_mask() - 1
@@ -90,7 +90,7 @@ def test_criterion_4_brandt_decomposition():
             assert comps.codomain_order == r
             assert all(len(c) == r * group_order for c in comps.classes)
             assert graphs.all_components_complete(full)
-            q, _ = pig.s_left_pig(s)
+            q, _ = pig.s_left_pig(s, full)
             assert q.order == r and graphs.graph_stats(q).is_null
     _report("criterion 4: Brandt graphs are disjoint cliques with null "
             "quotients")
@@ -212,15 +212,16 @@ def test_criterion_8_semigroup_graph_properties(isn):
     for s in (isn[3],
               families.brandt(families.cyclic_group(2), 2),
               families.brandt(families.cyclic_group(3), 2)):
-        mapping = pig.involution_pig_isomorphism(s)
-        assert _is_isomorphism(pig.left_pig(s), pig.right_pig(s), mapping)
+        left, right = pig.left_pig(s), pig.right_pig(s)
+        mapping = pig.involution_pig_isomorphism(s, left, right)
+        assert _is_isomorphism(left, right, mapping)
 
     g = pig.left_pig(adjoin_zero(families.left_zero(3)))
     assert g.order == 3 and graphs.graph_stats(g).is_complete
 
     for s in (isn[3], families.subset_meet_semilattice(2),
               families.subset_meet_semilattice(3)):
-        q, phi = pig.s_left_pig(s)
+        q, phi = pig.s_left_pig(s, pig.left_pig(s))
         comp = graphs.complement(q)
         idem = set(s.idempotents)
         reps = [next(x for x in cls if x in idem)

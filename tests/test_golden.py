@@ -8,6 +8,8 @@ small families and of IS_5, of `pig spectral` on the IS_3 left graph, of
 `pig skeletal --op max` and `pig stats` on seeded blow-ups, and of the
 IS_1 to IS_5 and Brandt tables, labels and element data with the
 `pig verify --suite brandt` report of the largest Brandt semigroup.
+The Brandt and semilattice reports are pinned twice: without the line
+that names their sizes, by the pin taken before it was added, and whole.
 
 The IS_n graph and verify hashes were taken from the outputs of the
 pair-loop implementation that preceded the grouped mask-intersection
@@ -136,6 +138,35 @@ VERIFY_ARGS_SHA256 = {
     "semilattice --n 5":
         "548b84fff3c442d264f7830edf8921b9366dd63aac2a7b370ecdbc602ac7ee46",
 }
+# each Brandt and semilattice suite gained one line naming its sizes after
+# the pins above were taken; a report less its size lines must hash to its
+# pin above, so the older lines are all there, in order, unchanged
+SIZE_LINES = (
+    "[PASS] brandt: the nonzero idempotents number r  (",
+    "[PASS] semilattice: every element is idempotent, 2^n of them  (")
+# and the reports with their size lines: `pig verify --suite` args -> stdout
+SIZED_VERIFY_SHA256 = {
+    "all --n 1":
+        "d23484edea17bd6e361ca7f546bbe0d5efc612f8a69768caf6a769d49c5538cc",
+    "all --n 2":
+        "18411b57bae37949ee096fc7a9be89b79ddaa6ebab7fca4c171cb29705a928b8",
+    "all --n 3":
+        "a052d4c944b4b325c6465e35a55f1c97aade1f7442aa90a401e505a998568a87",
+    "all --n 4":
+        "718d1eac2ec370986382cd59cd89a153b6fc042465fa74807a6e34b6ae24b2ba",
+    "brandt":
+        "d8a4a3ca7c434fe9cbcefa598ac631a340200d161ce166dcbb7490e6ea21f80c",
+    "brandt --group-order 1 --indices 1":
+        "df213d2de5f2a72df8906d46656855ea5baaf8c486b61b14fd2a7c184cec3a74",
+    "brandt --group-order 3 --indices 4":
+        "423cdfa5b81452d84a38c4700d037c3dfc948a1086cfc1f52424787f574de037",
+    "brandt --group-order 5 --indices 17":
+        "96cb9a79132f416d1a13cc40089ef503d15348a51e909e536cc10627a4e1ea6f",
+    "semilattice --n 1":
+        "3c9885ab21049301a7b9097e1cab6e77bbdd0c37d73888c7d5f7c2c6889b6636",
+    "semilattice --n 5":
+        "46889947d10a5889a330b87ac00c0be637ffc5999c43b2572d05f08235565bc8",
+}
 
 FAMILY_BUILD_SHA256 = {
     ("brandt", "--group-order 2 --indices 2"): (
@@ -230,6 +261,18 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def assert_report(args, out, pin):
+    """out is the `pig verify --suite <args>` report pinned as pin, plus
+    one size line per Brandt and semilattice suite, pinned on their own."""
+    suite = args.split()[0]
+    lines = out.splitlines(keepends=True)
+    older = [line for line in lines if not line.startswith(SIZE_LINES)]
+    assert sha256("".join(older).encode()) == pin, args
+    assert len(lines) - len(older) == \
+        {"all": 2, "brandt": 1, "semilattice": 1}.get(suite, 0), args
+    assert sha256(out.encode()) == SIZED_VERIFY_SHA256.get(args, pin), args
+
+
 def test_largest_build_document_is_unchanged(tmp_path, capsys):
     # IS_5, the largest table pig build writes: all 2,390,116 entries
     sg = tmp_path / "is5.json"
@@ -272,15 +315,24 @@ def test_family_graph_documents_are_unchanged(family, tmp_path, capsys):
 @pytest.mark.parametrize("suite,n", sorted(VERIFY_SHA256))
 def test_verify_report_is_unchanged(suite, n, capsys):
     assert main(["verify", "--suite", suite, "--n", str(n)]) == 0
-    out = capsys.readouterr().out
-    assert sha256(out.encode()) == VERIFY_SHA256[suite, n]
+    assert_report(f"{suite} --n {n}", capsys.readouterr().out,
+                  VERIFY_SHA256[suite, n])
 
 
 @pytest.mark.parametrize("args", sorted(VERIFY_ARGS_SHA256))
 def test_verify_reports_at_more_parameters_are_unchanged(args, capsys):
     assert main(["verify", "--suite", *args.split()]) == 0
-    assert sha256(capsys.readouterr().out.encode()) == \
-        VERIFY_ARGS_SHA256[args]
+    assert_report(args, capsys.readouterr().out, VERIFY_ARGS_SHA256[args])
+
+
+def test_brandt_reports_name_their_sizes(capsys):
+    reports = []
+    for args in ("brandt --group-order 1 --indices 1",
+                 "brandt --group-order 3 --indices 4"):
+        assert main(["verify", "--suite", *args.split()]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] != reports[1]
+    assert "(r=4 |G|=3 order=49)" in reports[1]
 
 
 @pytest.mark.parametrize("family,params", sorted(FAMILY_BUILD_SHA256))
@@ -433,6 +485,7 @@ BRANDT_TABLE_SHA256 = {
         "fd1cc431c5346f47d0e650593b65fb58fe5eb8fd6931a9ff00049d41129e45f9",
 }
 # the largest Brandt semigroup, B(Z_5, 17) of order 1,446, through its suite
+# (its report with the size line is in SIZED_VERIFY_SHA256)
 BRANDT_LARGEST_REPORT_SHA256 = \
     "1dfd8fb241db97667f5dc8cf80441f8a3553445dd4d6d6c5e8e8ced500bb4063"
 
@@ -453,13 +506,13 @@ def test_isn_tables_are_unchanged(n):
 
 def test_table_digests_read_the_walk_table(products):
     # family_digest reads every entry, which the view hands over from the
-    # table gathered along the walk it kept: the generator rows alone, not
-    # one product per entry, nor a second walk
+    # table gathered along the walk it kept, from the generator rows its
+    # walk gave: no product at all, not one per entry, nor a second walk
     for s in (families.symmetric_inverse(4),
               families.brandt(families.cyclic_group(3), 4)):
         count = products(s)
         family_digest(s)
-        assert count["products"] == len(s.gens) * s.order
+        assert count["products"] == 0
 
 
 def test_brandt_tables_are_unchanged():
@@ -472,7 +525,7 @@ def test_brandt_tables_are_unchanged():
 
 
 def test_largest_brandt_report_is_unchanged(capsys):
-    assert main(["verify", "--suite", "brandt", "--group-order", "5",
-                 "--indices", "17"]) == 0
-    assert sha256(capsys.readouterr().out.encode()) == \
-        BRANDT_LARGEST_REPORT_SHA256
+    args = "brandt --group-order 5 --indices 17"
+    assert main(["verify", "--suite", *args.split()]) == 0
+    assert_report(args, capsys.readouterr().out,
+                  BRANDT_LARGEST_REPORT_SHA256)

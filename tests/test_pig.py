@@ -28,6 +28,7 @@ from pigraphs.pig import (
     right_pig,
     s_left_pig,
     s_pig_class_elements,
+    _pig,
     _s_pig,
     s_right_pig,
 )
@@ -175,12 +176,13 @@ def test_isn_image_graph_matches_table_construction(n, isn):
 
 
 def test_s_left_pig_examples(isn):
-    q, _ = s_left_pig(isn[2])
+    q, _ = s_left_pig(isn[2], left_pig(isn[2]))
     assert q.order == 3 and q.edges() == [(0, 2), (1, 2)]
-    qb, _ = s_left_pig(families.brandt(families.cyclic_group(2), 2))
+    b = families.brandt(families.cyclic_group(2), 2)
+    qb, _ = s_left_pig(b, left_pig(b))
     assert qb.order == 2 and graph_stats(qb).is_null
     s = families.subset_meet_semilattice(2)
-    qs, _ = s_left_pig(s)
+    qs, _ = s_left_pig(s, left_pig(s))
     assert qs.adj == left_pig(s).adj
 
 
@@ -190,10 +192,10 @@ def test_quotient_map_is_skeletal(isn):
               families.subset_meet_semilattice(3),
               adjoin_zero(families.left_zero(3))):
         full = left_pig(s)
-        q, phi = s_left_pig(s)
+        q, phi = s_left_pig(s, full)
         assert verify_skeletal(full, q, phi).is_skeletal
         full_r = right_pig(s)
-        qr, phir = s_right_pig(s)
+        qr, phir = s_right_pig(s, full_r)
         assert verify_skeletal(full_r, qr, phir).is_skeletal
 
 
@@ -230,7 +232,7 @@ def test_idempotent_adjacency_iff_nonzero_product(isn):
 
 def test_quotient_complement_is_zero_product_graph(isn):
     for s in (isn[3], families.subset_meet_semilattice(3)):
-        q, phi = s_left_pig(s)
+        q, phi = s_left_pig(s, left_pig(s))
         comp = complement(q)
         classes = s_pig_class_elements(s, phi)
         idem = set(s.idempotents)
@@ -243,7 +245,7 @@ def test_quotient_complement_is_zero_product_graph(isn):
 
 def test_involution_isomorphism(isn):
     s = isn[3]
-    mapping = involution_pig_isomorphism(s)
+    mapping = involution_pig_isomorphism(s, left_pig(s), right_pig(s))
     phi = VertexMap(len(mapping), len(mapping), tuple(mapping))
     assert verify_skeletal(left_pig(s), right_pig(s), phi).is_skeletal
     b = families.brandt(families.cyclic_group(2), 2)
@@ -251,9 +253,10 @@ def test_involution_isomorphism(isn):
     for x, (i, g, j) in enumerate(b.elements[:-1]):
         # C2 elements are self-inverse, so (i,g,j) inverts to (j,g,i)
         assert b.elements[inv[x]] == (j, g, i)
-    involution_pig_isomorphism(b)
+    involution_pig_isomorphism(b, left_pig(b), right_pig(b))
     sl = families.subset_meet_semilattice(2)
-    assert involution_pig_isomorphism(sl) == list(range(3))
+    assert involution_pig_isomorphism(sl, left_pig(sl), right_pig(sl)) \
+        == list(range(3))
 
 
 def test_the_inversion_check_pulls_back_each_distinct_closed_row_once(
@@ -266,9 +269,10 @@ def test_the_inversion_check_pulls_back_each_distinct_closed_row_once(
         pulled[mask] += 1
         return preimage(phi, mask)
 
+    right = right_pig(s)
     monkeypatch.setattr(VertexMap, "preimage", counted)
-    involution_pig_isomorphism(s)
-    closed = {row | 1 << v for v, row in enumerate(right_pig(s).adj)}
+    involution_pig_isomorphism(s, left_pig(s), right)
+    closed = {row | 1 << v for v, row in enumerate(right.adj)}
     assert sum(pulled.values()) == len(pulled) == len(closed) == 31
     assert set(pulled) == closed
 
@@ -311,16 +315,17 @@ def test_a_wrong_isn_layer_is_a_fail_line(owner, attr, value, failed,
 
 
 def test_involution_requires_inverse_semigroup():
+    s = adjoin_zero(families.left_zero(2))
     with pytest.raises(NotInverseSemigroup,
                        match="^the semigroup is not inverse$"):
-        involution_pig_isomorphism(adjoin_zero(families.left_zero(2)))
+        involution_pig_isomorphism(s, left_pig(s), right_pig(s))
 
 
 CHECK = "triple inversion is a left/right graph isomorphism"
 
 
 def test_a_failed_involution_check_is_a_fail_line(monkeypatch):
-    def refuse(s):
+    def refuse(s, left, right):
         raise IsomorphismCheckFailed("no isomorphism here")
 
     monkeypatch.setattr(verify.pig, "involution_pig_isomorphism", refuse)
@@ -329,7 +334,7 @@ def test_a_failed_involution_check_is_a_fail_line(monkeypatch):
 
 
 def test_a_defect_in_an_involution_check_is_raised(monkeypatch):
-    def broken(s):
+    def broken(s, left, right):
         raise TypeError("a defect, not a failed check")
 
     monkeypatch.setattr(verify.pig, "involution_pig_isomorphism", broken)
@@ -337,13 +342,25 @@ def test_a_defect_in_an_involution_check_is_raised(monkeypatch):
         verify.suite_brandt()
 
 
+@pytest.mark.parametrize("suite, line", [
+    (verify.suite_brandt, "the nonzero idempotents number r"),
+    (verify.suite_semilattice, "every element is idempotent, 2^n of them")])
+def test_a_size_line_recounts_the_idempotents(suite, line, monkeypatch):
+    """Each size line is a recount: with the first idempotent dropped,
+    (0,e,0) in Brandt and the empty set in the semilattice, it fails."""
+    idempotents = semigroups.Semigroup.idempotents.func
+    monkeypatch.setattr(semigroups.Semigroup, "idempotents",
+                        property(lambda s: idempotents(s)[1:]))
+    assert line in {c.name for c in suite().checks if not c.passed}
+
+
 def test_twin_classes_are_the_nonzero_classes(isn):
     for n in range(2, 5):
         s = isn[n]
-        for full, quotient in ((left_pig(s), s_left_pig(s)),
-                               (right_pig(s), s_right_pig(s))):
+        for full, quotient in ((left_pig(s), s_left_pig),
+                               (right_pig(s), s_right_pig)):
             h, phi = max_skeletal(full)
-            q, psi = quotient
+            q, psi = quotient(s, full)
             assert h.adj == q.adj and phi.map == psi.map
 
 
@@ -356,7 +373,7 @@ def test_s_pig_rejects_merged_isolated_vertices(isn):
     with pytest.raises(InconsistentQuotient,
                        match=r"^quotient is not skeletal at the vertex "
                              r"pair \(2, 5\)$") as err:
-        _s_pig(s, keys)
+        _s_pig(s, keys, _pig(s, keys))
     assert err.value.witness == (2, 5)
 
 
@@ -366,8 +383,8 @@ def test_s_pig_passes_on_ideals_recounted_from_images(isn):
     images = [p.image_mask() for p in s.elements]
     keys = [sum(1 << y for y, b in enumerate(images) if b & ~a == 0)
             for a in images]
-    q, phi = _s_pig(s, keys)
-    want, want_phi = s_left_pig(s)
+    q, phi = _s_pig(s, keys, _pig(s, keys))
+    want, want_phi = s_left_pig(s, left_pig(s))
     assert q == want and phi == want_phi
 
 
@@ -390,13 +407,14 @@ def test_no_table_makes_a_class_quotient_inconsistent():
                 (left_pig, s_left_pig, s.left_ideals),
                 (right_pig, s_right_pig, s.right_ideals)):
             try:
-                _, phi = quotient(s)
+                full = build(s)
             except EmptyVertexSet:
                 continue
+            _, phi = quotient(s, full)
             verts = pig_vertices(s)
             nonzero = sum(1 << v for v in verts)
             assert all(ideals[v] & nonzero for v in verts)
-            twins = twin_partition(build(s)).map
+            twins = twin_partition(full).map
             assert all(len({twins[v] for v in cls}) == 1
                        for cls in phi.classes)
             quotients += 1
@@ -446,15 +464,36 @@ def test_each_layer_is_built_once(monkeypatch):
                          (semigroups.Semigroup(tuple(family.table)),
                           "_ideals")):
         passes.clear()
-        left_pig(s)
-        s_left_pig(s)
+        left, right = left_pig(s), right_pig(s)
+        s_left_pig(s, left)
+        s_right_pig(s, right)
         l_classes(s)
         left_pig_inverse_fast(s)
-        involution_pig_isomorphism(s)
-        involution_pig_isomorphism(s)
+        involution_pig_isomorphism(s, left, right)
+        involution_pig_isomorphism(s, left, right)
         assert semigroups.check_involution(s, s.inverses)
         assert s.order == 34
         assert passes == Counter({
             "left": 1, f"left by {primitive}": 1, "right": 1,
             f"right by {primitive}": 1, "inverse search": 1,
             "generating set": 1})
+
+
+@pytest.mark.parametrize("suite, builds", [
+    (verify.suite_isn, 3), (verify.suite_brandt, 2),
+    (verify.suite_semilattice, 3)])
+def test_each_suite_builds_each_graph_once(suite, builds, monkeypatch):
+    """The isn suite builds the left graph, its inverse-criterion recount
+    and the right graph; the Brandt suite the left and right graphs; the
+    semilattice suite its left and right graphs and a group's.  The class
+    quotient and the inversion check take the graphs already built."""
+    calls = []
+    build = verify.pig._pig
+
+    def counted(s, ideals):
+        calls.append(s.order)
+        return build(s, ideals)
+
+    monkeypatch.setattr(verify.pig, "_pig", counted)
+    assert suite().passed
+    assert len(calls) == builds

@@ -276,7 +276,8 @@ def small_semigroups():
 def counted_copy(s):
     """s on a table that counts, in reads["items"], every entry and row
     handed out by indexing and every item handed out by iteration; the
-    copy of a view keeps the view's walk, and so its generators."""
+    copy of a view keeps the view's walk and both Cayley graphs, and so
+    its generators."""
     reads = Counter()
 
     class Counted(tuple):
@@ -291,7 +292,7 @@ def counted_copy(s):
     table = Counted(map(Counted, s.table))
     if s.gens is not None:
         vars(table).update(gens=s.gens, right=s.table.right,
-                           steps=s.table.steps)
+                           left=s.table.left, steps=s.table.steps)
     return replace(s, table=table), reads
 
 
@@ -497,11 +498,12 @@ def test_inverse_layer_reads_only_what_it_needs(monkeypatch):
 
 def test_ideal_passes_read_the_generator_rows_only(monkeypatch, products):
     """A guard against a full-table ideal pass coming back on IS_5: the
-    cold left pass reads each of the three generator rows, and the right
-    pass reads the x*g the view's walk kept, computing no product; the
-    n^2 passes read about 2*2.39M."""
+    cold left and right passes read the g*x and x*g the view's walk kept,
+    computing no product and reading no table entry; the n^2 passes read
+    about 2*2.39M."""
     s = families.symmetric_inverse(5)
     count = products(s)
+    s.left_ideals
     s.right_ideals
     assert count["products"] == 0
     expected = s.left_ideals, s.right_ideals
@@ -517,8 +519,42 @@ def test_ideal_passes_read_the_generator_rows_only(monkeypatch, products):
     monkeypatch.setattr(semigroups, "_reach", counted_reach)
     assert (counted.left_ideals, counted.right_ideals) == expected
     assert passes == Counter({"_reach": 2})
-    budget = len(s.gens) * (s.order + 1)
-    assert budget == 4_641 and 0 < reads["items"] <= budget
+    assert reads["items"] == 0
+
+
+def test_the_left_cayley_graph_is_recounted_by_product():
+    """left[x], read off the walk's x*g, is the g*x over the generators
+    computed by the view's product, and each generator's cached row is
+    its row computed one product at a time; the Brandt samples cover
+    Z_2, Z_3, the Klein four-group and r = 1, where the zero is a
+    generator."""
+    v4 = from_cayley_table([[x ^ y for y in range(4)] for x in range(4)])
+    groups = (families.cyclic_group(2), families.cyclic_group(3), v4)
+    brandts = {r: [families.brandt(g, r) for g in groups] for r in (1, 2, 3)}
+    assert all(s.zero in s.gens for s in brandts[1])
+    for s in [*map(families.symmetric_inverse, range(1, 5)),
+              *sum(brandts.values(), [])]:
+        t = s.table
+        assert t.gens == s.gens and len(t.left) == s.order
+        for x, e in enumerate(t.elements):
+            assert t.left[x] == tuple(t.index[t.product(t.elements[g], e)]
+                                      for g in t.gens)
+        assert t.gen_rows.keys() == set(t.gens)
+        for g in t.gens:
+            assert t[g] is t.gen_rows[g]
+            assert t.gen_rows[g] == tuple(semigroups._Row(t, t.elements[g]))
+
+
+def test_check_involution_reads_the_cached_generator_rows(products):
+    """On IS_5 the law is checked on the three generator rows, which the
+    view holds, against a column per generator: at most |gens| * order
+    products, where composing the generator rows afresh took 9,276."""
+    s = families.symmetric_inverse(5)
+    inv = s.inverses
+    count = products(s)
+    assert check_involution(s, inv)
+    budget = len(s.gens) * s.order
+    assert budget == 4_638 and 0 < count["products"] <= budget
 
 
 def test_reach_holds_little_beyond_the_masks():
@@ -641,7 +677,7 @@ def test_view_and_tuple_tables_are_equal_and_hash_alike():
 def test_isn_suite_computes_few_products_in_little_memory(products,
                                                           monkeypatch):
     """IS_5's table would hold 2,390,116 entries in about 20 MB; the suite
-    computes at most 27,000 of them, after the 4,638 products of the
+    computes at most 15,300 of them, after the 4,638 products of the
     walk that proves the generating set, and peaks under 6 MB."""
     build, counts = families.symmetric_inverse, []
 
@@ -658,4 +694,4 @@ def test_isn_suite_computes_few_products_in_little_memory(products,
     finally:
         tracemalloc.stop()
     assert peak < 6_000_000
-    assert len(counts) == 1 and 0 < counts[0]["products"] <= 27_000
+    assert len(counts) == 1 and 0 < counts[0]["products"] <= 15_300

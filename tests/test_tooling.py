@@ -147,7 +147,8 @@ codes = [cli.main(argv) for argv in (
     ["verify", "--suite", "isn", "--n", "2"],
     ["build", "--family", "cyclic", "--n", "3", "--adjoin-zero",
      "--out", out],
-    ["graph", "--input", out])]
+    ["graph", "--input", out],
+    ["graph", "--input", out, "--variant", "spig"])]
 print(json.dumps({"codes": codes, "metrics": recorder.layer_metrics()}))
 """
 
@@ -163,10 +164,10 @@ def test_benchmark_span_recorder_installs_over_the_package(tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0]
     metrics = result["metrics"]
-    for name in ("pig.graph_builds", "skeletal.verify_calls",
-                 "semigroups.assoc_triples"):
+    for name in ("pig.graph_builds", "pig.quotient_s",
+                 "skeletal.verify_calls", "semigroups.assoc_triples"):
         assert metrics[name] > 0, name
 
 
