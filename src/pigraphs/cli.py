@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success (all checks pass), 1 when a verification check
-fails, 2 on usage or input errors.
+fails, 2 on usage, input or output errors.  Files are read and written
+as UTF-8; a label that standard output cannot encode is an output error.
 """
 
 import argparse
@@ -17,7 +18,7 @@ from .green import l_classes, r_classes
 
 def _read_json(path: str):
     """The parsed document; any decoding failure is a MalformedDocument."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except (ValueError, RecursionError) as exc:
@@ -28,7 +29,7 @@ def _write(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -83,9 +84,8 @@ def cmd_stats(args) -> int:
 def cmd_classes(args) -> int:
     s = semigroups.from_json_dict(_read_json(args.input))
     part = l_classes(s) if args.side == "left" else r_classes(s)
-    for cid, cls in enumerate(part.classes):
-        members = ", ".join(s.label(x) for x in cls)
-        print(f"class {cid}: {members}")
+    _write("".join(f"class {cid}: {', '.join(map(s.label, cls))}\n"
+                   for cid, cls in enumerate(part.classes)), None)
     return 0
 
 
@@ -102,7 +102,7 @@ def cmd_skeletal(args) -> int:
             raise SizeMismatch(
                 f"map has {len(raw)} entries for a graph of order {g.order}")
         # a negative or missing id raises NotSurjective here
-        phi = graphs.VertexMap(g.order, max(raw, default=-1) + 1, tuple(raw))
+        phi = graphs.VertexMap(tuple(raw))
         h = skeletal.quotient_by_partition(g, phi)
         report = skeletal.verify_skeletal(g, h, phi)
         print(json.dumps(asdict(report), indent=2))
@@ -222,7 +222,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PigError, OSError) as exc:
+    except (PigError, OSError, UnicodeEncodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

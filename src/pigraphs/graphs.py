@@ -30,13 +30,11 @@ def bits(mask: int):
 
 @dataclass(frozen=True)
 class Graph:
-    order: int
     adj: tuple
     labels: tuple | None = None
 
     def __post_init__(self):
-        if len(self.adj) != self.order:
-            raise SizeMismatch("adjacency row count differs from order")
+        object.__setattr__(self, "order", len(self.adj))
         full = (1 << self.order) - 1
         for v, row in enumerate(self.adj):
             if row & ~full:
@@ -64,20 +62,17 @@ class Graph:
 @dataclass(frozen=True)
 class VertexMap:
     """A surjection onto range(codomain_order), stored as the codomain id
-    of each domain vertex; its fibres partition the domain."""
+    of each domain vertex; its fibres partition the domain.  Both orders
+    are read off the map: its length and its count of distinct ids."""
 
-    domain_order: int
-    codomain_order: int
     map: tuple
 
     def __post_init__(self):
-        if len(self.map) != self.domain_order:
-            raise SizeMismatch("map length differs from domain order")
-        # the codomain's ids are built only once they number no more
-        # than the domain's vertices
         ids = set(self.map)
-        if len(ids) != self.codomain_order or ids != set(range(len(ids))):
+        if ids != set(range(len(ids))):
             raise NotSurjective("map does not cover the codomain")
+        object.__setattr__(self, "domain_order", len(self.map))
+        object.__setattr__(self, "codomain_order", len(ids))
 
     @cached_property
     def masks(self) -> tuple:
@@ -114,7 +109,7 @@ def partition_by_key(keys) -> VertexMap:
     """
     ids = {}
     class_of = tuple(ids.setdefault(key, len(ids)) for key in keys)
-    return VertexMap(len(class_of), len(ids), class_of)
+    return VertexMap(class_of)
 
 
 def _check_labels(labels, n):
@@ -136,10 +131,10 @@ def subset_label(mask: int) -> str:
     return "{" + ",".join(members) + "}"
 
 
-def _trusted_graph(order: int, adj: tuple, labels=None) -> Graph:
+def _trusted_graph(adj: tuple, labels=None) -> Graph:
     """A Graph from rows that are simple by construction, not re-validated."""
     g = object.__new__(Graph)
-    g.__dict__.update(order=order, adj=adj, labels=labels)
+    g.__dict__.update(adj=adj, labels=labels, order=len(adj))
     return g
 
 
@@ -159,13 +154,12 @@ def from_edges(order: int, edges, labels=None) -> Graph:
             raise IndexOutOfRange(f"edge ({u}, {v}) not in [0, {order})")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(order, tuple(adj),
-                 tuple(labels) if labels is not None else None)
+    return Graph(tuple(adj), tuple(labels) if labels is not None else None)
 
 
 def complete_graph(n: int) -> Graph:
     full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+    return Graph(tuple(full ^ (1 << v) for v in range(n)))
 
 
 def cycle_graph(n: int) -> Graph:
@@ -234,8 +228,7 @@ def graph_stats(g: Graph) -> GraphStats:
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.order) - 1
-    return Graph(g.order,
-                 tuple((full ^ g.adj[v]) & ~(1 << v) for v in range(g.order)),
+    return Graph(tuple((full ^ g.adj[v]) & ~(1 << v) for v in range(g.order)),
                  g.labels)
 
 
@@ -249,7 +242,7 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
             if u in pos:
                 adj[i] |= 1 << pos[u]
     labels = tuple(g.label(v) for v in verts) if g.labels else None
-    return Graph(len(verts), tuple(adj), labels)
+    return Graph(tuple(adj), labels)
 
 
 def mask_intersection_graph(masks, labels=None) -> Graph:
@@ -263,9 +256,7 @@ def mask_intersection_graph(masks, labels=None) -> Graph:
     rows = [sum(vs for other, vs in zip(distinct, groups.masks) if m & other)
             for m in distinct]
     return _trusted_graph(
-        len(masks),
-        tuple(rows[p] & ~(1 << v) for v, p in enumerate(groups.map)),
-        labels)
+        tuple(rows[p] & ~(1 << v) for v, p in enumerate(groups.map)), labels)
 
 
 def intersection_graph(n: int) -> Graph:

@@ -74,7 +74,7 @@ def _s_pig(s: Semigroup, keys, graph):
     verts = pig_vertices(s)
     quotient, phi = _checked_quotient(
         graph, partition_by_key([keys[v] for v in verts]))
-    return _trusted_graph(quotient.order, quotient.adj,
+    return _trusted_graph(quotient.adj,
                           tuple(f"[{x}]" for x in quotient.labels)), phi
 
 
@@ -106,7 +106,7 @@ def involution_pig_isomorphism(s: Semigroup, left, right) -> list:
         raise NotInverseSemigroup("the inverse map is not an involution")
     verts = pig_vertices(s)
     pos = {v: i for i, v in enumerate(verts)}
-    phi = VertexMap(len(pos), len(pos), tuple(pos[sigma[v]] for v in verts))
+    phi = VertexMap(tuple(pos[sigma[v]] for v in verts))
     if not verify_skeletal(left, right, phi).is_skeletal:
         raise IsomorphismCheckFailed(
             "involution did not carry the left graph onto the right graph")

@@ -81,7 +81,7 @@ def quotient_by_partition(g: Graph, phi: VertexMap) -> Graph:
            for i, r in enumerate(reach)]
     labels = None if g.labels is None else tuple(
         g.label(b[0]) for b in phi.classes)
-    return _trusted_graph(phi.codomain_order, tuple(adj), labels)
+    return _trusted_graph(tuple(adj), labels)
 
 
 def _checked_quotient(g: Graph, phi: VertexMap):
@@ -177,8 +177,7 @@ def compose_skeletal(g: Graph, h: Graph, k: Graph,
         raise NotSkeletal("first map is not skeletal")
     if not verify_skeletal(h, k, psi).is_skeletal:
         raise NotSkeletal("second map is not skeletal")
-    composed = VertexMap(g.order, k.order,
-                         tuple(psi.map[p] for p in phi.map))
+    composed = VertexMap(tuple(psi.map[p] for p in phi.map))
     if not verify_skeletal(g, k, composed).is_skeletal:
         raise NotSkeletal("composition of skeletals must be skeletal")
     return composed
@@ -194,7 +193,7 @@ def embedded_copy(g: Graph, h: Graph, phi: VertexMap):
         raise NotSkeletal("map is not skeletal")
     reps = sorted(fibre[0] for fibre in phi.classes)
     sub = induced_subgraph(g, reps)
-    copy = VertexMap(len(reps), h.order, tuple(phi.map[r] for r in reps))
+    copy = VertexMap(tuple(phi.map[r] for r in reps))
     if not verify_skeletal(sub, h, copy).is_skeletal:
         raise IsomorphismCheckFailed(
             "representatives do not induce a copy of the codomain")
@@ -217,8 +216,8 @@ def blow_up(g: Graph, sizes):
     if len(sizes) != g.order or any(s < 1 for s in sizes):
         raise SizeMismatch("blow_up needs one positive size per vertex")
     owner = [v for v in range(g.order) for _ in range(sizes[v])]
-    collapse = VertexMap(len(owner), g.order, tuple(owner))
+    collapse = VertexMap(tuple(owner))
     # a's closed row is the preimage of v's closed row
     closed = [collapse.preimage(row | 1 << v) for v, row in enumerate(g.adj)]
     adj = [closed[v] & ~(1 << a) for a, v in enumerate(owner)]
-    return Graph(len(owner), tuple(adj)), collapse
+    return Graph(tuple(adj)), collapse

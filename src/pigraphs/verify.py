@@ -89,13 +89,12 @@ def suite_isn(n: int = 3) -> SuiteResult:
     canonical = tuple(p.image_mask() - 1 for p in reps)
     _check(checks, "canonical class-to-image map is an isomorphism",
            sorted(canonical) == list(range(inter.order))
-           and skeletal.verify_skeletal(quotient, inter, graphs.VertexMap(
-               quotient.order, inter.order, canonical)).is_skeletal)
+           and skeletal.verify_skeletal(
+               quotient, inter, graphs.VertexMap(canonical)).is_skeletal)
     found = graphs.are_isomorphic(quotient, inter)
     _check(checks, "generic search finds the same isomorphism",
            found is not None and skeletal.verify_skeletal(
-               quotient, inter, graphs.VertexMap(
-                   quotient.order, inter.order, tuple(found))).is_skeletal)
+               quotient, inter, graphs.VertexMap(tuple(found))).is_skeletal)
 
     _check_runs(checks, "inversion maps the left graph onto the right graph",
                 lambda: pig.involution_pig_isomorphism(s, full,
@@ -209,7 +208,7 @@ def suite_skeletal(seed: int = 0) -> SuiteResult:
 
     k4 = graphs.complete_graph(4)
     k2 = graphs.complete_graph(2)
-    phi = graphs.VertexMap(4, 2, (0, 0, 0, 1))
+    phi = graphs.VertexMap((0, 0, 0, 1))
     _check(checks, "merging a triangle of K4 onto one end of K2 is skeletal",
            skeletal.verify_skeletal(k4, k2, phi).is_skeletal)
 

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -309,6 +312,39 @@ def test_undecodable_documents_exit_2(tmp_path, capsys):
             assert code == 2 and out == "", (name, argv)
             assert err.startswith("error: ") and "Traceback" not in err
             assert str(path) in err, (name, argv)
+
+
+def test_non_ascii_labels_under_an_ascii_locale(tmp_path):
+    """Documents are read and --out files written as UTF-8 whatever the
+    locale; a label standard output cannot encode is an error with exit 2,
+    not a traceback with exit 1.  The label is escaped in one document and
+    raw in the other."""
+    table = {"table": [[0, 0], [0, 1]], "labels": ["z", "\u4e2d"]}
+    for name, ascii_only in (("escaped.json", True), ("raw.json", False)):
+        (tmp_path / name).write_text(
+            json.dumps(table, ensure_ascii=ascii_only), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
+           "LC_ALL": "C", "PYTHONIOENCODING": "ascii"}
+    env.pop("PYTHONUTF8", None)
+
+    def pig(*argv):
+        return subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "pigraphs.cli", *argv],
+            env=env, capture_output=True, text=True, encoding="utf-8",
+            cwd=tmp_path, timeout=60)
+
+    for name in ("escaped.json", "raw.json"):
+        run = pig("graph", "--input", name, "--format", "dot",
+                  "--out", "o.dot")
+        assert (run.returncode, run.stdout, run.stderr) == (0, "", ""), name
+        dot = (tmp_path / "o.dot").read_text(encoding="utf-8")
+        assert dot == 'graph {\n  "\u4e2d";\n}\n', name
+        for argv in (["graph", "--input", name, "--format", "dot"],
+                     ["classes", "--input", name]):
+            run = pig(*argv)
+            assert (run.returncode, run.stdout) == (2, ""), argv
+            assert run.stderr.startswith("error: ") \
+                and "Traceback" not in run.stderr, argv
 
 
 def test_parser_is_built_once():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,7 @@ from pigraphs.errors import (
 from pigraphs.graphs import (
     Graph,
     VertexMap,
+    _trusted_graph,
     all_components_complete,
     are_isomorphic,
     complement,
@@ -40,7 +42,7 @@ from pigraphs.skeletal import blow_up, verify_skeletal
 
 def is_isomorphism(g, h, mapping):
     """Whether mapping is a bijective skeletal map, i.e. an isomorphism."""
-    phi = VertexMap(g.order, h.order, tuple(mapping))
+    phi = VertexMap(tuple(mapping))
     return verify_skeletal(g, h, phi).is_skeletal
 
 
@@ -64,7 +66,7 @@ def test_stats_k4():
 
 
 def test_stats_null2():
-    st2 = graph_stats(Graph(2, (0, 0)))
+    st2 = graph_stats(Graph((0, 0)))
     assert st2.edge_count == 0
     assert not st2.is_connected and st2.is_null
 
@@ -82,13 +84,21 @@ def test_vertex_map_fibres_match_the_definition():
         n = rng.randrange(12)
         m = rng.randrange(1, n + 1) if n else 0
         ids = random_surjection(n, m, rng)
-        phi = VertexMap(n, m, ids)
+        phi = VertexMap(ids)
+        assert (phi.domain_order, phi.codomain_order) == (n, m)
         assert len(phi.masks) == len(phi.classes) == m
         for v in range(m):
             fibre = tuple(u for u in range(n) if ids[u] == v)
             assert phi.classes[v] == fibre
             assert phi.masks[v] == sum(1 << u for u in fibre)
             assert phi.masks[v].bit_count() == ids.count(v)
+    # both orders are read off the map once and stored: empty, identity
+    # and merge maps
+    assert [f.name for f in fields(VertexMap)] == ["map"]
+    for ids, m in (((), 0), ((0, 1, 2), 3), ((0, 0, 1, 0), 2)):
+        stored = vars(VertexMap(ids))
+        assert (stored["domain_order"], stored["codomain_order"]) \
+            == (len(ids), m)
 
 
 def test_preimage_matches_the_definition():
@@ -98,7 +108,7 @@ def test_preimage_matches_the_definition():
                                         for n in rng.choices(range(1, 40),
                                                              k=197)]
     for n, m in sizes:
-        phi = VertexMap(n, m, random_surjection(n, m, rng))
+        phi = VertexMap(random_surjection(n, m, rng))
         # bits above the codomain have no preimage
         for mask in (0, (1 << m) - 1, rng.randrange(1 << m),
                      rng.randrange(1 << m) | 1 << (m + rng.randrange(3))):
@@ -111,7 +121,7 @@ def test_partition_by_key_numbers_classes_by_minimal_member():
     assert phi.map == (0, 0, 1, 2, 1)
     assert phi.classes == ((0, 1), (2, 4), (3,))
     assert phi.masks == (0b00011, 0b10100, 0b01000)
-    assert partition_by_key([]) == VertexMap(0, 0, ())
+    assert partition_by_key([]) == VertexMap(())
 
 
 def test_partition_by_key_equals_groups_sorted_by_minimal_member():
@@ -189,7 +199,7 @@ def test_isomorphism_basics(monkeypatch):
     petersen = from_edges(10, [(v, (v + 1) % 5) for v in range(5)]
                           + [(v, v + 5) for v in range(5)]
                           + [(v + 5, (v + 2) % 5 + 5) for v in range(5)])
-    assert are_isomorphic(Graph(0, ()), Graph(0, ())) == []
+    assert are_isomorphic(Graph(()), Graph(())) == []
     rng = random.Random(13)
     for g, limit in ((petersen, 10), (intersection_graph(6), 63)):
         perm = rng.sample(range(g.order), g.order)
@@ -202,7 +212,7 @@ def test_isomorphism_basics(monkeypatch):
 def test_isomorphism_guard(monkeypatch):
     # 63 admits the class quotient of IS_6 and the intersection graph
     assert graphs.ISO_MAX_ORDER == intersection_graph(6).order
-    big = Graph(64, (0,) * 64)
+    big = Graph((0,) * 64)
     with pytest.raises(SizeLimitExceeded):
         are_isomorphic(big, big)
     monkeypatch.setattr(graphs, "ISO_MAX_ORDER", 64)
@@ -244,12 +254,14 @@ def test_isomorphism_agrees_with_permutation_search():
 def test_verify_isomorphism():
     g = complete_graph(3)
     assert is_isomorphism(g, g, [0, 1, 2])
-    assert not is_isomorphism(g, Graph(3, (0, 0, 0)), [0, 1, 2])
-    # a map that is not a bijection is no VertexMap between equal orders
-    with pytest.raises(NotSurjective):
+    assert not is_isomorphism(g, Graph((0, 0, 0)), [0, 1, 2])
+    # a map that is not a bijection does not fit two graphs of one order
+    with pytest.raises(SizeMismatch):
         is_isomorphism(g, g, [0, 0, 1])
-    with pytest.raises(NotSurjective):
+    with pytest.raises(SizeMismatch):
         is_isomorphism(g, complete_graph(4), [0, 1, 2])
+    with pytest.raises(NotSurjective):
+        is_isomorphism(g, g, [0, 1, 3])
     with pytest.raises(SizeMismatch):
         is_isomorphism(g, g, [0, 1])
 
@@ -300,7 +312,8 @@ def test_mask_intersection_graph_matches_pairwise_definition():
         masks = [rng.choice(pool + [0]) for _ in range(rng.randrange(0, 40))]
         g = mask_intersection_graph(masks)
         assert g.adj == pairwise_intersection_adj(masks)
-        assert Graph(g.order, g.adj) == g
+        assert Graph(g.adj) == g
+        assert g.order == Graph(g.adj).order == len(masks)
 
 
 def pairwise_isomorphism(g, h, mapping):
@@ -404,13 +417,16 @@ def test_all_components_complete_matches_pairwise_definition():
 
 def test_graph_invariants_raise():
     with pytest.raises(IndexOutOfRange):
-        Graph(2, (4, 0))
+        Graph((4, 0))
     with pytest.raises(NotSimpleGraph):
-        Graph(2, (1, 0))
+        Graph((1, 0))
     with pytest.raises(NotSimpleGraph):
-        Graph(2, (2, 0))
-    with pytest.raises(SizeMismatch):
-        Graph(3, (0, 0))
+        Graph((2, 0))
+    # the order is the row count, stored once by either constructor
+    assert [f.name for f in fields(Graph)] == ["adj", "labels"]
+    for rows in ((), (0, 0), (2, 1)):
+        assert vars(Graph(rows))["order"] == len(rows)
+        assert vars(_trusted_graph(rows))["order"] == len(rows)
     with pytest.raises(IndexOutOfRange):
         degree_of_subset_vertex(3, 0)
     with pytest.raises(IndexOutOfRange):

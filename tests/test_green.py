@@ -166,7 +166,7 @@ def test_suite_green_fails_classes_split_below_ideal_equality(monkeypatch):
     # singleton classes: one ideal per class, but IS_2 has classes that
     # share an ideal, so they are finer than ideal equality
     monkeypatch.setattr(verify, "l_classes", lambda s: VertexMap(
-        s.order, s.order, tuple(range(s.order))))
+        tuple(range(s.order))))
     result = next(c for c in verify.suite_green().checks
                   if c.name == "classes are exactly ideal-equality classes")
     assert not result.passed
@@ -177,11 +177,11 @@ def _result(suite, name):
 
 
 def _discrete(s):
-    return VertexMap(s.order, s.order, tuple(range(s.order)))
+    return VertexMap(tuple(range(s.order)))
 
 
 def _one_class(s):
-    return VertexMap(s.order, 1, (0,) * s.order)
+    return VertexMap((0,) * s.order)
 
 
 @pytest.mark.parametrize("partition", [_discrete, _one_class])

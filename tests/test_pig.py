@@ -246,7 +246,7 @@ def test_quotient_complement_is_zero_product_graph(isn):
 def test_involution_isomorphism(isn):
     s = isn[3]
     mapping = involution_pig_isomorphism(s, left_pig(s), right_pig(s))
-    phi = VertexMap(len(mapping), len(mapping), tuple(mapping))
+    phi = VertexMap(tuple(mapping))
     assert verify_skeletal(left_pig(s), right_pig(s), phi).is_skeletal
     b = families.brandt(families.cyclic_group(2), 2)
     inv = b.inverses

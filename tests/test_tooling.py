@@ -1,8 +1,9 @@
 """Checks on the package source: no asserts, no runtime deps, a strict
 module layering, front ends that use only public names, no public
 definition or private helper that nothing uses, the same verdicts
-under ``python -O``, and a package the benchmark's span recorder
-(``perfbench/spans.py``) still installs over.
+under ``python -O``, sources that parse at the declared Python floor,
+and a package the benchmark's span recorder (``perfbench/spans.py``)
+still installs over.
 
 Asserts vanish under ``python -O``, so invariants must raise instead; the
 package promises pure Python, so every absolute import must name a
@@ -14,6 +15,7 @@ the layers only through public names, so each layer has one way in.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -54,6 +56,16 @@ def _relative_imports(node):
     if isinstance(node, ast.ImportFrom) and node.level > 0:
         return [node.module] if node.module else [a.name for a in node.names]
     return []
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    """Every module parses under the oldest grammar that pyproject.toml's
+    requires-python admits, so newer syntax fails here, not on install."""
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                      (SRC.parent / "pyproject.toml").read_text(), re.M)
+    version = tuple(map(int, floor.groups()))
+    for path in SOURCES:
+        ast.parse(path.read_text(), str(path), feature_version=version)
 
 
 def test_modules_import_only_earlier_layers():
