@@ -35,6 +35,7 @@ class Graph:
 
     def __post_init__(self):
         object.__setattr__(self, "order", len(self.adj))
+        _check_labels(self.labels, self.order)
         full = (1 << self.order) - 1
         for v, row in enumerate(self.adj):
             if row & ~full:
@@ -204,12 +205,6 @@ def components(g: Graph) -> VertexMap:
         for u in bits(comp):
             component_of[u] = comp
     return partition_by_key(component_of)
-
-
-def all_components_complete(g: Graph) -> bool:
-    # neighbours lie in the own component, so full degree means complete
-    return all(g.degree(v) == len(cls) - 1
-               for cls in components(g).classes for v in cls)
 
 
 def graph_stats(g: Graph) -> GraphStats:

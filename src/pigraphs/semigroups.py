@@ -296,10 +296,12 @@ class _Products:
         self.elements, self.product = tuple(elements), product
         self.index = {x: i for i, x in enumerate(self.elements)}
         self.gens = tuple(dict.fromkeys(map(self.index.__getitem__, gens)))
+        self.position = {g: i for i, g in enumerate(self.gens)}
         steps, right = dict.fromkeys(self.gens), [None] * len(self)
-        times_gens, walk = _gather(self.gens), list(self.gens)
+        gen_elements, walk = _gather(self.gens)(self.elements), list(self.gens)
         for x in walk:
-            right[x] = times_gens(_Row(self, self.elements[x]))
+            e = self.elements[x]
+            right[x] = tuple(self.index[product(e, h)] for h in gen_elements)
             for g, y in zip(self.gens, right[x]):
                 if y not in steps:
                     steps[y] = x, g
@@ -318,7 +320,7 @@ class _Products:
         return len(self.elements)
 
     def __getitem__(self, x):
-        return self.gen_rows.get(x) or _Row(self, self.elements[x])
+        return self.gen_rows.get(x) or _Row(self, x)
 
     def __iter__(self):
         return iter(self.rows)
@@ -342,17 +344,19 @@ class _Products:
 
 
 class _Row:
-    """Row x of a :class:`_Products` table, x given by its element."""
+    """Row x of a :class:`_Products` table, its x*g read off the walk."""
 
     def __init__(self, table, x):
-        self.table, self.x = table, x
+        self.table, self.x, self.right = table, x, table.right[x]
 
     def __len__(self):
         return len(self.table)
 
     def __getitem__(self, y):
-        t = self.table
-        return t.index[t.product(self.x, t.elements[y])]
+        t, i = self.table, self.table.position.get(y)
+        if i is not None:
+            return self.right[i]
+        return t.index[t.product(t.elements[self.x], t.elements[y])]
 
 
 def check_involution(s: Semigroup, sigma) -> bool:

@@ -226,6 +226,9 @@ def test_verify_exit_codes(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "brandt",
                        "--group-order", "2", "--indices", "3")
     assert code == 0
+    # the parser offers only SUITES; run_suite itself refuses any other
+    with pytest.raises(ValueError, match="^unknown suite 'none'$"):
+        verify.run_suite("none")
     # one failed check in the last of two suites fails the whole run
     results = (SuiteResult("a", (CheckResult("x", True),)),
                SuiteResult("b", (CheckResult("y", False, "why"),

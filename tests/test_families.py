@@ -185,6 +185,9 @@ def test_semilattice():
     assert s.idempotents == tuple(range(8))
     assert all(s.table[x][y] == s.table[y][x]
                for x in range(8) for y in range(8))
+    for n in (0, families.SEMILATTICE_MAX + 1):
+        with pytest.raises(SizeLimitExceeded):
+            families.subset_meet_semilattice(n)
 
 
 def test_cyclic_group():

@@ -18,7 +18,6 @@ from pigraphs.graphs import (
     Graph,
     VertexMap,
     _trusted_graph,
-    all_components_complete,
     are_isomorphic,
     complement,
     complete_graph,
@@ -159,6 +158,9 @@ def test_intersection_graph_small():
     assert g2.order == 3 and g2.edges() == [(0, 2), (1, 2)]
     g3 = intersection_graph(3)
     assert g3.order == 7 and graph_stats(g3).edge_count == 15
+    for n in (0, 7):
+        with pytest.raises(SizeLimitExceeded):
+            intersection_graph(n)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -402,19 +404,6 @@ def test_from_edges_rejects_malformed_input():
     assert from_edges(graphs.GRAPH_MAX_ORDER, []).order == 4096
 
 
-def test_all_components_complete_matches_pairwise_definition():
-    rng = random.Random(9)
-    seen = set()
-    for _ in range(200):
-        g = random_graph(rng.randrange(1, 7), rng.choice([0.3, 0.7, 0.95]),
-                         rng)
-        expected = all(g.has_edge(u, v) for cls in components(g).classes
-                       for u in cls for v in cls if u != v)
-        assert all_components_complete(g) == expected
-        seen.add(expected)
-    assert seen == {True, False}
-
-
 def test_graph_invariants_raise():
     with pytest.raises(IndexOutOfRange):
         Graph((4, 0))
@@ -431,3 +420,19 @@ def test_graph_invariants_raise():
         degree_of_subset_vertex(3, 0)
     with pytest.raises(IndexOutOfRange):
         degree_of_subset_vertex(3, 4)
+
+
+def test_a_graph_checks_its_labels():
+    """A Graph takes no labels or one distinct string per vertex, as
+    from_edges does; too few labels used to pass, and then to_dot raised
+    a bare IndexError and to_json_dict wrote a document that
+    from_json_dict refuses."""
+    for labels, error in (
+            (("a",), SizeMismatch), (("a", "b", "c"), SizeMismatch),
+            (("a", "a"), MalformedDocument), ((0, 1), MalformedDocument),
+            ("ab", MalformedDocument)):
+        with pytest.raises(error):
+            Graph((0, 0), labels)
+    g = Graph((2, 1), ("a", "b"))
+    assert from_json_dict(to_json_dict(g)) == g
+    assert to_dot(g) == to_dot(from_edges(2, [(0, 1)], ["a", "b"]))

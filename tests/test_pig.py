@@ -12,8 +12,8 @@ from pigraphs.errors import (
     NotInverseSemigroup,
 )
 from pigraphs.graphs import (
+    Graph,
     VertexMap,
-    all_components_complete,
     complement,
     components,
     graph_stats,
@@ -54,7 +54,7 @@ def test_brandt_c1_2_two_disjoint_edges():
     comps = components(g)
     assert comps.codomain_order == 2
     assert all(len(c) == 2 for c in comps.classes)
-    assert all_components_complete(g)
+    assert all(g.has_edge(*c) for c in comps.classes)
     # the right graph groups by left index instead
     r = right_pig(s)
     verts = pig_vertices(s)
@@ -248,6 +248,12 @@ def test_involution_isomorphism(isn):
     mapping = involution_pig_isomorphism(s, left_pig(s), right_pig(s))
     phi = VertexMap(tuple(mapping))
     assert verify_skeletal(left_pig(s), right_pig(s), phi).is_skeletal
+    # the right graph with its edge 0-1 flipped is not the image
+    flipped = list(right_pig(s).adj)
+    flipped[0] ^= 1 << 1
+    flipped[1] ^= 1 << 0
+    with pytest.raises(IsomorphismCheckFailed):
+        involution_pig_isomorphism(s, left_pig(s), Graph(tuple(flipped)))
     b = families.brandt(families.cyclic_group(2), 2)
     inv = b.inverses
     for x, (i, g, j) in enumerate(b.elements[:-1]):
@@ -340,6 +346,33 @@ def test_a_defect_in_an_involution_check_is_raised(monkeypatch):
     monkeypatch.setattr(verify.pig, "involution_pig_isomorphism", broken)
     with pytest.raises(TypeError, match="^a defect, not a failed check$"):
         verify.suite_brandt()
+
+
+COMPLETE = "each component is complete on |I|*|G| vertices"
+
+
+def test_the_completeness_line_is_the_pairwise_definition(monkeypatch):
+    """The Brandt suite's completeness line passes on the left graph of
+    B(Z_3, 2), two 6-cliques, and fails with any one edge removed, which
+    keeps both components, as every two vertices of a component being
+    adjacent says.  The quotient is taken of the whole graph, which a
+    component missing an edge would make inconsistent."""
+    s = families.brandt(families.cyclic_group(3), 2)
+    full = left_pig(s)
+    quotient = s_left_pig(s, full)
+    monkeypatch.setattr(verify.pig, "s_left_pig", lambda s, g: quotient)
+    for edge in [None, *full.edges()]:
+        adj = list(full.adj)
+        for u, v in (edge, edge[::-1]) if edge else ():
+            adj[u] ^= 1 << v
+        g = Graph(tuple(adj), full.labels)
+        monkeypatch.setattr(verify.pig, "left_pig", lambda s: g)
+        comps = components(g).classes
+        pairwise = all(g.has_edge(u, v) for c in comps
+                       for u in c for v in c if u != v)
+        line = next(c for c in verify.suite_brandt(3, 2).checks
+                    if c.name == COMPLETE)
+        assert len(comps) == 2 and line.passed == pairwise == (edge is None)
 
 
 @pytest.mark.parametrize("suite, line", [

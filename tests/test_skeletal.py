@@ -410,9 +410,12 @@ def test_compose_skeletal():
     ident = VertexMap((0, 1))
     again = compose_skeletal(K4, K2, K2, MERGE_TRIANGLE, ident)
     assert again.map == MERGE_TRIANGLE.map
-    with pytest.raises(NotSkeletal):
+    with pytest.raises(NotSkeletal, match="^first map is not skeletal$"):
         compose_skeletal(path_graph(3), complete_graph(1), complete_graph(1),
                          VertexMap((0, 0, 0)), VertexMap((0,)))
+    # K2 onto two isolated vertices loses its edge
+    with pytest.raises(NotSkeletal, match="^second map is not skeletal$"):
+        compose_skeletal(K4, K2, from_edges(2, []), MERGE_TRIANGLE, ident)
     # a map that does not fit its graphs, first or second
     with pytest.raises(SizeMismatch):
         compose_skeletal(K4, K2, k1, VertexMap((0, 0, 1)), psi)
@@ -461,6 +464,10 @@ def test_blow_up_collapse_is_skeletal(g, sizes):
     assert verify_skeletal(big, g, phi).is_skeletal
     for v in range(g.order):
         assert fibre_subgraph_is_complete(big, phi, v)
+    # one size short, or a size of 0
+    for bad in (sizes[:g.order - 1], [*sizes[:g.order - 1], 0]):
+        with pytest.raises(SizeMismatch):
+            blow_up(g, bad)
 
 
 @pytest.mark.parametrize("name, check", [
