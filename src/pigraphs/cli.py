@@ -47,7 +47,7 @@ def cmd_build(args) -> int:
     s = FAMILIES[args.family](args)
     if args.adjoin_zero:
         s = semigroups.adjoin_zero(s)
-    _write(json.dumps(semigroups.to_json_dict(s), indent=2) + "\n", args.out)
+    _write(semigroups.to_json(s), args.out)
     print(f"order={s.order} zero={s.zero} identity={s.identity} "
           f"idempotents={len(s.idempotents)}", file=sys.stderr)
     return 0
@@ -55,7 +55,7 @@ def cmd_build(args) -> int:
 
 FORMATS = {
     "dot": graphs.to_dot,
-    "json": lambda g: json.dumps(graphs.to_json_dict(g), indent=2) + "\n",
+    "json": graphs.to_json,
     "edges": graphs.to_edge_list,
 }
 

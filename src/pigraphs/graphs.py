@@ -8,6 +8,7 @@ its preimage pulls a codomain vertex set back onto the domain.
 
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .errors import IndexOutOfRange, MalformedDocument, NotSimpleGraph, \
@@ -54,7 +55,7 @@ class Graph:
 
     def edges(self) -> list:
         return [(u, v) for u in range(self.order)
-                for v in bits(self.adj[u]) if u < v]
+                for v in bits(self.adj[u] & -(2 << u))]
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
@@ -335,6 +336,23 @@ def from_json_dict(doc: dict) -> Graph:
     if not isinstance(doc["edges"], list):
         raise MalformedDocument("edges must be a list of pairs")
     return from_edges(doc["order"], doc["edges"], doc.get("labels"))
+
+
+def _json_list(items, indent="  ") -> str:
+    """Rendered JSON items laid out as json.dumps(..., indent=2) lays out a
+    list that closes after indent: one a line, "[]" when there are none."""
+    body = (",\n  " + indent).join(items)
+    return f"[\n  {indent}{body}\n{indent}]" if body else "[]"
+
+
+def to_json(g: Graph) -> str:
+    """json.dumps(to_json_dict(g), indent=2) + "\n", written as text."""
+    labels = "null" if g.labels is None else _json_list(
+        map(encode_basestring_ascii, g.labels))
+    edges = _json_list(f"[\n      {u},\n      {v}\n    ]"
+                       for u, v in g.edges())
+    return (f'{{\n  "order": {g.order},\n  "labels": {labels},\n'
+            f'  "edges": {edges}\n}}\n')
 
 
 def to_dot(g: Graph) -> str:

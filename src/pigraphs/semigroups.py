@@ -8,6 +8,7 @@ or a :class:`_Products` view that computes entries when read; the ideals
 of a view are read off its generators' rows and columns alone.
 """
 
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, count
@@ -16,7 +17,7 @@ from operator import itemgetter, ne
 from .errors import AssociativityViolation, IndexOutOfRange, \
     MalformedDocument, NotABijection, NotGenerating, SizeLimitExceeded, \
     SizeMismatch
-from .graphs import GRAPH_MAX_ORDER, _check_labels
+from .graphs import GRAPH_MAX_ORDER, _check_labels, _json_list
 
 
 @dataclass(frozen=True)
@@ -407,6 +408,18 @@ def to_json_dict(s: Semigroup) -> dict:
     if s.family is not None:
         doc["family"] = s.family
     return doc
+
+
+def to_json(s: Semigroup) -> str:
+    """json.dumps(to_json_dict(s), indent=2) + "\n", written as text."""
+    table = _json_list(_json_list(map(str, row), "    ") for row in s.table)
+    labels = "null" if s.labels is None else _json_list(
+        map(json.encoder.encode_basestring_ascii, s.labels))
+    family = "" if s.family is None else \
+        f',\n  "family": {json.dumps(s.family)}'
+    return (f'{{\n  "order": {s.order},\n  "table": {table},\n'
+            f'  "labels": {labels},\n  "zero": {json.dumps(s.zero)},\n'
+            f'  "identity": {json.dumps(s.identity)}{family}\n}}\n')
 
 
 def from_json_dict(doc: dict) -> Semigroup:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from dataclasses import fields
 
@@ -34,6 +35,7 @@ from pigraphs.graphs import (
     random_graph,
     to_dot,
     to_edge_list,
+    to_json,
     to_json_dict,
 )
 from pigraphs.skeletal import blow_up, verify_skeletal
@@ -273,6 +275,34 @@ def test_json_round_trip():
     doc = to_json_dict(g)
     assert doc["edges"] == [[0, 1], [1, 3]]
     assert from_json_dict(doc) == g
+
+
+def assert_stdlib_layout(g):
+    """The writer's bytes are the stdlib's indented encoding, the oracle."""
+    assert to_json(g) == json.dumps(to_json_dict(g), indent=2) + "\n"
+
+
+def test_json_writer_matches_the_stdlib_on_edge_cases():
+    for g in (Graph(()), Graph((), ()), from_edges(4, []),
+              complete_graph(5), intersection_graph(3)):
+        assert_stdlib_layout(g)
+    assert '"labels": null' in to_json(Graph(()))
+    assert '"labels": [],' in to_json(Graph((), ()))
+    assert '"edges": []' in to_json(from_edges(4, []))
+    # quotes, backslashes, a newline, non-ASCII and a lone surrogate all
+    # take the stdlib's ASCII escapes
+    labels = ['a"b', "c\\d", "e\nf", "\u00e9", "\u2603", "\ud800", ""]
+    g = from_edges(7, [(0, 1), (2, 6), (3, 5)], labels)
+    assert_stdlib_layout(g)
+    assert from_json_dict(json.loads(to_json(g))) == g
+
+
+def test_json_writer_matches_the_stdlib_on_random_graphs():
+    rng = random.Random(31)
+    for n in range(31):
+        g = random_graph(n, rng.random(), rng)
+        assert_stdlib_layout(g)
+        assert_stdlib_layout(Graph(g.adj, tuple(f"v{v}" for v in range(n))))
 
 
 def test_dot_and_edge_list():

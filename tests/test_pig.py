@@ -375,6 +375,62 @@ def test_the_completeness_line_is_the_pairwise_definition(monkeypatch):
         assert len(comps) == 2 and line.passed == pairwise == (edge is None)
 
 
+# the check in each suite that reads the class quotient of its left graph
+QUOTIENT_CHECKS = {
+    "isn": "quotient vertex count is 2^n - 1",
+    "brandt": "class quotient is a null graph on |I| vertices",
+    "semilattice": "classes are singletons, so the quotient equals the graph",
+}
+
+
+@pytest.mark.parametrize("suite", QUOTIENT_CHECKS)
+def test_a_quotient_that_raises_ends_the_suite_with_a_fail_line(
+        suite, monkeypatch):
+    """The checks before the quotient stand; the check that reads it fails
+    with the error message, and no check after it runs."""
+    passing = verify.run_suite(suite)[0].checks
+    name = QUOTIENT_CHECKS[suite]
+    before = passing[:[c.name for c in passing].index(name)]
+
+    def refuse(s, left):
+        raise InconsistentQuotient("no quotient here", (0, 1))
+
+    monkeypatch.setattr(verify.pig, "s_left_pig", refuse)
+    assert verify.run_suite(suite)[0].checks == (
+        *before, verify.CheckResult(name, False, "no quotient here"))
+
+
+@pytest.mark.parametrize("suite", QUOTIENT_CHECKS)
+def test_a_left_graph_missing_an_edge_fails_pig_verify(
+        suite, monkeypatch, capsys):
+    """With the first edge of every left graph dropped, each suite prints
+    FAIL lines and pig verify exits 1.  In IS_3 and B(Z_2, 2) the edge
+    joins two vertices of one class, so the quotient raises; the
+    semilattice's classes are singletons, so its quotient does not."""
+    build = verify.pig.left_pig
+
+    def dropped(s):
+        g = build(s)
+        u, v = g.edges()[0]
+        adj = list(g.adj)
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        return Graph(tuple(adj), g.labels)
+
+    monkeypatch.setattr(verify.pig, "left_pig", dropped)
+    assert cli.main(["verify", "--suite", suite]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "some checks FAILED"
+    quotient = [line for line in lines if QUOTIENT_CHECKS[suite] in line]
+    if suite == "semilattice":
+        assert quotient[0].startswith("[PASS]")
+        assert any(line.startswith("[FAIL]") for line in lines)
+    else:
+        assert quotient == lines[-2:-1] and quotient[0].startswith(
+            f"[FAIL] {suite}: {QUOTIENT_CHECKS[suite]}  (quotient is not "
+            "skeletal at the vertex pair")
+
+
 @pytest.mark.parametrize("suite, line", [
     (verify.suite_brandt, "the nonzero idempotents number r"),
     (verify.suite_semilattice, "every element is idempotent, 2^n of them")])

@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -21,6 +22,7 @@ from pigraphs.semigroups import (
     check_involution,
     from_cayley_table,
     from_json_dict,
+    to_json,
     to_json_dict,
 )
 
@@ -249,6 +251,23 @@ def test_json_round_trip():
     assert again == s and s.gens is not None and again.gens is None
     assert (again.left_ideals, again.right_ideals) == \
         (s.left_ideals, s.right_ideals)
+
+
+def test_json_writer_matches_the_stdlib():
+    """The writer's bytes are the stdlib's indented encoding, the oracle:
+    view tables, a zero adjoined with and without one already there, and
+    no family, labels, zero or identity."""
+    brandt = families.brandt(families.cyclic_group(2), 2)
+    samples = [*(families.symmetric_inverse(n) for n in (1, 2, 3)), brandt,
+               adjoin_zero(brandt), adjoin_zero(families.left_zero(2)),
+               from_cayley_table(C2), from_cayley_table([[0, 1], [0, 1]]),
+               from_cayley_table([[0]], ['"\\\n\u00e9\u2603\ud800'])]
+    for s in samples:
+        assert to_json(s) == json.dumps(to_json_dict(s), indent=2) + "\n"
+    assert '"family": "isn"\n}' in to_json(samples[0])
+    assert samples[-3].family is None
+    assert '"family"' not in to_json(samples[-3])
+    assert '"zero": null,\n  "identity": null\n}' in to_json(samples[-2])
 
 
 def brute_inverses(s):
