@@ -4,7 +4,7 @@ All constructors emit validated :class:`Semigroup` values with structured
 element data attached, which the verification suites read to recount
 claims without the Cayley table.  IS_n and Brandt store no table: theirs
 is a :class:`_Products` view, a product computed when read.  Every
-table is associative by construction and skips the cubic check
+table is associative by construction and skips the associativity check
 (``checked=False``).
 """
 

@@ -26,8 +26,8 @@ class Semigroup:
     the :class:`_Products` view of IS_n and Brandt, equal to its rows.
 
     The fields are the inputs only.  ``checked`` records whether
-    associativity was verified exhaustively (family constructors that are
-    associative by construction skip it).  ``elements`` optionally carries
+    associativity was verified, by Light's test (family constructors that
+    are associative by construction skip it).  ``elements`` optionally carries
     structured element values (partial bijections, Brandt triples, subset
     masks) for the suites' recounts; it takes no part in equality and is
     not serialized.  Everything the table determines (order, zero,
@@ -127,30 +127,35 @@ class Semigroup:
 
     @cached_property
     def generators(self) -> tuple:
-        """``gens``, or else a set read off the table, assuming associativity.
-
-        Elements are taken largest principal left ideal first; each one
-        not yet reached becomes a generator, and the reached set is kept
-        closed under right multiplication by the generators, so it is
-        the subsemigroup they generate and ends as the whole semigroup.
-        """
+        """``gens``, or else ``_generating_set`` of the elements taken
+        largest principal left ideal first."""
         if self.gens is not None:
             return self.gens
-        t, left = self.table, self.left_ideals
-        reached, gens = bytearray(self.order), []
-        for g in sorted(range(self.order), key=lambda x: -left[x].bit_count()):
-            if reached[g]:
-                continue
-            gens.append(g)
-            times_gens = _gather(gens)
-            # the reached elements times g, read down column g
-            fresh = {g, *map(itemgetter(g), compress(t, reached))}
-            while fresh:
-                z = fresh.pop()
-                if not reached[z]:
-                    reached[z] = 1
-                    fresh.update(times_gens(t[z]))
-        return tuple(gens)
+        left = self.left_ideals
+        return _generating_set(self.table, sorted(
+            range(self.order), key=lambda x: -left[x].bit_count()))
+
+
+def _generating_set(table, candidates) -> tuple:
+    """Each candidate not yet reached becomes a generator, and the reached
+    set is kept closed under right multiplication by the generators.  So
+    it is their left-normed products, associative or not, and it ends as
+    the whole table."""
+    reached, gens = set(), []
+    for g in candidates:
+        if g in reached:
+            continue
+        gens.append(g)
+        times_gens = _gather(gens)
+        # the reached times g, down column g; only new elements are walked
+        fresh = {g, *map(itemgetter(g), map(table.__getitem__, reached))}
+        fresh -= reached
+        while fresh:
+            z = fresh.pop()
+            if z not in reached:
+                reached.add(z)
+                fresh.update(times_gens(table[z]))
+    return tuple(gens)
 
 
 def _ideals(lines) -> tuple:
@@ -232,22 +237,34 @@ def _check_entries(table):
 
 
 def _check_associativity(table):
-    """For each x, (x*y)*z over all (y, z) is the rows x*y end to end and
-    x*(y*z) is the whole table mapped through row x (bytes up to order
-    256, tuples above); the first differing (y, z) is the witness."""
-    n = len(table)
+    """Light's test (Clifford and Preston 1961, section 1.2): the a with
+    (x*a)*z = x*(a*z) for all x, z are closed under products, so the table
+    is associative once a generating set's a all pass.  Only a failure
+    runs every middle, to name the lexicographically first witness."""
+    every = range(len(table))
+    if _first_violation(table, _generating_set(table, every)):
+        raise AssociativityViolation(*_first_violation(table, every))
+
+
+def _first_violation(table, middles):
+    """The first (x, a, z) with a in ``middles`` and (x*a)*z != x*(a*z),
+    or None.  For each x, the (x*a)*z are the rows x*a end to end and the
+    x*(a*z) the rows of ``middles`` end to end mapped through row x
+    (bytes up to order 256, tuples above)."""
+    n, take = len(table), _gather(middles)
     if n <= 256:
         rows, join, pad = [bytes(r) for r in table], b"".join, bytes(256 - n)
-        flat = join(rows)
+        flat = join(map(rows.__getitem__, middles))
         rights = (flat.translate(row + pad) for row in rows)
     else:
         rows, join = table, lambda rs: tuple(chain.from_iterable(rs))
-        rights = map(itemgetter(*join(rows)), rows)
+        rights = map(itemgetter(*join(map(rows.__getitem__, middles))), rows)
     for x, right in enumerate(rights):
-        left = join(map(rows.__getitem__, table[x]))
+        left = join(map(rows.__getitem__, take(table[x])))
         if left != right:
             i = next(compress(count(), map(ne, left, right)))
-            raise AssociativityViolation(x, *divmod(i, n))
+            return x, middles[i // n], i % n
+    return None
 
 
 def _two_sided(table, value, gens):
@@ -263,9 +280,10 @@ def from_cayley_table(table, labels=None, *, unchecked=False,
                       family=None) -> Semigroup:
     """Build a validated :class:`Semigroup` from a square table.
 
-    Raises :class:`AssociativityViolation` with a witness triple unless
-    ``unchecked`` is set (reserved for tables too large for the
-    exhaustive check).
+    Raises :class:`AssociativityViolation` with the lexicographically
+    first failing triple unless ``unchecked`` is set (reserved for tables
+    too large to check).  Light's test reads (x*a)*z = x*(a*z) for the a
+    of a generating set only (Clifford and Preston 1961, section 1.2).
     """
     table = tuple(tuple(row) for row in table)
     _check_entries(table)
@@ -424,7 +442,7 @@ def to_json(s: Semigroup) -> str:
 
 def from_json_dict(doc: dict) -> Semigroup:
     """Rebuild a semigroup from its JSON document, checking associativity
-    exhaustively up to order 256.  Larger tables are trusted unchecked,
+    by Light's test up to order 256.  Larger tables are trusted unchecked,
     although the ideal masks, the inverse search and the involution check
     all assume associativity: a non-associative table above order 256
     gets answers that need not match its products.  Fields `order`, `zero`

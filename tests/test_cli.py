@@ -15,6 +15,7 @@ from pigraphs import families, verify
 from pigraphs.cli import build_parser, main
 from pigraphs.semigroups import to_json_dict
 from pigraphs.verify import CheckResult, SuiteResult
+from test_semigroups import first_failing_triple, light_test_bases
 
 
 def run(capsys, *argv):
@@ -124,6 +125,20 @@ def test_dot_and_json_describe_same_edges(tmp_path, capsys):
     _, dot, _ = run(capsys, "graph", "--input", str(sg), "--format", "dot")
     _, js, _ = run(capsys, "graph", "--input", str(sg), "--format", "json")
     assert dot.count("--") == len(json.loads(js)["edges"])
+
+
+def test_graph_names_the_first_witness_of_an_order_128_break(tmp_path,
+                                                             capsys):
+    s = light_test_bases()[-1]
+    table = [list(row) for row in s.table]
+    table[7][3] = (table[7][3] + 2) % 128
+    sg = tmp_path / "sg.json"
+    sg.write_text(json.dumps({"order": 128, "table": table}))
+    code, out, err = run(capsys, "graph", "--input", str(sg))
+    x, y, z = first_failing_triple(table)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == f"error: associativity fails at ({x}*{y})*{z} != " \
+                  f"{x}*({y}*{z})\n"
 
 
 def test_stats(tmp_path, capsys):

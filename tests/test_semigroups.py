@@ -153,6 +153,58 @@ def test_associativity_witness_at_the_byte_encoding_boundary():
     assert s.checked and s.identity == 0
 
 
+def test_associativity_check_matches_triple_loop_on_all_tables_up_to_order_3():
+    tables = [[list(t[i:i + n]) for i in range(0, n * n, n)]
+              for n in range(1, 4) for t in product(range(n), repeat=n * n)]
+    assert len(tables) == 19_700
+    assert all(check_verdict(t) == first_failing_triple(t) for t in tables)
+
+
+def light_test_bases():
+    """Relabelled IS_3, Brandt(Z3, 3), a 40-chain under min, and left zero
+    and cyclic semigroups with an adjoined zero, of orders 96 and 128."""
+    rng = random.Random(32)
+    bases = [families.symmetric_inverse(3),
+             families.brandt(families.cyclic_group(3), 3), chain(40),
+             adjoin_zero(families.left_zero(95)),
+             adjoin_zero(families.cyclic_group(127))]
+    return [relabelled(s, rng) for s in bases]
+
+
+def test_light_test_finds_the_first_witness_of_one_planted_break():
+    rng = random.Random(33)
+    for s in light_test_bases():
+        assert s.checked and check_verdict(s.table) is None
+        n, rejected = s.order, 0
+        for _ in range(24 if n <= 40 else 3):
+            table = [list(row) for row in s.table]
+            x, y = rng.randrange(n), rng.randrange(n)
+            table[x][y] = (table[x][y] + rng.randrange(1, n)) % n
+            witness = check_verdict(table)
+            assert witness == first_failing_triple(table)
+            assert (witness is None) == brute_associative(table)
+            rejected += witness is not None
+        assert rejected > 0
+
+
+def test_light_test_reads_the_generators_rows_unless_it_rejects(monkeypatch):
+    s = light_test_bases()[-1]
+    calls, first_violation = [], semigroups._first_violation
+
+    def recorded(table, middles):
+        calls.append(tuple(middles))
+        return first_violation(table, middles)
+
+    monkeypatch.setattr(semigroups, "_first_violation", recorded)
+    assert s.order == 128 and check_verdict(s.table) is None
+    assert len(calls) == 1 and len(calls[0]) <= 3
+    table = [list(row) for row in s.table]
+    table[5][9] = (table[5][9] + 1) % 128
+    calls.clear()
+    assert check_verdict(table) == first_failing_triple(table)
+    assert len(calls) == 2 and calls[1] == tuple(range(128))
+
+
 def test_find_zero():
     assert from_cayley_table(C2).zero is None
     assert families.subset_meet_semilattice(2).zero == 0
