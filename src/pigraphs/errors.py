@@ -61,10 +61,6 @@ class NotABijection(PigError):
     pass
 
 
-class NotGenerating(PigError):
-    """A generating set whose walk misses some element."""
-
-
 class NotSymmetric(PigError):
     pass
 

@@ -2,10 +2,11 @@
 
 All constructors emit validated :class:`Semigroup` values with structured
 element data attached, which the verification suites read to recount
-claims without the Cayley table.  IS_n and Brandt store no table: theirs
-is a :class:`_Products` view, a product computed when read.  Every
-table is associative by construction and skips the associativity check
-(``checked=False``).
+claims without the Cayley table.  IS_n and Brandt list no elements and
+store no table: each passes its product, its generators and a sort key
+to a :class:`_Products` view, whose walk discovers the elements and
+computes a product when read.  Every table is associative by
+construction and skips the associativity check (``checked=False``).
 """
 
 from dataclasses import dataclass
@@ -24,9 +25,8 @@ class PartialBijection:
     """A partial injective map on {0..n-1}.
 
     ``mapping[i]`` is the image of ``i`` or ``None`` when ``i`` is outside
-    the domain.  :func:`all_partial_bijections` extends each prefix by
-    ``None``, then by each unused image in increasing order, so it lists
-    the mappings lexicographically with undefined first.
+    the domain.  IS_n sorts the mappings lexicographically with undefined
+    first.
     """
 
     n: int
@@ -65,17 +65,8 @@ class PartialBijection:
         return "(" + ",".join(pairs) + ")" if pairs else "empty"
 
 
-def all_partial_bijections(n: int) -> list:
-    """All partial bijections on {0..n-1}, the empty map first."""
-    prefixes = [()]
-    for _ in range(n):
-        prefixes = [p + (v,) for p in prefixes
-                    for v in (None, *(u for u in range(n) if u not in p))]
-    return [PartialBijection(n, p) for p in prefixes]
-
-
 def partial_bijection_count(n: int) -> int:
-    """Closed-form count sum C(n,k)^2 * k!, used as the enumeration oracle."""
+    """Closed-form count sum C(n,k)^2 * k!, the oracle for IS_n's order."""
     return sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
 
 
@@ -86,21 +77,21 @@ FAMILY_MAX_ORDER = partial_bijection_count(5)
 def symmetric_inverse(n: int) -> Semigroup:
     """The symmetric inverse semigroup of all partial bijections on n points.
 
-    Its table composes the mappings x first; the view's walk proves that
-    the n-cycle, the transposition (0 1) and the partial identity on
-    {1..n-1} generate IS_n (Gomes and Howie 1987), and they become its
-    ``gens``.
+    The view's walk discovers them from its ``gens``, the n-cycle, the
+    transposition (0 1) and the partial identity on {1..n-1} (Gomes and
+    Howie 1987), composing the mappings x first, and sorts them with
+    undefined points first, then by image.
     """
     if not 1 <= n <= ISN_MAX:
         raise SizeLimitExceeded(f"symmetric_inverse supports 1 <= n <= {ISN_MAX}")
-    elems = all_partial_bijections(n)
     table = _Products(
-        [p.mapping for p in elems],
         lambda x, y: tuple(None if v is None else y[v] for v in x),
         [tuple((i + 1) % n for i in range(n)),
-         (1, 0, *range(2, n)) if n > 1 else (0,), (None, *range(1, n))])
+         (1, 0, *range(2, n)) if n > 1 else (0,), (None, *range(1, n))],
+        lambda x: tuple(map({None: -1}.get, x, x)))
+    elems = tuple(PartialBijection(n, m) for m in table.elements)
     return Semigroup(table, tuple(p.label() for p in elems), "isn",
-                     elements=tuple(elems))
+                     elements=elems)
 
 
 def _check_group(g: Semigroup):
@@ -117,7 +108,7 @@ def brandt(g: Semigroup, r: int) -> Semigroup:
 
     Elements are the triples (i, a, j) in lexicographic order, then the
     zero; (i,a,j)(k,b,l) is (i, a*b, l) when j = k and zero otherwise.
-    The view's walk proves it generated by the (0,a,0), the shifts
+    The view's walk discovers them from the (0,a,0), the shifts
     (i,e,i+1) and (i+1,e,i) with e the identity, as (i,e,0)(0,a,0)(0,e,j)
     = (i,a,j), and the zero for r = 1; for r > 1 it is (0,e,1)(0,e,1).
     """
@@ -128,19 +119,17 @@ def brandt(g: Semigroup, r: int) -> Semigroup:
         raise SizeLimitExceeded(
             f"Brandt order {order} exceeds {FAMILY_MAX_ORDER}")
     _check_group(g)
-    triples = [(i, a, j) for i in range(r) for a in range(g.order)
-               for j in range(r)]
     e = g.identity
     table = _Products(
-        triples + [None],
         lambda x, y: None if x is None or y is None or x[2] != y[0]
         else (x[0], g.table[x[1]][y[1]], y[2]),
         [(0, a, 0) for a in range(g.order)]
         + [t for i in range(r - 1) for t in ((i, e, i + 1), (i + 1, e, i))]
-        + [None] * (r == 1))
-    labels = tuple(f"({i},{g.label(a)},{j})" for i, a, j in triples) + ("0",)
-    return Semigroup(table, labels, "brandt",
-                     elements=tuple(triples) + (None,))
+        + [None] * (r == 1),
+        lambda x: (x is None, x or ()))
+    labels = tuple(f"({i},{g.label(a)},{j})"
+                   for i, a, j in table.elements[:-1]) + ("0",)
+    return Semigroup(table, labels, "brandt", elements=table.elements)
 
 
 def subset_meet_semilattice(n: int) -> Semigroup:

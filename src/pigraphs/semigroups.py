@@ -11,12 +11,11 @@ of a view are read off its generators' rows and columns alone.
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, count
+from itertools import chain, compress, count, repeat
 from operator import itemgetter, ne
 
 from .errors import AssociativityViolation, IndexOutOfRange, \
-    MalformedDocument, NotABijection, NotGenerating, SizeLimitExceeded, \
-    SizeMismatch
+    MalformedDocument, NotABijection, SizeLimitExceeded, SizeMismatch
 from .graphs import GRAPH_MAX_ORDER, _check_labels, _json_list
 
 
@@ -32,8 +31,9 @@ class Semigroup:
     masks) for the suites' recounts; it takes no part in equality and is
     not serialized.  Everything the table determines (order, zero,
     identity, idempotents, ideals, inverse map, a generating set) is
-    cached on first use, read entry by entry; ``gens`` is the view's
-    proved generating set, or ``None`` for a tuple table.
+    cached on first use, read entry by entry; ``gens`` is the generating
+    set the view's walk discovered its elements from, or ``None`` for a
+    tuple table.
     The constructor trusts its square table; ``from_cayley_table``
     validates any other.
     """
@@ -300,39 +300,44 @@ def _gather(keys):
 
 
 class _Products:
-    """The table of ``elements`` under ``product``: t[x][y] is the index
-    of product(elements[x], elements[y]), computed when read.  The walk
-    x -> x*g from ``gens`` (their indices, each kept once) proves them
-    generating, one product per step, or raises :class:`NotGenerating`
-    (Froidure and Pin 1997); it keeps right[x], the x*g over ``gens``, and
-    ``steps``, each element in walk order with the (x, g) that first
-    reached it (None for a generator).  left[x], the g*x, is read off
-    them as g*(x*h) = (g*x)*h, and ``gen_rows``, the generator rows that
-    indexing hands out, off left.  Iteration, equality and hashing read
-    ``rows``, gathered from those along ``steps`` as (x*g)*z = x*(g*z)."""
+    """The table of the semigroup that ``gens`` generate under ``product``:
+    t[x][y] is the index of product(elements[x], elements[y]), computed
+    when read.  The walk x -> x*g over element values from ``gens`` (each
+    kept once, in the order given) discovers the elements, one product per
+    step (Froidure and Pin 1997); ``elements`` are the values it found,
+    sorted by ``key``, and ``index`` numbers them.  It keeps right[x], the
+    x*g over ``gens``, and ``steps``, each element in walk order with the
+    (x, g) that first reached it (None for a generator).  left[x], the
+    g*x, is read off them as g*(x*h) = (g*x)*h, and ``gen_rows``, the
+    generator rows that indexing hands out, off left.  Iteration,
+    equality and hashing read ``rows``, gathered from those along
+    ``steps`` as (x*g)*z = x*(g*z)."""
 
-    def __init__(self, elements, product, gens):
-        self.elements, self.product = tuple(elements), product
-        self.index = {x: i for i, x in enumerate(self.elements)}
-        self.gens = tuple(dict.fromkeys(map(self.index.__getitem__, gens)))
-        self.position = {g: i for i, g in enumerate(self.gens)}
-        steps, right = dict.fromkeys(self.gens), [None] * len(self)
-        gen_elements, walk = _gather(self.gens)(self.elements), list(self.gens)
+    def __init__(self, product, gens, key):
+        self.product, gens = product, tuple(dict.fromkeys(gens))
+        steps, right, walk = dict.fromkeys(gens), {}, list(gens)
         for x in walk:
-            e = self.elements[x]
-            right[x] = tuple(self.index[product(e, h)] for h in gen_elements)
-            for g, y in zip(self.gens, right[x]):
+            right[x] = row = list(map(product, repeat(x), gens))
+            for g, y in zip(gens, row):
                 if y not in steps:
                     steps[y] = x, g
                     walk.append(y)
-        if len(walk) < len(self):
-            raise NotGenerating(
-                f"the generators reach {len(walk)} of {len(self)}")
+        self.elements = tuple(sorted(walk, key=key))
+        self.index = {x: i for i, x in enumerate(self.elements)}
+        number = self.index.__getitem__
+        self.gens = tuple(map(number, gens))
+        self.position = {g: i for i, g in enumerate(self.gens)}
+        # every x*g numbered by one gather, then cut into rows of |gens|
+        flat = iter(_gather([*chain.from_iterable(
+            map(right.__getitem__, self.elements))])(self.index))
+        right = tuple(zip(*[flat] * len(gens)))
+        steps = {number(y): step and tuple(map(number, step))
+                 for y, step in steps.items()}
         times, left = dict(zip(self.gens, zip(*right))), [None] * len(right)
         for y, step in steps.items():
             x, h = step or (None, y)
             left[y] = _gather(self.gens if x is None else left[x])(times[h])
-        self.right, self.left, self.steps = tuple(right), tuple(left), steps
+        self.right, self.left, self.steps = right, tuple(left), steps
         self.gen_rows = dict(zip(self.gens, zip(*left)))
 
     def __len__(self):

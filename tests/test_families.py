@@ -1,14 +1,36 @@
 import random
+from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pigraphs import families
-from pigraphs.errors import NotABijection, NotAGroup, NotGenerating, \
-    SizeLimitExceeded
-from pigraphs.families import PartialBijection, all_partial_bijections
+from pigraphs.errors import NotABijection, NotAGroup, SizeLimitExceeded
+from pigraphs.families import PartialBijection
 from pigraphs.semigroups import (_Products, adjoin_zero, check_involution,
                                   from_cayley_table)
+
+
+def all_partial_bijections(n):
+    """The enumeration oracle: all partial bijections on {0..n-1}, each
+    prefix extended by None, then by each unused image in increasing
+    order, so lexicographic with undefined first."""
+    prefixes = [()]
+    for _ in range(n):
+        prefixes = [p + (v,) for p in prefixes
+                    for v in (None, *(u for u in range(n) if u not in p))]
+    return [PartialBijection(n, p) for p in prefixes]
+
+
+def isn_key(mapping):
+    """IS_n's element order on mappings: lexicographic, undefined first."""
+    return tuple(-1 if v is None else v for v in mapping)
+
+
+def brandt_key(x):
+    """Brandt's element order: the triples lexicographically, zero last."""
+    return x is None, x or ()
 
 
 def partial_bijections(n):
@@ -211,7 +233,43 @@ def test_symmetric_inverse_table_matches_composition(n, isn):
     reference = tuple(tuple(index[x.compose(y)] for y in elems)
                       for x in elems)
     assert isn[n].table == reference
-    assert isn[n].elements == tuple(elems)
+
+
+@pytest.mark.parametrize("n", range(1, families.ISN_MAX + 1))
+def test_discovered_isn_elements_match_the_enumeration(n):
+    assert families.symmetric_inverse(n).elements == tuple(
+        all_partial_bijections(n))
+
+
+def test_the_build_computes_each_x_g_once(monkeypatch):
+    # every product the walk computes, through the product it is handed:
+    # one per element and generator, |gens| * order
+    counter = Counter()
+
+    def counted_products(product, gens, key):
+        def counted(x, y):
+            counter["products"] += 1
+            return product(x, y)
+        return _Products(counted, gens, key)
+
+    monkeypatch.setattr(families, "_Products", counted_products)
+    for n, want in ((5, 4_638), (6, 39_981)):
+        counter.clear()
+        s = families.symmetric_inverse(n)
+        assert counter["products"] == len(s.gens) * s.order == want
+
+
+def test_generator_order_and_repeats_change_only_gens():
+    # the same generators reversed, one of them twice: the same elements
+    # and rows, with gens in the order given and the repeat kept once
+    for s, key in ((families.symmetric_inverse(4), isn_key),
+                   (families.brandt(families.cyclic_group(3), 3),
+                    brandt_key)):
+        t = s.table
+        given = [t.elements[g] for g in reversed(s.gens)]
+        walked = _Products(t.product, given[:2] + given[1:], key)
+        assert walked.elements == t.elements and walked == t
+        assert walked.gens == s.gens[::-1]
 
 
 def test_symmetric_inverse_5_rows_match_composition():
@@ -246,20 +304,23 @@ def test_symmetric_inverse_5_rows_match_composition():
                                 for y in elems)
 
 
-def test_walk_proves_its_generating_set():
-    # the walk rebuilds IS_3 from its three generators under compose, keeps
-    # a repeated one once, and raises without the partial identity: the
-    # cycle and the transposition generate only the 6 permutations
-    elems = all_partial_bijections(3)
+def test_walk_discovers_what_its_generators_generate():
+    # the walk rebuilds IS_3 from its three generators under compose and
+    # keeps a repeated one once; dropping the partial identity discovers a
+    # smaller semigroup: the cycle and the transposition generate only
+    # the 6 permutations
     cycle, swap, partial = (PartialBijection(3, m) for m in (
         (1, 2, 0), (1, 0, 2), (None, 1, 2)))
     compose = PartialBijection.compose
     s = families.symmetric_inverse(3)
-    assert s.gens == tuple(map(elems.index, (cycle, swap, partial)))
-    walked = _Products(elems, compose, (cycle, swap, cycle, partial))
+    assert s.gens == tuple(map(s.elements.index, (cycle, swap, partial)))
+    walked = _Products(compose, (cycle, swap, cycle, partial),
+                       lambda p: isn_key(p.mapping))
     assert (walked, walked.gens) == (s.table, s.gens)
-    with pytest.raises(NotGenerating, match="reach 6 of 34"):
-        _Products(elems, compose, (cycle, swap))
+    assert walked.elements == s.elements
+    assert _Products(compose, (cycle, swap),
+                     lambda p: isn_key(p.mapping)).elements == tuple(
+        PartialBijection(3, p) for p in permutations(range(3)))
     # for n <= 2 the cycle is the transposition, for n = 1 the identity:
     # each generator is kept once
     assert [len(families.symmetric_inverse(n).gens)
@@ -285,33 +346,38 @@ def shifted_cyclic_group(m):
 
 
 def test_each_brandt_generator_is_needed():
-    # the (0,a,0) alone generate only the group at index 0
-    s = families.brandt(families.cyclic_group(2), 3)
+    # dropping a generator discovers a smaller semigroup: the (0,a,0) of
+    # B(Z_2, 3) alone generate only the group at index 0
     product = rees_brandt_product(families.cyclic_group(2))
-    with pytest.raises(NotGenerating, match="reach 2 of 19"):
-        _Products(s.elements, product, [(0, 0, 0), (0, 1, 0)])
+    assert _Products(product, [(0, 0, 0), (0, 1, 0)],
+                     brandt_key).elements == ((0, 0, 0), (0, 1, 0))
     # B(Z_3, 1) is Z_3 with a zero, which no group product reaches
     s = families.brandt(families.cyclic_group(3), 1)
     product = rees_brandt_product(families.cyclic_group(3))
-    with pytest.raises(NotGenerating, match="reach 3 of 4"):
-        _Products(s.elements, product, s.elements[:-1])
+    assert _Products(product, s.elements[:-1], brandt_key).elements \
+        == ((0, 0, 0), (0, 1, 0), (0, 2, 0)) == s.elements[:-1]
     assert s.zero in s.gens
-    # for r > 1 the zero is no generator, but the walk reaches it; the Rees
-    # product recounts every entry and rebuilds the table from the
-    # family's own generators
+    # the discovered elements are the r^2 |G| triples, sorted, then the
+    # zero; for r > 1 the zero is no generator, but the walk reaches it;
+    # the Rees product recounts every entry and rebuilds the table from
+    # the family's own generators
     for g in (*map(families.cyclic_group, (1, 2, 3)),
               shifted_cyclic_group(3), klein_four()):
         product = rees_brandt_product(g)
-        for r in (2, 3):
+        for r in (1, 2, 3):
             s = families.brandt(g, r)
-            assert s.zero not in s.gens
-            assert len(s.gens) == g.order + 2 * (r - 1)
+            assert s.elements == tuple(sorted(
+                (i, a, j) for i in range(r) for j in range(r)
+                for a in range(g.order))) + (None,)
+            assert (s.zero in s.gens) == (r == 1)
+            assert len(s.gens) == g.order + 2 * (r - 1) + (r == 1)
             assert all(s.elements[s.table[x][y]] == product(u, v)
                        for x, u in enumerate(s.elements)
                        for y, v in enumerate(s.elements))
-            walked = _Products(s.elements, product,
-                               map(s.elements.__getitem__, s.gens))
+            walked = _Products(product, map(s.elements.__getitem__, s.gens),
+                               brandt_key)
             assert (walked, walked.gens) == (s.table, s.gens)
+            assert walked.elements == s.elements
 
 
 def test_partial_bijection_rejects_non_injective_mapping():

@@ -490,7 +490,7 @@ def test_inverses_along_the_walk_recount_both_laws():
     s = from_cayley_table([[0, 2, 2, 3], [3, 1, 3, 3], [3, 2, 3, 3],
                            [3, 3, 3, 3]])
     walked = Semigroup(semigroups._Products(
-        range(4), lambda x, y: s.table[x][y], (0, 1)))
+        lambda x, y: s.table[x][y], (0, 1), None))
     assert walked == s and walked.gens == (0, 1)
     assert walked.generators == (0, 1) and walked.zero == 3
     assert walked.inverses is None and s.inverses is None
@@ -762,7 +762,7 @@ def test_isn_suite_computes_few_products_in_little_memory(products,
                                                           monkeypatch):
     """IS_5's table would hold 2,390,116 entries in about 20 MB; the suite
     computes at most 12,200 of them, after the 4,638 products of the
-    walk that proves the generating set, and peaks under 6 MB."""
+    walk that discovers the elements, and peaks under 6 MB."""
     build, counts = families.symmetric_inverse, []
 
     def counted_build(n):
