@@ -7,11 +7,13 @@ is possible exactly between closed twins (adjacent vertices with the
 same closed neighborhood), which gives a polynomial-time skeleton test.
 The independent oracle, brute_force_has_proper_skeletal, is exhaustive:
 it tries all Bell(n) - 1 partitions with a non-trivial block (guarded
-at order 8) in closed-row form: one closed row per block, a union of blocks.
+at order 8; built once per order and shared, none pruned) in closed-row
+form: one closed row per block, a union of blocks.
 """
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import (
     InconsistentQuotient,
@@ -20,8 +22,8 @@ from .errors import (
     SizeLimitExceeded,
     SizeMismatch,
 )
-from .graphs import Graph, VertexMap, _trusted_graph, bits, \
-    induced_subgraph, partition_by_key
+from .graphs import Graph, VertexMap, _trusted_graph, induced_subgraph, \
+    partition_by_key
 
 BRUTE_MAX_ORDER = 8
 
@@ -104,29 +106,19 @@ def is_skeleton(g: Graph) -> bool:
     return twin_partition(g).codomain_order == g.order
 
 
-def _block_partitions(n: int):
-    """Every partition of range(n) once, as a list of block member masks.
-
-    Vertex v joins each block opened so far or opens a new one, so each
-    partition has exactly one growth order.  The list is reused between
-    yields; copy it to keep it.
-    """
-    blocks = []
-
-    def grow(v):
-        if v == n:
-            yield blocks
-            return
-        bit = 1 << v
-        for i in range(len(blocks)):
-            blocks[i] |= bit
-            yield from grow(v + 1)
-            blocks[i] ^= bit
-        blocks.append(bit)
-        yield from grow(v + 1)
-        blocks.pop()
-
-    return grow(0)
+@cache
+def _block_partitions(n: int) -> tuple:
+    """Every partition of range(n) once, as a tuple of block member masks,
+    built once per order and shared (tuples of ints: immutable).  Vertex
+    n-1 joins a block of a partition of range(n-1) or opens one, so block
+    minima ascend: one growth order per partition."""
+    if n == 0:
+        return ((),)
+    bit = 1 << n - 1
+    return tuple(blocks[:i] + (blocks[i] | bit,) + blocks[i + 1:]
+                 if i < len(blocks) else blocks + (bit,)
+                 for blocks in _block_partitions(n - 1)
+                 for i in range(len(blocks) + 1))
 
 
 def _blocks_are_skeletal(closed, blocks) -> bool:
@@ -136,12 +128,19 @@ def _blocks_are_skeletal(closed, blocks) -> bool:
     the preimage of the block's closed row.  (<=) A vertex of another block
     is in that row iff its block is, iff a cross edge joins the two, iff
     they are adjacent.  Shared rows imply the union, but without its test
-    the oracle would decide the twin theorem, not the skeletal definition.
-    """
+    the oracle would decide the twin theorem, not the skeletal definition."""
     for members in blocks:
-        row, *others = {closed[a] for a in bits(members)}
-        if others or row != sum(b for b in blocks if b & row):
-            return False
+        low = members & -members
+        row = closed[low.bit_length() - 1]
+        members ^= low
+        while members:
+            low = members & -members
+            if closed[low.bit_length() - 1] != row:
+                return False
+            members ^= low
+        for b in blocks:
+            if b & row and b & ~row:
+                return False
     return True
 
 
@@ -156,11 +155,12 @@ def brute_force_has_proper_skeletal(g: Graph) -> bool:
 
 
 def has_two_block_skeletal(g: Graph) -> bool:
-    """Whether some surjection onto K2 (one edge, two vertices) is skeletal.
-
-    Every closed row must then hold both blocks, so this holds iff g is
-    complete with order >= 2; the mask search is kept as the oracle.
-    """
+    """Whether some surjection onto K2 (one edge, two vertices) is skeletal:
+    every closed row must then hold both blocks, so iff g is complete with
+    order >= 2.  The mask search, guarded at order 8, stays the oracle."""
+    if g.order > BRUTE_MAX_ORDER:
+        raise SizeLimitExceeded(
+            f"two-block mask search guarded at order {BRUTE_MAX_ORDER}")
     closed = [row | 1 << v for v, row in enumerate(g.adj)]
     full = (1 << g.order) - 1
     # n-1 is never in mask; in a skeletal quotient its block shares its closed

@@ -183,6 +183,17 @@ def test_skeletal_ops(tmp_path, capsys):
     assert code == 0 and "proper skeletal found" in out
 
 
+def test_skeletal_brute_force_above_order_8_is_a_clean_error(tmp_path,
+                                                            capsys):
+    gpath = tmp_path / "path9.json"
+    gpath.write_text(json.dumps({"order": 9, "labels": None,
+                                 "edges": [[v, v + 1] for v in range(8)]}))
+    code, out, err = run(capsys, "skeletal", "--graph", str(gpath),
+                         "--op", "brute")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == "error: partition search guarded at order 8\n"
+
+
 def test_skeletal_check_without_a_map_is_a_usage_error(tmp_path, capsys):
     # the graph path does not exist: the error comes before any file read
     with pytest.raises(SystemExit) as exc:

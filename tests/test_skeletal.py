@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -278,23 +279,50 @@ BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
 
 def test_block_partitions_yield_each_partition_once():
     for n, bell in enumerate(BELL):
+        partitions = _block_partitions(n)
+        # built once and shared, so only immutable tuples of ints
+        assert _block_partitions(n) is partitions
+        assert type(partitions) is tuple
         yielded = []
-        for blocks in _block_partitions(n):
+        for blocks in partitions:
+            assert type(blocks) is tuple
+            assert all(type(b) is int for b in blocks)
             assert all(blocks) and sum(blocks) == (1 << n) - 1
             assert sum(b.bit_count() for b in blocks) == n  # disjoint
+            # the growth order that makes each partition appear once
+            minima = [(b & -b).bit_length() for b in blocks]
+            assert minima == sorted(minima), (n, blocks)
             yielded.append(frozenset(blocks))
         assert len(yielded) == len(set(yielded)) == bell, n
 
 
-def every_partition(max_order):
-    """(graph, partition) for every partition of every labelled graph."""
+def labelled_graphs(max_order):
+    """Every labelled graph of order 0..max_order."""
     for n in range(max_order + 1):
         pairs = list(itertools.combinations(range(n), 2))
         for chosen in range(1 << len(pairs)):
-            g = from_edges(n, [e for i, e in enumerate(pairs)
-                               if chosen >> i & 1])
-            for blocks in all_partitions(list(range(n))):
-                yield g, block_map(n, blocks)
+            yield from_edges(n, [e for i, e in enumerate(pairs)
+                                 if chosen >> i & 1])
+
+
+def test_skeletal_partitions_are_the_refinements_of_the_twin_partition():
+    """G has exactly prod Bell(k_i) skeletal partitions, for its twin-class
+    sizes k_i: a partition is skeletal iff each block lies in one class."""
+    graphs = list(labelled_graphs(5))
+    assert len(graphs) == 1100
+    for g in graphs:
+        closed = [row | 1 << v for v, row in enumerate(g.adj)]
+        count = sum(_blocks_are_skeletal(closed, blocks)
+                    for blocks in _block_partitions(g.order))
+        sizes = map(len, twin_partition(g).classes)
+        assert count == math.prod(BELL[k] for k in sizes), g.adj
+
+
+def every_partition(max_order):
+    """(graph, partition) for every partition of every labelled graph."""
+    for g in labelled_graphs(max_order):
+        for blocks in all_partitions(list(range(g.order))):
+            yield g, block_map(g.order, blocks)
 
 
 def test_block_check_matches_quotient_and_verify_skeletal():
@@ -314,14 +342,10 @@ def test_block_check_matches_quotient_and_verify_skeletal():
 
 def test_brute_force_matches_reference_on_every_small_graph():
     verdicts = []
-    for n in range(6):
-        pairs = list(itertools.combinations(range(n), 2))
-        for chosen in range(1 << len(pairs)):
-            g = from_edges(n, [e for i, e in enumerate(pairs)
-                               if chosen >> i & 1])
-            verdict = brute_force_has_proper_skeletal(g)
-            assert verdict == reference_has_proper_skeletal(g), g.adj
-            verdicts.append(verdict)
+    for g in labelled_graphs(5):
+        verdict = brute_force_has_proper_skeletal(g)
+        assert verdict == reference_has_proper_skeletal(g), g.adj
+        verdicts.append(verdict)
     assert 0 < sum(verdicts) < len(verdicts)
 
 
@@ -374,14 +398,10 @@ def reference_has_two_block_skeletal(g):
 
 def test_two_block_skeletal_matches_reference():
     verdicts = []
-    for n in range(6):
-        pairs = list(itertools.combinations(range(n), 2))
-        for chosen in range(1 << len(pairs)):
-            g = from_edges(n, [e for i, e in enumerate(pairs)
-                               if chosen >> i & 1])
-            verdict = has_two_block_skeletal(g)
-            assert verdict == reference_has_two_block_skeletal(g), g.adj
-            verdicts.append(verdict)
+    for g in labelled_graphs(5):
+        verdict = has_two_block_skeletal(g)
+        assert verdict == reference_has_two_block_skeletal(g), g.adj
+        verdicts.append(verdict)
     assert 0 < sum(verdicts) < len(verdicts)
     rng = random.Random(23)
     for n in (6, 7):
@@ -390,6 +410,14 @@ def test_two_block_skeletal_matches_reference():
                 g = random_graph(n, p, rng)
                 assert has_two_block_skeletal(g) \
                     == reference_has_two_block_skeletal(g), g.adj
+
+
+def test_two_block_search_is_guarded_above_order_8():
+    assert not has_two_block_skeletal(path_graph(8))
+    assert has_two_block_skeletal(complete_graph(8))
+    for g in (path_graph(9), complete_graph(9)):
+        with pytest.raises(SizeLimitExceeded, match="guarded at order 8"):
+            has_two_block_skeletal(g)
 
 
 def test_complete_iff_two_block_skeletal():

@@ -1,9 +1,9 @@
 """Checks on the package source: no asserts, no runtime deps, a strict
 module layering, front ends that use only public names, no public
-definition or private helper that nothing uses, the same verdicts
-under ``python -O``, sources that parse at the declared Python floor,
-and a package the benchmark's span recorder (``perfbench/spans.py``)
-still installs over.
+definition, private helper or imported name that nothing uses, the
+same verdicts under ``python -O``, sources that parse at the declared
+Python floor, and a package the benchmark's span recorder
+(``perfbench/spans.py``) still installs over.
 
 Asserts vanish under ``python -O``, so invariants must raise instead; the
 package promises pure Python, so every absolute import must name a
@@ -276,3 +276,24 @@ def test_every_private_helper_is_used_in_the_package():
     """A top-level _helper that no other code of the package names is
     left behind by the code that once called it."""
     assert _unused_definitions(private=True) == []
+
+
+def _unused_imports(tree):
+    """Each name an import binds that its module never reads."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    yield f"{node.lineno}: {name}"
+
+
+def test_every_imported_name_is_used_in_its_module():
+    """An imported name that its module never reads is left behind by the
+    code that once used it."""
+    assert list(_unused_imports(ast.parse(
+        "from .graphs import Graph, bits\nGraph(())"))) == ["1: bits"]
+    problems = [f"{path.name}:{problem}" for path in SOURCES
+                for problem in _unused_imports(ast.parse(path.read_text()))]
+    assert problems == []
