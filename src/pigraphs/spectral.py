@@ -4,9 +4,10 @@ Matrices are nested lists of Python ints.  Rank is computed by
 fraction-free (Bareiss) elimination, so eigenvalue multiplicities at
 integer points come out exact with no floating point anywhere.
 
-The twin report takes only m x m ranks, on the equitable quotient by its m
+The twin report takes only m x m forms, on the equitable quotient by its m
 twin classes (Godsil & Royle, Algebraic Graph Theory, 2001, section 9.3);
-verify.suite_spectral recounts it with n x n ranks.
+it first proves each form nonsingular modulo 127 and runs Bareiss only where
+that proof fails.  verify.suite_spectral recounts it with n x n ranks.
 """
 
 from dataclasses import dataclass
@@ -28,8 +29,39 @@ def graph_matrix(g: Graph, kind: str) -> list:
     return m
 
 
+_P = 127  # a prime below 128: two residues sum below 256, within a byte
+_MOD = bytes(v % _P for v in range(256))
+
+
+@cache
+def _times(c: int) -> bytes:
+    """The bytes.translate table y -> c*y mod 127."""
+    return bytes(c * y % _P for y in range(256))
+
+
+def _nonsingular_mod_p(m: list) -> bool:
+    """True when det(m) is nonzero modulo 127, which proves the square m
+    nonsingular over Q; False proves nothing.  Rows are bytes of residues,
+    so a row plus a multiple of the pivot row is one big-int sum with no
+    carry between bytes, and _MOD reduces each byte again."""
+    n = len(m)
+    rows = [bytes(x % _P for x in row) for row in m]
+    for col in range(n):
+        i = next((i for i, r in enumerate(rows) if r[col]), None)
+        if i is None:
+            return False
+        top = rows.pop(i)
+        top = top.translate(_times(pow(top[col], -1, _P)))
+        rows = [(int.from_bytes(r, "big") + int.from_bytes(
+                    top.translate(_times(_P - r[col])), "big")
+                 ).to_bytes(n, "big").translate(_MOD) if r[col] else r
+                for r in rows]
+    return True
+
+
 def integer_rank(m: list) -> int:
-    """Rank over the rationals via fraction-free Bareiss elimination."""
+    """Rank over the rationals via fraction-free Bareiss elimination: the
+    n x n recount, and the twin report's fallback where the proof fails."""
     a = [list(row) for row in m]
     n = len(a)
     if len({len(row) for row in a}) > 1:
@@ -116,7 +148,8 @@ def twin_spectral_report(g: Graph) -> TwinSpectralReport:
     the diagonal, and each twin difference e_u - e_w is an eigenvector.
     Then mult_M(lam) is the nullity of diag(k)(B_M - lam*I), a symmetric
     m x m integer matrix, plus k_i - 1 for each class whose own eigenvalue
-    is lam: -1 for A, d_i+1 for L, d_i-1 for Q.
+    is lam: -1 for A, d_i+1 for L, d_i-1 for Q.  The nullity is 0 if the
+    form is proved nonsingular modulo 127, else its Bareiss nullity.
     """
     h, phi = max_skeletal(g)
     blocks = phi.classes
@@ -136,7 +169,9 @@ def twin_spectral_report(g: Graph) -> TwinSpectralReport:
                  for j, b in enumerate(row)]
                 for i, (k, row) in enumerate(zip(sizes, quotient))]
         twins = sum(k - 1 for k, d in zip(sizes, diag) if d - sign == lam)
-        return len(form) - integer_rank(form) + twins
+        nullity = (0 if _nonsingular_mod_p(form)
+                   else len(form) - integer_rank(form))
+        return nullity + twins
 
     return TwinSpectralReport(tuple(
         TwinClassSpectral(

@@ -187,20 +187,82 @@ def assert_report_matches_full_recount(g):
 
 def test_twin_report_computes_each_rank_once(monkeypatch):
     g, _ = blow_up(cycle_graph(6), [2, 2, 2, 3, 2, 2])
-    ranks = []
-    real_rank = spectral.integer_rank
+    proofs, ranks = [], []
+    real_proof, real_rank = spectral._nonsingular_mod_p, spectral.integer_rank
+
+    def proof(m):
+        proofs.append((m, real_proof(m)))
+        return proofs[-1][1]
+    monkeypatch.setattr(spectral, "_nonsingular_mod_p", proof)
     monkeypatch.setattr(spectral, "integer_rank",
-                        lambda m: ranks.append(len(m)) or real_rank(m))
+                        lambda m: ranks.append(m) or real_rank(m))
     report = twin_spectral_report(g)
     monkeypatch.undo()
     degrees = {c.degree for c in report.classes}
     assert len(report.classes) == 6 and len(degrees) == 2
-    # A at -1 once, then L and Q once per distinct class degree, each on
-    # the m x m quotient form, never on the n x n matrix
+    # A at -1 once, then L and Q once per distinct class degree: each is
+    # decided once, on the m x m quotient form, never on the n x n matrix
     m = twin_partition(g).codomain_order
-    assert len(ranks) == 1 + 2 * len(degrees)
-    assert m == 6 < g.order and ranks == [m] * len(ranks)
+    assert len(proofs) == 1 + 2 * len(degrees)
+    assert len({repr(form) for form, _ in proofs}) == len(proofs)
+    assert m == 6 < g.order and all(len(form) == m for form, _ in proofs)
+    # Bareiss ranks exactly the forms the proof did not clear (here the
+    # singular A form at -1), each once
+    assert [proved for _, proved in proofs] == [False, True, True, True, True]
+    assert ranks == [form for form, proved in proofs if not proved]
     assert assert_report_matches_full_recount(g) == report
+
+
+NONSINGULAR_DET_127 = ([[127]], [[1, 2], [3, 133]],
+                       [[2, 0, 0], [0, 127, 0], [0, 0, 1]])
+
+
+def test_proof_fails_on_nonsingular_matrices_with_det_a_multiple_of_127():
+    for m in NONSINGULAR_DET_127:
+        assert sympy.Matrix(m).det() % 127 == 0
+        assert not spectral._nonsingular_mod_p(m)
+        assert integer_rank(m) == len(m)
+
+
+def test_proof_holds_exactly_when_det_is_nonzero_modulo_127():
+    rng = random.Random(41)
+    outcomes = set()
+    for k in range(500):
+        singular = k % 3 == 2
+        n = rng.randrange(2 if singular else 0, 13)
+        m = [[rng.randint(-300, 300) for _ in range(n)] for _ in range(n)]
+        if singular:
+            # the last row combines two others, then the rows are shuffled
+            i, j = rng.choices(range(n - 1), k=2)
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            m[-1] = [a * x + b * y for x, y in zip(m[i], m[j])]
+            rng.shuffle(m)
+        # the domain form's exact integer determinant is ~40x faster here
+        det = sympy.Matrix(m).to_DM().det()
+        proved = spectral._nonsingular_mod_p(m)
+        assert proved == (det % 127 != 0)
+        outcomes.add((proved, det == 0))
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def test_twin_report_is_the_same_on_the_bareiss_fallback(monkeypatch):
+    rng = random.Random(43)
+    graphs = [blow_up(random_graph(b, 0.5, rng),
+                      [rng.randrange(1, 4) for _ in range(b)])[0]
+              for b in (2, 3, 4, 5, 6, 8, 10, 12) for _ in range(3)]
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        graphs += [from_edges(n, [p for i, p in enumerate(pairs)
+                                  if mask >> i & 1])
+                   for mask in range(1 << len(pairs))]
+    proofs, real_proof = [], spectral._nonsingular_mod_p
+    monkeypatch.setattr(spectral, "_nonsingular_mod_p",
+                        lambda m: proofs.append(real_proof(m)) or proofs[-1])
+    reports = [twin_spectral_report(g) for g in graphs]
+    # the normal pass takes both paths; the patched one only Bareiss
+    assert proofs.count(True) > 500 and proofs.count(False) > 100
+    monkeypatch.setattr(spectral, "_nonsingular_mod_p", lambda m: False)
+    assert [twin_spectral_report(g) for g in graphs] == reports
 
 
 def test_twin_report_matches_full_recount_on_every_small_graph():

@@ -2,8 +2,9 @@
 module layering, front ends that use only public names, no public
 definition, private helper or imported name that nothing uses, the
 same verdicts under ``python -O``, sources that parse at the declared
-Python floor, and a package the benchmark's span recorder
-(``perfbench/spans.py``) still installs over.
+Python floor, a package the benchmark's span recorder
+(``perfbench/spans.py``) still installs over, and no floating point in
+``spectral.py``.
 
 Asserts vanish under ``python -O``, so invariants must raise instead; the
 package promises pure Python, so every absolute import must name a
@@ -297,3 +298,31 @@ def test_every_imported_name_is_used_in_its_module():
     problems = [f"{path.name}:{problem}" for path in SOURCES
                 for problem in _unused_imports(ast.parse(path.read_text()))]
     assert problems == []
+
+
+def _floating_point(tree):
+    """Each float constant, true division and use of float, round or math."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            yield f"{node.lineno}: float constant"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, ast.Div):
+            yield f"{node.lineno}: true division"
+        elif isinstance(node, ast.Name) and node.id in ("float", "round",
+                                                          "math"):
+            yield f"{node.lineno}: {node.id}"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and "math" in (
+                [a.name for a in node.names] + [getattr(node, "module", "")]):
+            yield f"{node.lineno}: imports math"
+
+
+def test_spectral_uses_no_floating_point():
+    """Every rank and the modular proof in spectral.py stay in integers,
+    as the README's "no floating point anywhere" promises."""
+    assert sorted(_floating_point(ast.parse(
+        "import math\nx = 1 / 2\nx /= 2\ny = 0.5 // 1\nround(float(x))\n"
+        "from math import isqrt\nz = 7 // 2 % 3"))) == [
+            "1: imports math", "2: true division", "3: true division",
+            "4: float constant", "5: float", "5: round", "6: imports math"]
+    spectral = SRC / "pigraphs" / "spectral.py"
+    assert list(_floating_point(ast.parse(spectral.read_text()))) == []
