@@ -1,18 +1,18 @@
 """Constructors for the example semigroup families.
 
-All constructors emit validated :class:`Semigroup` values with structured
-element data attached, which the verification suites read to recount
-claims without the Cayley table.  IS_n and Brandt list no elements and
-store no table: each passes its product, its generators and a sort key
-to a :class:`_Products` view, whose walk discovers the elements and
-computes a product when read.  Every table is associative by
-construction and skips the associativity check (``checked=False``).
+All constructors emit validated :class:`Semigroup` values.  IS_n, Brandt
+and the semilattice attach element data for the suites' recounts: tuples
+of images (``None`` where undefined), triples and subset masks.  IS_n
+and Brandt list no elements and store no table: each passes its product,
+its generators and a sort key to a :class:`_Products` view, whose walk
+discovers the elements and computes a product when read.  Every table is
+associative by construction and skips the associativity check
+(``checked=False``).
 """
 
-from dataclasses import dataclass
 from math import comb, factorial
 
-from .errors import NotABijection, NotAGroup, SizeLimitExceeded
+from .errors import NotAGroup, SizeLimitExceeded
 from .graphs import subset_label
 from .semigroups import Semigroup, _Products
 
@@ -20,49 +20,30 @@ ISN_MAX = 6
 SEMILATTICE_MAX = 5
 
 
-@dataclass(frozen=True)
-class PartialBijection:
-    """A partial injective map on {0..n-1}.
+def compose(x: tuple, y: tuple) -> tuple:
+    """The partial map that applies x first, then y."""
+    return tuple(None if v is None else y[v] for v in x)
 
-    ``mapping[i]`` is the image of ``i`` or ``None`` when ``i`` is outside
-    the domain.  IS_n sorts the mappings lexicographically with undefined
-    first.
-    """
 
-    n: int
-    mapping: tuple
+def domain_mask(m: tuple) -> int:
+    """The points where the partial map m is defined, as a bitmask."""
+    return sum(1 << i for i, v in enumerate(m) if v is not None)
 
-    def __post_init__(self):
-        defined = [v for v in self.mapping if v is not None]
-        if len(set(defined)) != len(defined):
-            raise NotABijection(f"mapping {self.mapping} is not injective")
 
-    def domain_mask(self) -> int:
-        return sum(1 << i for i, v in enumerate(self.mapping) if v is not None)
+def image_mask(m: tuple) -> int:
+    """The values of the partial map m, as a bitmask."""
+    return sum(1 << v for v in set(m) if v is not None)
 
-    def image_mask(self) -> int:
-        return sum(1 << v for v in self.mapping if v is not None)
 
-    def rank(self) -> int:
-        return sum(1 for v in self.mapping if v is not None)
+def rank(m: tuple) -> int:
+    """How many points m is defined on: its rank when it is injective."""
+    return len(m) - m.count(None)
 
-    def compose(self, other: "PartialBijection") -> "PartialBijection":
-        """Left-to-right composition: apply self first, then other."""
-        out = tuple(
-            other.mapping[v] if v is not None else None for v in self.mapping
-        )
-        return PartialBijection(self.n, out)
 
-    def inverse(self) -> "PartialBijection":
-        out = [None] * self.n
-        for i, v in enumerate(self.mapping):
-            if v is not None:
-                out[v] = i
-        return PartialBijection(self.n, tuple(out))
-
-    def label(self) -> str:
-        pairs = [f"{i}>{v}" for i, v in enumerate(self.mapping) if v is not None]
-        return "(" + ",".join(pairs) + ")" if pairs else "empty"
+def label(m: tuple) -> str:
+    """m as its defined pairs ``(i>v,...)``, or ``empty``."""
+    pairs = [f"{i}>{v}" for i, v in enumerate(m) if v is not None]
+    return "(" + ",".join(pairs) + ")" if pairs else "empty"
 
 
 def partial_bijection_count(n: int) -> int:
@@ -84,14 +65,12 @@ def symmetric_inverse(n: int) -> Semigroup:
     """
     if not 1 <= n <= ISN_MAX:
         raise SizeLimitExceeded(f"symmetric_inverse supports 1 <= n <= {ISN_MAX}")
-    table = _Products(
-        lambda x, y: tuple(None if v is None else y[v] for v in x),
-        [tuple((i + 1) % n for i in range(n)),
-         (1, 0, *range(2, n)) if n > 1 else (0,), (None, *range(1, n))],
-        lambda x: tuple(map({None: -1}.get, x, x)))
-    elems = tuple(PartialBijection(n, m) for m in table.elements)
-    return Semigroup(table, tuple(p.label() for p in elems), "isn",
-                     elements=elems)
+    table = _Products(compose, [tuple((i + 1) % n for i in range(n)),
+                                (1, 0, *range(2, n)) if n > 1 else (0,),
+                                (None, *range(1, n))],
+                      lambda x: tuple(map({None: -1}.get, x, x)))
+    return Semigroup(table, tuple(map(label, table.elements)), "isn",
+                     elements=table.elements)
 
 
 def _check_group(g: Semigroup):

@@ -27,9 +27,9 @@ class Semigroup:
     The fields are the inputs only.  ``checked`` records whether
     associativity was verified, by Light's test (family constructors that
     are associative by construction skip it).  ``elements`` optionally carries
-    structured element values (partial bijections, Brandt triples, subset
-    masks) for the suites' recounts; it takes no part in equality and is
-    not serialized.  Everything the table determines (order, zero,
+    structured element values (partial maps as tuples, Brandt triples,
+    subset masks) for the suites' recounts; it takes no part in equality
+    and is not serialized.  Everything the table determines (order, zero,
     identity, idempotents, ideals, inverse map, a generating set) is
     cached on first use, read entry by entry; ``gens`` is the generating
     set the view's walk discovered its elements from, or ``None`` for a

@@ -60,7 +60,7 @@ def suite_isn(n: int = 3) -> SuiteResult:
     # three left graphs stay independent recounts (ideals, products of the
     # idempotents inv(x)*x, image masks: nonempty exactly off the zero)
     elems = s.elements
-    images = [p.image_mask() for p in elems]
+    images = list(map(families.image_mask, elems))
     full = pig.left_pig(s)
     _check(checks, "inverse criterion graph equals ideal-intersection graph",
            s.inverses is not None
@@ -73,7 +73,7 @@ def suite_isn(n: int = 3) -> SuiteResult:
     _check(checks, "left classes grouped by image", l_classes(s).map
            == graphs.partition_by_key(images).map)
     _check(checks, "right classes grouped by domain", r_classes(s).map
-           == graphs.partition_by_key([p.domain_mask() for p in elems]).map)
+           == graphs.partition_by_key(map(families.domain_mask, elems)).map)
 
     pair = _check_runs(checks, "quotient vertex count is 2^n - 1",
                        lambda: pig.s_left_pig(s, full),
@@ -82,16 +82,17 @@ def suite_isn(n: int = 3) -> SuiteResult:
         return SuiteResult("isn", tuple(checks))
     quotient, phi = pair
     reps = [elems[cls[0]] for cls in pig.s_pig_class_elements(s, phi)]
-    _check(checks, "quotient degree formula 2^n - 2^(n-k) - 1",
-           all(quotient.degree(v) == graphs.degree_of_subset_vertex(
-               n, p.rank()) for v, p in enumerate(reps)))
+    degree = graphs.degree_of_subset_vertex
+    _check_runs(checks, "quotient degree formula 2^n - 2^(n-k) - 1",
+                lambda: all(quotient.degree(v) == degree(n, families.rank(p))
+                            for v, p in enumerate(reps)), bool)
     expected_edges = (((1 << n) - 1) ** 2 - (3 ** n - (1 << n))) // 2
     _check(checks, "quotient edge-count formula",
            graphs.graph_stats(quotient).edge_count == expected_edges,
            f"edges={expected_edges}")
 
     inter = graphs.intersection_graph(n)
-    canonical = tuple(p.image_mask() - 1 for p in reps)
+    canonical = tuple(families.image_mask(p) - 1 for p in reps)
     _check(checks, "canonical class-to-image map is an isomorphism",
            sorted(canonical) == list(range(inter.order))
            and skeletal.verify_skeletal(

@@ -38,7 +38,7 @@ def test_criterion_1_isn_quotient_structure(isn):
         assert q.order == (1 << n) - 1
         class_elems = pig.s_pig_class_elements(isn[n], phi)
         for v in range(q.order):
-            k = isn[n].elements[class_elems[v][0]].rank()
+            k = families.rank(isn[n].elements[class_elems[v][0]])
             assert q.degree(v) == (1 << n) - (1 << (n - k)) - 1
         edge_count = graphs.graph_stats(q).edge_count
         assert edge_count == EXPECTED_EDGE_COUNTS[n]
@@ -54,7 +54,7 @@ def test_criterion_2_intersection_graph_isomorphism(isn):
         q, phi = pig.s_left_pig(isn[n], pig.left_pig(isn[n]))
         inter = graphs.intersection_graph(n)
         class_elems = pig.s_pig_class_elements(isn[n], phi)
-        canonical = [isn[n].elements[cls[0]].image_mask() - 1
+        canonical = [families.image_mask(isn[n].elements[cls[0]]) - 1
                      for cls in class_elems]
         assert _is_isomorphism(q, inter, canonical)
         found = graphs.are_isomorphic(q, inter)
@@ -75,7 +75,8 @@ def test_criterion_3_adjacency_criteria_agree(isn):
     for n in range(1, 6):
         s = isn[n] if n in isn else families.symmetric_inverse(n)
         images = graphs.mask_intersection_graph(
-            [p.image_mask() for p in s.elements if p.rank()])
+            [families.image_mask(m) for m in s.elements
+             if families.rank(m)])
         assert images.adj == pig.left_pig(s).adj
     _report("criterion 3: ideal, inverse-product and image-intersection "
             "adjacency coincide")

@@ -104,10 +104,10 @@ def test_isn_classes_by_image_and_domain(isn):
     sizes = sorted(len(c) for c in lp.classes)
     assert sizes == [1, 2, 2, 2]
     for cls in lp.classes:
-        assert len({s.elements[x].image_mask() for x in cls}) == 1
+        assert len({families.image_mask(s.elements[x]) for x in cls}) == 1
     rp = r_classes(s)
     for cls in rp.classes:
-        assert len({s.elements[x].domain_mask() for x in cls}) == 1
+        assert len({families.domain_mask(s.elements[x]) for x in cls}) == 1
 
 
 def test_brandt_classes_by_index():

@@ -139,7 +139,8 @@ def test_inverse_criterion_catches_a_wrong_ideal_layer():
     for n in (3, 4):
         s = families.symmetric_inverse(n)
         assert s.inverses is not None  # cached before the fault is planted
-        by_image = {s.elements[x].image_mask(): x for x in range(s.order)}
+        by_image = {families.image_mask(m): x
+                    for x, m in enumerate(s.elements)}
         a, b = by_image[0b01], by_image[0b10]
         ideals = list(s.left_ideals)
         ideals[a], ideals[b] = ideals[b], ideals[a]
@@ -157,7 +158,7 @@ def test_fast_path_requires_inverse_semigroup():
 def image_graph(s):
     """IS_n's left graph recounted from element data: images must meet."""
     return mask_intersection_graph(
-        [p.image_mask() for p in s.elements if p.rank()])
+        [families.image_mask(m) for m in s.elements if families.rank(m)])
 
 
 def test_isn_image_graph_small(isn):
@@ -301,16 +302,19 @@ def test_a_wrong_generic_isomorphism_is_a_fail_line(monkeypatch, capsys):
 
 @pytest.mark.parametrize("owner, attr, value, failed", [
     # domains in place of images: the canonical map is not onto
-    (families.PartialBijection, "image_mask",
-     families.PartialBijection.domain_mask, [
-         "image-intersection graph equals ideal-intersection graph",
-         "left classes grouped by image",
-         "canonical class-to-image map is an isomorphism"]),
+    (families, "image_mask", families.domain_mask, [
+        "image-intersection graph equals ideal-intersection graph",
+        "left classes grouped by image",
+        "canonical class-to-image map is an isomorphism"]),
     (semigroups.Semigroup, "inverses", None, [
         "inverse criterion graph equals ideal-intersection graph",
         "inversion maps the left graph onto the right graph"
         "  (the semigroup is not inverse)"]),
-], ids=["images", "inverses"])
+    # one rank short: the degree formula is asked for a rank-0 subset
+    (families, "rank", lambda m, rank=families.rank: rank(m) - 1, [
+        "quotient degree formula 2^n - 2^(n-k) - 1"
+        "  (subset rank 0 not in [1, 3])"]),
+], ids=["images", "inverses", "rank"])
 def test_a_wrong_isn_layer_is_a_fail_line(owner, attr, value, failed,
                                           monkeypatch, capsys):
     monkeypatch.setattr(owner, attr, value)
@@ -469,7 +473,7 @@ def test_s_pig_rejects_merged_isolated_vertices(isn):
 def test_s_pig_passes_on_ideals_recounted_from_images(isn):
     # in IS_n, y lies in the left ideal of x iff y's image lies in x's
     s = isn[3]
-    images = [p.image_mask() for p in s.elements]
+    images = list(map(families.image_mask, s.elements))
     keys = [sum(1 << y for y, b in enumerate(images) if b & ~a == 0)
             for a in images]
     q, phi = _s_pig(s, keys, _pig(s, keys))
