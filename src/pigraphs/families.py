@@ -5,7 +5,8 @@ and the semilattice attach element data for the suites' recounts: tuples
 of images (``None`` where undefined), triples and subset masks.  IS_n
 and Brandt list no elements and store no table: each passes its product,
 its generators and a sort key to a :class:`_Products` view, whose walk
-discovers the elements and computes a product when read.  Every table is
+discovers the elements, one product per element and generator, and
+reads every other entry off that walk.  Every table is
 associative by construction and skips the associativity check
 (``checked=False``).
 """
@@ -22,7 +23,7 @@ SEMILATTICE_MAX = 5
 
 def compose(x: tuple, y: tuple) -> tuple:
     """The partial map that applies x first, then y."""
-    return tuple(None if v is None else y[v] for v in x)
+    return tuple([None if v is None else y[v] for v in x])
 
 
 def domain_mask(m: tuple) -> int:
@@ -42,8 +43,8 @@ def rank(m: tuple) -> int:
 
 def label(m: tuple) -> str:
     """m as its defined pairs ``(i>v,...)``, or ``empty``."""
-    pairs = [f"{i}>{v}" for i, v in enumerate(m) if v is not None]
-    return "(" + ",".join(pairs) + ")" if pairs else "empty"
+    pairs = ",".join([f"{i}>{v}" for i, v in enumerate(m) if v is not None])
+    return f"({pairs})" if pairs else "empty"
 
 
 def partial_bijection_count(n: int) -> int:
@@ -68,7 +69,7 @@ def symmetric_inverse(n: int) -> Semigroup:
     table = _Products(compose, [tuple((i + 1) % n for i in range(n)),
                                 (1, 0, *range(2, n)) if n > 1 else (0,),
                                 (None, *range(1, n))],
-                      lambda x: tuple(map({None: -1}.get, x, x)))
+                      lambda x: tuple([-1 if v is None else v for v in x]))
     return Semigroup(table, tuple(map(label, table.elements)), "isn",
                      elements=table.elements)
 

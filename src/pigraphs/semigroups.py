@@ -4,8 +4,9 @@ The table convention is row-times-column: ``table[x][y]`` is the product
 ``x*y``.  Every structural query (zero, identity, ideals, idempotents,
 inverses) is determined by the table, so any associative table is
 accepted regardless of how it was produced.  A table is a tuple of rows,
-or a :class:`_Products` view that computes entries when read; the ideals
-of a view are read off its generators' rows and columns alone.
+or a :class:`_Products` view, which composes element values only in the
+walk that discovers them and reads every other entry off that walk; the
+ideals of a view are read off its generators' rows and columns alone.
 """
 
 import json
@@ -22,7 +23,8 @@ from .graphs import GRAPH_MAX_ORDER, _check_labels, _json_list
 @dataclass(frozen=True)
 class Semigroup:
     """An immutable finite semigroup given by its Cayley table: rows, or
-    the :class:`_Products` view of IS_n and Brandt, equal to its rows.
+    the :class:`_Products` view of IS_n and Brandt, equal to its rows,
+    which reads each entry off its walk along the element's word.
 
     The fields are the inputs only.  ``checked`` records whether
     associativity was verified, by Light's test (family constructors that
@@ -95,7 +97,8 @@ class Semigroup:
         y = e*y = inv[x]*(x*y) = inv[x]*f = inv[x].  With ``gens`` only
         generators are searched, and inv[x*g] = inv[g]*inv[x] along the
         view's walk.  Both laws are then recounted on every x, proving each x
-        regular.  Like the ideal masks, this assumes associativity.
+        regular; a view reads the four products along words, composing
+        nothing.  Like the ideal masks, this assumes associativity.
         """
         t, idem = self.table, self.idempotents
         left, right = self.left_ideals, self.right_ideals
@@ -301,44 +304,60 @@ def _gather(keys):
 
 class _Products:
     """The table of the semigroup that ``gens`` generate under ``product``:
-    t[x][y] is the index of product(elements[x], elements[y]), computed
-    when read.  The walk x -> x*g over element values from ``gens`` (each
-    kept once, in the order given) discovers the elements, one product per
-    step (Froidure and Pin 1997); ``elements`` are the values it found,
-    sorted by ``key``, and ``index`` numbers them.  It keeps right[x], the
-    x*g over ``gens``, and ``steps``, each element in walk order with the
-    (x, g) that first reached it (None for a generator).  left[x], the
-    g*x, is read off them as g*(x*h) = (g*x)*h, and ``gen_rows``, the
-    generator rows that indexing hands out, off left.  Iteration,
-    equality and hashing read ``rows``, gathered from those along
-    ``steps`` as (x*g)*z = x*(g*z)."""
+    t[x][y] is the index of product(elements[x], elements[y]).  The walk
+    x -> x*g over element values from ``gens`` (each kept once, in the
+    order given) discovers the elements, one product per step, and
+    numbers each value once, when it first finds it (Froidure and Pin
+    1997).  ``elements`` are the values it found, sorted by ``key`` as
+    ``sorted`` sorts, and one rank permutation renumbers the walk into
+    their indices; no value is composed after the walk.  The view keeps
+    right[x], the x*g over ``gens``; ``steps``, each element in walk
+    order with the (x, g) that first reached it (None for a generator);
+    and ``words``, each element's generator positions along ``steps``, so
+    that x*y is x followed by y's word along ``right``.  left[x], the g*x,
+    is read off them as g*(x*h) = (g*x)*h, and ``gen_rows``, the generator
+    rows that indexing hands out, off left.  Iteration, equality and
+    hashing read ``rows``, gathered from those along ``steps`` as
+    (x*g)*z = x*(g*z).  Words, like left and rows, assume nothing of
+    ``product`` beyond associativity."""
 
     def __init__(self, product, gens, key):
-        self.product, gens = product, tuple(dict.fromkeys(gens))
-        steps, right, walk = dict.fromkeys(gens), {}, list(gens)
-        for x in walk:
-            right[x] = row = list(map(product, repeat(x), gens))
-            for g, y in zip(gens, row):
-                if y not in steps:
-                    steps[y] = x, g
-                    walk.append(y)
-        self.elements = tuple(sorted(walk, key=key))
-        self.index = {x: i for i, x in enumerate(self.elements)}
-        number = self.index.__getitem__
-        self.gens = tuple(map(number, gens))
-        self.position = {g: i for i, g in enumerate(self.gens)}
-        # every x*g numbered by one gather, then cut into rows of |gens|
+        gens = tuple(dict.fromkeys(gens))
+        k = len(gens)
+        # walk ids: each value numbered once, when the walk first finds it
+        ids, walk = dict(zip(gens, count())), list(gens)
+        steps, right = [None] * k, []
+        for x, v in enumerate(walk):
+            ys = list(map(product, repeat(v), gens))
+            right.append(row := [ids.setdefault(y, len(ids)) for y in ys])
+            if len(ids) > len(walk):
+                for i, j in enumerate(row):
+                    if j == len(walk):
+                        walk.append(ys[i])
+                        steps.append((x, i))
+        words = [(i,) for i in range(k)]
+        for x, i in steps[k:]:
+            words.append(words[x] + (i,))
+        keys = walk if key is None else [*map(key, walk)]
+        order = sorted(range(len(walk)), key=keys.__getitem__)
+        rank = [0] * len(walk)
+        for r, x in enumerate(order):
+            rank[x] = r
+        self.elements = tuple(map(walk.__getitem__, order))
+        self.words = tuple(map(words.__getitem__, order))
+        self.gens = gens = tuple(rank[:k])
+        # every x*g renumbered by one gather, then cut into rows of |gens|
         flat = iter(_gather([*chain.from_iterable(
-            map(right.__getitem__, self.elements))])(self.index))
-        right = tuple(zip(*[flat] * len(gens)))
-        steps = {number(y): step and tuple(map(number, step))
-                 for y, step in steps.items()}
-        times, left = dict(zip(self.gens, zip(*right))), [None] * len(right)
+            map(right.__getitem__, order))])(rank))
+        right = tuple(zip(*[flat] * k))
+        steps = {rank[y]: step and (rank[step[0]], gens[step[1]])
+                 for y, step in enumerate(steps)}
+        times, left = dict(zip(gens, zip(*right))), [None] * len(right)
         for y, step in steps.items():
             x, h = step or (None, y)
-            left[y] = _gather(self.gens if x is None else left[x])(times[h])
+            left[y] = _gather(gens if x is None else left[x])(times[h])
         self.right, self.left, self.steps = right, tuple(left), steps
-        self.gen_rows = dict(zip(self.gens, zip(*left)))
+        self.gen_rows = dict(zip(gens, zip(*left)))
 
     def __len__(self):
         return len(self.elements)
@@ -368,19 +387,20 @@ class _Products:
 
 
 class _Row:
-    """Row x of a :class:`_Products` table, its x*g read off the walk."""
+    """Row x of a :class:`_Products` table: x*y is x followed by y's word
+    along the walk's ``right``, so no entry is a product."""
 
     def __init__(self, table, x):
-        self.table, self.x, self.right = table, x, table.right[x]
+        self.x, self.right, self.words = x, table.right, table.words
 
     def __len__(self):
-        return len(self.table)
+        return len(self.words)
 
     def __getitem__(self, y):
-        t, i = self.table, self.table.position.get(y)
-        if i is not None:
-            return self.right[i]
-        return t.index[t.product(t.elements[self.x], t.elements[y])]
+        x, right = self.x, self.right
+        for i in self.words[y]:
+            x = right[x][i]
+        return x
 
 
 def check_involution(s: Semigroup, sigma) -> bool:

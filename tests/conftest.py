@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from pigraphs import families
+from pigraphs.semigroups import _Products
 
 
 @pytest.fixture(scope="session")
@@ -13,15 +14,24 @@ def isn():
 
 @pytest.fixture
 def products(monkeypatch):
-    """products(s) counts, in the Counter it returns, the products that
-    the view table of s computes from then on."""
-    def count(s):
-        counter, product = Counter(), s.table.product
+    """products() counts, in the Counter it returns, the products that
+    each view a family builds from then on computes: under "walk" those
+    of its constructor's walk, under "after" any once it is built.  It
+    wraps the product the family hands to ``_Products``."""
+    def count():
+        counter = Counter()
 
-        def counted(x, y):
-            counter["products"] += 1
-            return product(x, y)
+        def counted_view(product, gens, key):
+            built = []
 
-        monkeypatch.setattr(s.table, "product", counted)
+            def counted(x, y):
+                counter["after" if built else "walk"] += 1
+                return product(x, y)
+
+            view = _Products(counted, gens, key)
+            built.append(view)
+            return view
+
+        monkeypatch.setattr(families, "_Products", counted_view)
         return counter
     return count

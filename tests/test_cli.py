@@ -73,6 +73,10 @@ def test_build_invalid_params(capsys):
                   "--indices", "28"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: "), argv
+    # suite all names its own bound before any suite runs, at either end
+    for n in ("6", "0", "-1"):
+        assert run(capsys, "verify", "--suite", "all", "--n", n) == (
+            2, "", "error: suite all supports 1 <= n <= 5\n")
 
 
 def test_graph_spig_edges(tmp_path, capsys):

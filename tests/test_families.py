@@ -317,33 +317,26 @@ def test_discovered_isn_elements_match_the_enumeration(n):
         p.mapping for p in all_partial_bijections(n))
 
 
-def test_the_build_computes_each_x_g_once(monkeypatch):
+def test_the_build_computes_each_x_g_once(products):
     # every product the walk computes, through the product it is handed:
     # one per element and generator, |gens| * order
-    counter = Counter()
-
-    def counted_products(product, gens, key):
-        def counted(x, y):
-            counter["products"] += 1
-            return product(x, y)
-        return _Products(counted, gens, key)
-
-    monkeypatch.setattr(families, "_Products", counted_products)
     for n, want in ((5, 4_638), (6, 39_981)):
-        counter.clear()
+        count = products()
         s = families.symmetric_inverse(n)
-        assert counter["products"] == len(s.gens) * s.order == want
+        assert count == Counter(walk=len(s.gens) * s.order) \
+            == Counter(walk=want)
 
 
 def test_generator_order_and_repeats_change_only_gens():
     # the same generators reversed, one of them twice: the same elements
     # and rows, with gens in the order given and the repeat kept once
-    for s, key in ((families.symmetric_inverse(4), isn_key),
-                   (families.brandt(families.cyclic_group(3), 3),
-                    brandt_key)):
+    z3 = families.cyclic_group(3)
+    for s, product, key in (
+            (families.symmetric_inverse(4), families.compose, isn_key),
+            (families.brandt(z3, 3), rees_brandt_product(z3), brandt_key)):
         t = s.table
         given = [t.elements[g] for g in reversed(s.gens)]
-        walked = _Products(t.product, given[:2] + given[1:], key)
+        walked = _Products(product, given[:2] + given[1:], key)
         assert walked.elements == t.elements and walked == t
         assert walked.gens == s.gens[::-1]
 

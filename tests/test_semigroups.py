@@ -25,7 +25,7 @@ from pigraphs.semigroups import (
     to_json,
     to_json_dict,
 )
-from test_families import PartialBijection
+from test_families import PartialBijection, rees_brandt_product
 
 C2 = [[0, 1], [1, 0]]
 CHAIN2 = [[0, 0], [0, 1]]
@@ -575,13 +575,13 @@ def test_ideal_passes_read_the_generator_rows_only(monkeypatch, products):
     about 2*2.39M.  The zero and the identity are tested against the
     generators only, so they too read the walk: 3 and 593 products when
     each x*g was computed afresh."""
+    count = products()
     s = families.symmetric_inverse(5)
-    count = products(s)
     s.left_ideals
     s.right_ideals
     assert families.rank(s.elements[s.zero]) == 0
     assert families.rank(s.elements[s.identity]) == 5
-    assert count["products"] == 0
+    assert count == Counter(walk=len(s.gens) * s.order)
     expected = s.left_ideals, s.right_ideals
     counted, reads = counted_copy(s)
     assert counted.gens == s.gens and len(s.gens) == 3
@@ -598,48 +598,79 @@ def test_ideal_passes_read_the_generator_rows_only(monkeypatch, products):
     assert reads["items"] == 0
 
 
-def test_the_left_cayley_graph_is_recounted_by_product(products):
-    """Each entry x*g the view hands out for a generator g is read off the
-    walk, no product computed, and equals the view's product; left[x],
-    read off the walk's x*g, is the g*x over the generators computed by
-    product, and each generator's cached row is its row computed one
-    product at a time.  The Brandt samples cover Z_2, Z_3, the Klein
-    four-group and r = 1, where the zero is a generator."""
+def view_products():
+    """IS_1..IS_4 under ``families.compose`` and the Brandt samples, over
+    Z_2, Z_3, the Klein four-group and r = 1..3, under the Rees form of
+    the Brandt product, each with the product its elements recount by."""
     v4 = from_cayley_table([[x ^ y for y in range(4)] for x in range(4)])
     groups = (families.cyclic_group(2), families.cyclic_group(3), v4)
-    brandts = {r: [families.brandt(g, r) for g in groups] for r in (1, 2, 3)}
-    assert all(s.zero in s.gens for s in brandts[1])
-    for s in [*map(families.symmetric_inverse, range(1, 5)),
-              *sum(brandts.values(), [])]:
-        t = s.table
+    return [*((families.symmetric_inverse(n), families.compose)
+              for n in range(1, 5)),
+            *((families.brandt(g, r), rees_brandt_product(g))
+              for r in (1, 2, 3) for g in groups)]
+
+
+def test_the_left_cayley_graph_is_recounted_by_product(products):
+    """Each entry x*g the view hands out for a generator g is read off the
+    walk, no product computed, and equals the recounted product; left[x],
+    read off the walk's x*g, is the g*x over the generators, and each
+    generator's cached row is its row computed one product at a time.
+    The Brandt samples include r = 1, where the zero is a generator."""
+    count = products()
+    samples = view_products()
+    # a Brandt semigroup's last triple is (r-1, a, r-1)
+    assert all((s.zero in s.gens) == (s.elements[-2][0] == 0)
+               for s, _ in samples if s.family == "brandt")
+    for s, product in samples:
+        t, index = s.table, {e: i for i, e in enumerate(s.elements)}
         assert t.gens == s.gens and len(t.left) == s.order
-        count = products(s)
         walked = [[t[x][g] for g in t.gens] for x in range(s.order)]
-        assert count["products"] == 0
         for x, e in enumerate(t.elements):
-            assert walked[x] == [t.index[t.product(e, t.elements[g])]
+            assert walked[x] == [index[product(e, t.elements[g])]
                                  for g in t.gens]
-            assert t.left[x] == tuple(t.index[t.product(t.elements[g], e)]
+            assert t.left[x] == tuple(index[product(t.elements[g], e)]
                                       for g in t.gens)
         assert t.gen_rows.keys() == set(t.gens)
         for g in t.gens:
             assert t[g] is t.gen_rows[g]
             assert t.gen_rows[g] == tuple(
-                t.index[t.product(t.elements[g], e)] for e in t.elements)
+                index[product(t.elements[g], e)] for e in t.elements)
+    assert count["after"] == 0 < count["walk"]
+
+
+def test_view_entries_are_the_products_of_their_elements():
+    """Independent of ``rows``: every t[x][y], read along y's word, is the
+    index of the product of the element values; a row read by index stops
+    at the IndexError past its last entry; and each element's word,
+    multiplied out from its first generator, is the element's value."""
+    for s, product in view_products():
+        t, n = s.table, s.order
+        index = {e: i for i, e in enumerate(s.elements)}
+        assert all(t[x][y] == index[product(u, v)]
+                   for x, u in enumerate(s.elements)
+                   for y, v in enumerate(s.elements))
+        assert all(len(tuple(t[x])) == n for x in range(n))
+        for e, word in zip(s.elements, t.words):
+            value = s.elements[t.gens[word[0]]]
+            for i in word[1:]:
+                value = product(value, s.elements[t.gens[i]])
+            assert value == e
 
 
 def test_check_involution_reads_the_cached_generator_rows(products):
     """On IS_5 the law is checked on the three generator rows, which the
     view holds, against a column per generator.  Two of the columns, of
     the self-inverse (0 1) and partial identity, are generator columns
-    the walk holds, so at most one column, order products, is computed:
-    4,629 when each entry was a product, 9,276 when the generator rows
+    the walk holds, and the third is read along the words, so no product
+    is computed after the walk: 1,546 when the entries off the walk were
+    products, 4,629 when every entry was, 9,276 when the generator rows
     were composed afresh too."""
+    count = products()
     s = families.symmetric_inverse(5)
     inv = s.inverses
-    count = products(s)
     assert check_involution(s, inv)
-    assert 0 < count["products"] <= s.order == 1_546
+    assert count == Counter(walk=len(s.gens) * s.order)
+    assert s.order == 1_546
 
 
 def test_reach_holds_little_beyond_the_masks():
@@ -737,7 +768,7 @@ def view_samples():
 
 
 def test_view_entries_match_the_walk_table():
-    # each entry computed when read, a row's entries read by index up to
+    # each entry read along a word, a row's entries read by index up to
     # the IndexError past its last, against the tuple table gathered along
     # the walk, which iteration hands out
     for s in view_samples():
@@ -759,19 +790,13 @@ def test_view_and_tuple_tables_are_equal_and_hash_alike():
     assert families.symmetric_inverse(2).table != ((0,),)
 
 
-def test_isn_suite_computes_few_products_in_little_memory(products,
-                                                          monkeypatch):
+def test_isn_suite_computes_few_products_in_little_memory(products):
     """IS_5's table would hold 2,390,116 entries in about 20 MB; the suite
-    computes at most 12,200 of them, after the 4,638 products of the
-    walk that discovers the elements, and peaks under 6 MB."""
-    build, counts = families.symmetric_inverse, []
-
-    def counted_build(n):
-        s = build(n)
-        counts.append(products(s))
-        return s
-
-    monkeypatch.setattr(families, "symmetric_inverse", counted_build)
+    composes 4,638 partial maps, |gens| * order, all in the walk that
+    discovers the elements, reads every later entry along a word, and
+    peaks under 6 MB.  It composed 12,114 more when the entries off the
+    walk were products."""
+    count = products()
     tracemalloc.start()
     try:
         assert verify.suite_isn(5).passed
@@ -779,4 +804,4 @@ def test_isn_suite_computes_few_products_in_little_memory(products,
     finally:
         tracemalloc.stop()
     assert peak < 6_000_000
-    assert len(counts) == 1 and 0 < counts[0]["products"] <= 12_200
+    assert count == Counter(walk=4_638)
