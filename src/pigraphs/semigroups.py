@@ -12,7 +12,7 @@ ideals of a view are read off its generators' rows and columns alone.
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, count, repeat
+from itertools import chain, combinations, compress, count, repeat
 from operator import itemgetter, ne
 
 from .errors import AssociativityViolation, IndexOutOfRange, \
@@ -88,43 +88,36 @@ class Semigroup:
     def inverses(self) -> tuple | None:
         """The inverse map of an inverse semigroup, or ``None``.
 
-        A semigroup is inverse iff every L-class and every R-class holds
-        exactly one idempotent (Howie 1995, Thm 5.1.1 (iii)), so ``None``
-        comes back when two idempotents share a left or a right ideal, or
-        some x has no idempotent e in its L-class or f in its R-class.
-        Otherwise inv[x] has f's left ideal and e's right ideal, and it
-        is the first y of that H-class with x*y = f: any such y R e has
-        y = e*y = inv[x]*(x*y) = inv[x]*f = inv[x].  With ``gens`` only
+        A semigroup is inverse iff it is regular and its idempotents
+        commute (Howie 1995, Thm 5.1.1 (ii)), so ``None`` comes back at
+        the first idempotents e < f with e*f != f*e, or at an x with no
+        inverse.  inv[x] is the first y with x*y in F = {idempotent f :
+        f*x = x} and y*x*y = y: then x*y*x = f*x = x, and once the
+        idempotents commute an inverse is unique.  With ``gens`` only
         generators are searched, and inv[x*g] = inv[g]*inv[x] along the
-        view's walk.  Both laws are then recounted on every x, proving each x
-        regular; a view reads the four products along words, composing
-        nothing.  Like the ideal masks, this assumes associativity.
+        view's walk.  Every x is then recounted: inv is an involution and
+        x*inv[x]*x = x, which at inv[x] is the second law, so each x is
+        regular.  No ideal is read.  Like the ideal masks, this assumes
+        associativity.
         """
         t, idem = self.table, self.idempotents
-        left, right = self.left_ideals, self.right_ideals
-        left_idem = {left[e]: e for e in idem}
-        right_idem = {right[f]: f for f in idem}
-        if len(left_idem) < len(idem) or len(right_idem) < len(idem):
+        rows = [t[e] for e in idem]
+        if any(a[f] != b[e] for (e, a), (f, b)
+               in combinations(zip(idem, rows), 2)):
             return None
-        h_classes = {}
-        for y, key in enumerate(zip(left, right)):
-            h_classes.setdefault(key, []).append(y)
         inv = [None] * self.order
         for x, step in (dict.fromkeys(range(self.order)) if self.gens is None
                         else t.steps).items():
             if step is not None:
                 inv[x] = t[inv[step[1]]][inv[step[0]]]
                 continue
-            e, f = left_idem.get(left[x]), right_idem.get(right[x])
+            fixes = {f for f, a in zip(idem, rows) if a[x] == x}
             row = t[x]
-            inv[x] = None if e is None or f is None else next(
-                (y for y in h_classes.get((left[f], right[e]), ())
-                 if row[y] == f), None)
+            inv[x] = next((y for y in compress(count(), map(
+                fixes.__contains__, row)) if t[y][row[y]] == y), None)
             if inv[x] is None:
                 return None
-        # x*y*x = x and y*x*y = y
-        if any(t[t[x][y]][x] != x or t[t[y][x]][y] != y
-               for x, y in enumerate(inv)):
+        if any(inv[y] != x or t[t[x][y]][x] != x for x, y in enumerate(inv)):
             return None
         return tuple(inv)
 

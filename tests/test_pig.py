@@ -135,10 +135,12 @@ def test_inverse_criterion_reads_only_idempotent_products():
 
 def test_inverse_criterion_catches_a_wrong_ideal_layer():
     """The suite's inverse-criterion line reads no ideal mask, so it
-    still fails when the left ideals of two rank-1 elements are swapped."""
-    for n in (3, 4):
+    still fails when the left ideals of two rank-1 elements are swapped,
+    planted after the inverses are cached or before they are first read."""
+    for n, cached in ((3, True), (4, True), (3, False), (4, False)):
         s = families.symmetric_inverse(n)
-        assert s.inverses is not None  # cached before the fault is planted
+        if cached:
+            assert s.inverses is not None
         by_image = {families.image_mask(m): x
                     for x, m in enumerate(s.elements)}
         a, b = by_image[0b01], by_image[0b10]

@@ -480,14 +480,36 @@ def test_inverses_match_pairwise_definition():
     for s in (band, adjoin_zero(band)):
         assert all(s.table[x][x] == x for x in range(s.order))
         assert s.inverses is None and brute_inverses(s) is None
+    # the Rees 0-matrix semigroup over the trivial group with sandwich
+    # [[0, 1], [1, 1]], relabelled: regular, and the first inverse of
+    # each x is an involution that keeps x*y*x = x, but 1, 3 and 4 have
+    # more than one inverse; only its idempotents 1*3 != 3*1 refute it
+    rees = from_cayley_table([[2, 2, 2, 0, 1], [0, 1, 2, 0, 1],
+                              [2, 2, 2, 2, 2], [2, 2, 2, 3, 4],
+                              [3, 4, 2, 3, 4]])
+    assert rees.table[1][3] != rees.table[3][1]
+    assert rees.inverses is None and brute_inverses(rees) is None
+    # views, searched at their generators only: IS_1..IS_4, Brandt over
+    # Z_1..Z_3 at r = 1..3, and the null semigroup {0, a} walked from a,
+    # whose one idempotent commutes but whose generator has no inverse
+    views = [families.symmetric_inverse(n) for n in range(1, 5)]
+    views += [families.brandt(families.cyclic_group(k), r)
+              for k in (1, 2, 3) for r in (1, 2, 3)]
+    null = Semigroup(semigroups._Products(lambda x, y: 0, (1,), None))
+    assert null.table == ((0, 0), (0, 0)) and null.gens == (1,)
+    assert all(s.inverses == brute_inverses(s) is not None for s in views)
+    assert null.inverses is None and brute_inverses(null) is None
 
 
 def test_inverses_along_the_walk_recount_both_laws():
     """Idempotents x, y with y*x = 0 generate x, y, xy and 0: one
-    idempotent per L- and R-class, but xy is not regular.  Along the walk
-    inv(xy) = inv(y)*inv(x) = 0 and inv(0) = xy, which only the laws
-    refute; on the view walked from x and y and on the tuple table the
-    answer is None."""
+    idempotent per L- and R-class, but xy is not regular.  The
+    commutation check refutes it first, as x*y != y*x = 0; once the
+    idempotents commute and each generator is regular, so is every
+    product of them, and the recount of both laws only guards the walk.
+    On the view walked from x and y and on the tuple table the answer is
+    None.  A view of a product that is not associative needs the
+    recount."""
     s = from_cayley_table([[0, 2, 2, 3], [3, 1, 3, 3], [3, 2, 3, 3],
                            [3, 3, 3, 3]])
     walked = Semigroup(semigroups._Products(
@@ -496,12 +518,24 @@ def test_inverses_along_the_walk_recount_both_laws():
     assert walked.generators == (0, 1) and walked.zero == 3
     assert walked.inverses is None and s.inverses is None
     assert brute_inverses(s) is None
+    # a product that is not associative, walked from 1 and 2: 1 and 2 are
+    # their own inverses and inv(1*2) = inv(2)*inv(1) = 2*1 = 1*2, so the
+    # map is an involution, but 0 = 1*2 has 0*0*0 != 0 in the view's
+    # reads, which only the first law refutes
+    product = ((2, 2, 2), (2, 1, 0), (0, 0, 2)).__getitem__
+    walked = Semigroup(semigroups._Products(
+        lambda x, y: product(x)[y], (1, 2), None))
+    t = walked.table
+    assert walked.gens == (1, 2) and t.steps[0] == (1, 2)
+    assert t[2][1] == 0 and t[t[0][0]][0] != 0
+    assert walked.inverses is None
 
 
 def test_inverses_keep_both_laws_on_unchecked_tables():
     """Tables above order 256 are trusted unchecked: on every table of
     order 3, associative or not, the search raises nothing, and a map it
-    returns satisfies both laws, which it recounts on the H-class match."""
+    returns satisfies both laws: it recounts that the map is an involution
+    and the first law, which at inv(x) is the second."""
     found = 0
     for flat in product(range(3), repeat=9):
         t = (flat[:3], flat[3:6], flat[6:])
@@ -539,22 +573,24 @@ def test_generators_generate():
 
 def test_inverse_layer_reads_only_what_it_needs(monkeypatch):
     """A guard against a full-table scan coming back, on IS_5: the table
-    entries the inverse search reads, with both ideal lists cached, and
-    the keys the involution check hands to _gather."""
+    entries the inverse search reads and the keys the involution check
+    hands to _gather."""
     s = families.symmetric_inverse(5)
     counted, reads = counted_copy(s)
-    counted.__dict__.update(left_ideals=s.left_ideals,
-                            right_ideals=s.right_ideals)
     inv = counted.inverses
     assert all(s.elements[y] == PartialBijection(5, m).inverse().mapping
                for m, y in zip(s.elements, inv))
-    # the diagonal, inv[g]*inv[x] along the view's walk and both laws: 12
-    # reads per element; only the generators' H-classes are scanned, the
-    # units (120 elements) for the 5-cycle and (0 1) and 24 for the
-    # partial identity, each after reading its row, where a scan per
-    # element read sum_k C(5,k)^2 (k!)^2 = 32,826 entries
-    budget = 12 * s.order + 2 * 121 + 25
-    assert budget == 18_819 and 0 < reads["items"] <= budget
+    # the diagonal and the first law: 2 + 4 reads per element, and 2 for
+    # inv[g]*inv[x] at each element off the 3 generators; the 32
+    # idempotents' rows and both entries of their 496 pairs; and for each
+    # generator x its row, the 1,546 entries it filters, x's entry in each
+    # idempotent's row and 3 reads for the one y tried: 18,132 reads.  The
+    # budget, met by the H-class search at 18,672, leaves 687 to spare; a
+    # search of every x would filter every row, 2.39M entries
+    needed = (6 * s.order + 2 * (s.order - 3) + 32 + 2 * 496
+              + 3 * (1 + s.order + 32 + 3))
+    budget = 18_819
+    assert needed == 18_132 and 0 < reads["items"] <= budget
     gens, keys = s.generators, []
     gather = semigroups._gather
 
@@ -566,6 +602,29 @@ def test_inverse_layer_reads_only_what_it_needs(monkeypatch):
     keys.clear()
     assert check_involution(s, inv)
     assert 0 < sum(keys) <= (len(gens) + 1) * 1546
+
+
+def test_inverses_read_no_ideal_layer(monkeypatch):
+    """The inverse map reads the table alone: no ideal pass runs and no
+    ideal mask is cached, on views and on their bare tuple tables."""
+    b3 = families.brandt(families.cyclic_group(2), 3)
+    bare = [Semigroup(tuple(families.symmetric_inverse(4).table)),
+            Semigroup(tuple(b3.table))]
+    fresh = [families.symmetric_inverse(5),
+             families.brandt(families.cyclic_group(3), 4)]
+    assert all(s.gens is None for s in bare)
+    assert all(s.gens is not None for s in fresh)
+
+    def no_pass(*args):
+        raise AssertionError("an ideal pass ran")
+
+    monkeypatch.setattr(semigroups, "_reach", no_pass)
+    monkeypatch.setattr(semigroups, "_ideals", no_pass)
+    for s in fresh + bare:
+        assert s.inverses is not None
+        assert "left_ideals" not in s.__dict__
+        assert "right_ideals" not in s.__dict__
+    assert bare[1].inverses == b3.inverses
 
 
 def test_ideal_passes_read_the_generator_rows_only(monkeypatch, products):
